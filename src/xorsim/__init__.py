@@ -22,6 +22,7 @@ from .scenarios import (
     cross_scenario,
     junction_scenario,
     long_chain_scenario,
+    random_flows,
     random_scenario,
 )
 from .simulator import (
@@ -74,6 +75,7 @@ __all__ = [
     "find_partner",
     "junction_scenario",
     "long_chain_scenario",
+    "random_flows",
     "random_layout",
     "random_scenario",
     "run",

@@ -8,6 +8,7 @@ the README for the full schema.
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -15,9 +16,9 @@ from typing import Optional
 
 import yaml
 
-from . import scenarios as scen
 from .coding import Scheme
 from .metrics import MetricsReport, csv_header, finalize
+from .scenarios import random_flows
 from .simulator import (
     DEFAULT_CHANNEL_RATE,
     DEFAULT_DURATION,
@@ -53,7 +54,7 @@ class ExperimentPlan:
     flow_count: int = 2
     rate: float = 5.0
     packet_size: int = DEFAULT_PACKET_SIZE
-    explicit_flows: Optional[list[dict]] = None
+    explicit_flows: Optional[tuple[FlowSpec, ...]] = None
     channel_rate: float = DEFAULT_CHANNEL_RATE
     duration: float = DEFAULT_DURATION
     scheme: Scheme = Scheme.EXCODE
@@ -97,35 +98,37 @@ def load_config(path) -> ExperimentPlan:
             raise ValidationError(f"unknown config key: {key}")
 
     topo = _section(raw, "topology", {"nodes", "side", "range", "seed", "positions"})
-    plan.nodes = _num(topo, "topology.nodes", topo.get("nodes", plan.nodes), int, minimum=1)
-    plan.side = _num(topo, "topology.side", topo.get("side", plan.side), float, minimum=1e-9)
-    plan.radio_range = _num(topo, "topology.range", topo.get("range", plan.radio_range), float, minimum=1e-9)
+    plan.nodes = _num("topology.nodes", topo.get("nodes", plan.nodes), int, minimum=1)
+    plan.side = _num("topology.side", topo.get("side", plan.side), float, minimum=1e-9)
+    plan.radio_range = _num("topology.range", topo.get("range", plan.radio_range), float, minimum=1e-9)
     if "seed" in topo:
-        plan.topology_seed = _num(topo, "topology.seed", topo["seed"], int)
+        plan.topology_seed = _num("topology.seed", topo["seed"], int)
     if "positions" in topo:
         pos = topo["positions"]
         if not isinstance(pos, list) or not all(
             isinstance(p, (list, tuple)) and len(p) == 2 for p in pos
         ):
             raise ValidationError("topology.positions must be a list of [x, y] pairs")
-        plan.positions = [(float(x), float(y)) for x, y in pos]
+        plan.positions = [
+            tuple(_num(f"topology.positions[{i}]", v, float) for v in p) for i, p in enumerate(pos)
+        ]
         plan.nodes = len(plan.positions)
 
     flows = _section(raw, "flows", {"count", "rate", "packet_size", "list"})
-    plan.flow_count = _num(flows, "flows.count", flows.get("count", plan.flow_count), int, minimum=0)
-    plan.rate = _num(flows, "flows.rate", flows.get("rate", plan.rate), float, minimum=1e-9)
-    plan.packet_size = _num(flows, "flows.packet_size", flows.get("packet_size", plan.packet_size), int, minimum=1)
+    plan.flow_count = _num("flows.count", flows.get("count", plan.flow_count), int, minimum=0)
+    plan.rate = _num("flows.rate", flows.get("rate", plan.rate), float, minimum=1e-9)
+    plan.packet_size = _num("flows.packet_size", flows.get("packet_size", plan.packet_size), int, minimum=1)
     if "list" in flows:
         if not isinstance(flows["list"], list):
             raise ValidationError("flows.list must be a list of flow mappings")
-        plan.explicit_flows = flows["list"]
+        plan.explicit_flows = tuple(_flow_from_mapping(i, m, plan) for i, m in enumerate(flows["list"]))
 
     channel = _section(raw, "channel", {"rate_bps"})
-    plan.channel_rate = _num(channel, "channel.rate_bps", channel.get("rate_bps", plan.channel_rate), float, minimum=1e-9)
+    plan.channel_rate = _num("channel.rate_bps", channel.get("rate_bps", plan.channel_rate), float, minimum=1e-9)
 
-    plan.duration = _num(raw, "duration", raw.get("duration", plan.duration), float, minimum=1e-9)
-    plan.seed = _num(raw, "seed", raw.get("seed", plan.seed), int)
-    plan.drain_grace = _num(raw, "drain_grace", raw.get("drain_grace", plan.drain_grace), float, minimum=0.0)
+    plan.duration = _num("duration", raw.get("duration", plan.duration), float, minimum=1e-9)
+    plan.seed = _num("seed", raw.get("seed", plan.seed), int)
+    plan.drain_grace = _num("drain_grace", raw.get("drain_grace", plan.drain_grace), float, minimum=0.0)
     if "scheme" in raw:
         plan.scheme = parse_scheme(str(raw["scheme"]))
     if "count_header_overhead" in raw:
@@ -136,16 +139,19 @@ def load_config(path) -> ExperimentPlan:
     sweep = _section(raw, "sweep", {"flows", "rates", "schemes", "seeds"})
     if "flows" in sweep and "rates" in sweep:
         raise ValidationError("sweep: give either flows or rates, not both")
+    for axis in ("flows", "rates"):
+        if axis in sweep and plan.explicit_flows is not None:
+            raise ValidationError(f"sweep.{axis} cannot be combined with flows.list")
     if "flows" in sweep:
-        plan.sweep_flows = [_num(sweep, "sweep.flows", v, int, minimum=0) for v in _as_list(sweep["flows"], "sweep.flows")]
+        plan.sweep_flows = [_num("sweep.flows", v, int, minimum=0) for v in _as_list(sweep["flows"], "sweep.flows")]
     if "rates" in sweep:
-        plan.sweep_rates = [_num(sweep, "sweep.rates", v, float, minimum=1e-9) for v in _as_list(sweep["rates"], "sweep.rates")]
+        plan.sweep_rates = [_num("sweep.rates", v, float, minimum=1e-9) for v in _as_list(sweep["rates"], "sweep.rates")]
     if "schemes" in sweep:
         plan.sweep_schemes = [parse_scheme(str(s)) for s in _as_list(sweep["schemes"], "sweep.schemes")]
     elif "scheme" in raw:
         plan.sweep_schemes = [plan.scheme]
     if "seeds" in sweep:
-        plan.sweep_seeds = [_num(sweep, "sweep.seeds", v, int) for v in _as_list(sweep["seeds"], "sweep.seeds")]
+        plan.sweep_seeds = [_num("sweep.seeds", v, int) for v in _as_list(sweep["seeds"], "sweep.seeds")]
     return plan
 
 
@@ -167,9 +173,11 @@ def _as_list(value, key: str) -> list:
     return value
 
 
-def _num(sec, key: str, value, kind, minimum=None):
+def _num(key: str, value, kind, minimum=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{key} must be a number")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise ValidationError(f"{key} must be finite")
     if kind is int and int(value) != value:
         raise ValidationError(f"{key} must be an integer")
     value = kind(value)
@@ -188,12 +196,9 @@ def build_scenario(plan: ExperimentPlan, scheme: Scheme, seed: int,
     flow_rate = plan.rate if rate is None else rate
     topo = _plan_topology(plan, seed)
     if plan.explicit_flows is not None:
-        flows = tuple(_flow_from_mapping(i, m, plan) for i, m in enumerate(plan.explicit_flows))
+        flows = plan.explicit_flows
     else:
-        flows = tuple(
-            FlowSpec(flow=i, src=src, dst=dst, rate=flow_rate, packet_size=plan.packet_size)
-            for i, (src, dst) in enumerate(scen._sample_endpoints(topo, n_flows, seed))
-        )
+        flows = random_flows(topo, n_flows, flow_rate, plan.packet_size, seed)
     return Scenario(
         topology=topo,
         flows=flows,
@@ -215,23 +220,28 @@ def _plan_topology(plan: ExperimentPlan, seed: int) -> Topology:
 
 
 def _flow_from_mapping(index: int, m, plan: ExperimentPlan) -> FlowSpec:
+    prefix = f"flows.list[{index}]"
     if not isinstance(m, dict):
-        raise ValidationError(f"flows.list[{index}] must be a mapping")
+        raise ValidationError(f"{prefix} must be a mapping")
     for key in m:
         if key not in {"flow", "src", "dst", "rate", "packet_size", "start", "stop"}:
-            raise ValidationError(f"unknown config key: flows.list[{index}].{key}")
-    try:
-        return FlowSpec(
-            flow=int(m.get("flow", index)),
-            src=int(m["src"]),
-            dst=int(m["dst"]),
-            rate=float(m.get("rate", plan.rate)),
-            packet_size=int(m.get("packet_size", plan.packet_size)),
-            start=float(m.get("start", 0.0)),
-            stop=None if m.get("stop") is None else float(m["stop"]),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"flows.list[{index}] missing key {exc}") from None
+            raise ValidationError(f"unknown config key: {prefix}.{key}")
+    for key in ("src", "dst"):
+        if key not in m:
+            raise ValidationError(f"{prefix} missing key '{key}'")
+
+    def num(key: str, kind, default=None):
+        return _num(f"{prefix}.{key}", m.get(key, default), kind)
+
+    return FlowSpec(
+        flow=num("flow", int, index),
+        src=num("src", int),
+        dst=num("dst", int),
+        rate=num("rate", float, plan.rate),
+        packet_size=num("packet_size", int, plan.packet_size),
+        start=num("start", float, 0.0),
+        stop=None if m.get("stop") is None else num("stop", float),
+    )
 
 
 # -- sweep execution ---------------------------------------------------------
@@ -369,59 +379,10 @@ def write_svg_chart(path, title: str, xlabel: str, ylabel: str,
     Path(path).write_text("\n".join(out) + "\n")
 
 
-# -- regression fixtures + figures -------------------------------------------
-
-
-def run_fixture_checks(out: Optional[Path] = None) -> list[tuple[str, bool, str]]:
-    """Rerun the built-in example scenarios and check the expected coding
-    behavior. Returns (name, passed, detail) triples."""
-    from .simulator import run as run_sim
-
-    checks: list[tuple[str, bool, str]] = []
-
-    def check(name: str, passed: bool, detail: str) -> None:
-        checks.append((name, bool(passed), detail))
-
-    for fixture in ("chain", "cross"):
-        build = scen.FIXTURES[fixture]
-        tx = {s: run_sim(build(s)).total_tx for s in Scheme}
-        check(
-            f"{fixture}: relay coding saves one transmission",
-            tx[Scheme.NON_CODING] == 4 and tx[Scheme.COPE] == 3 and tx[Scheme.EXCODE] == 3,
-            f"tx none={tx[Scheme.NON_CODING]} cope={tx[Scheme.COPE]} excode={tx[Scheme.EXCODE]}",
-        )
-
-    for fixture in ("junction", "long-chain"):
-        build = scen.FIXTURES[fixture]
-        sims = {s: run_sim(build(s)) for s in Scheme}
-        ex, cope = sims[Scheme.EXCODE], sims[Scheme.COPE]
-        payload_ok = all(
-            sim.delivered.keys() == sim.generated.keys()
-            and all(sim.delivered[u][1].payload == sim.generated[u].payload for u in sim.generated)
-            for sim in sims.values()
-        )
-        check(
-            f"{fixture}: holder-set scheme codes at the shared relay",
-            ex.encode_count >= 1 and ex.decode_failures == 0,
-            f"encodes={ex.encode_count} decode_failures={ex.decode_failures}",
-        )
-        check(
-            f"{fixture}: two-hop baseline finds no opportunity",
-            cope.encode_count == 0,
-            f"encodes={cope.encode_count}",
-        )
-        check(f"{fixture}: all payloads delivered bit-exact", payload_ok, "")
-    return checks
+# -- figures ----------------------------------------------------------------
 
 
 def figures_command(out_dir) -> int:
-    out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
-    failures = 0
-    for name, passed, detail in run_fixture_checks(out):
-        print(f"[{'PASS' if passed else 'FAIL'}] {name}" + (f" ({detail})" if detail else ""))
-        failures += 0 if passed else 1
-
     # relays must be kept busy for coding windows to open, so the sweep
     # drives them well past the ~488 pkt/s a 512-byte 2 Mb/s channel serves
     plan = ExperimentPlan(
@@ -430,27 +391,9 @@ def figures_command(out_dir) -> int:
         sweep_flows=[2, 4, 6, 8],
         sweep_seeds=list(range(5)),
     )
-    reports = run_plan(plan, out)
-    by_key: dict[tuple[int, int], dict[str, MetricsReport]] = {}
-    for rep in reports:
-        by_key.setdefault((rep.flows, rep.seed), {})[rep.scheme] = rep
-    dominance = all(
-        cell["excode"].encode_count >= cell["cope"].encode_count for cell in by_key.values()
-    )
-    print(f"[{'PASS' if dominance else 'FAIL'}] sweep: holder-set encodes >= two-hop encodes in every cell")
-    failures += 0 if dominance else 1
-
-    big = [cell for (flows_n, _), cell in by_key.items() if flows_n >= 4]
-    gap = sum(c["excode"].encoded_fraction - c["cope"].encoded_fraction for c in big) / len(big)
-    print(f"[{'PASS' if gap > 0 else 'FAIL'}] sweep: mean encoded-fraction gap positive at >=4 flows ({gap:.4f})")
-    failures += 0 if gap > 0 else 1
-
-    clean = all(rep.decode_failures == 0 for rep in reports)
-    print(f"[{'PASS' if clean else 'FAIL'}] sweep: zero decode failures")
-    failures += 0 if clean else 1
-
-    print(f"wrote {out / 'results.csv'} and charts")
-    return 1 if failures else 0
+    run_plan(plan, out_dir)
+    print(f"wrote {Path(out_dir) / 'results.csv'} and charts")
+    return 0
 
 
 # -- entry point -------------------------------------------------------------
@@ -469,7 +412,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     run_p.add_argument("--count-header-overhead", action="store_true",
                        help="charge holder bytes to airtime")
 
-    fig_p = sub.add_parser("figures", help="rerun built-in scenarios and emit charts")
+    fig_p = sub.add_parser("figures", help="run a saturating sweep and emit its charts")
     fig_p.add_argument("--out", default="figures", help="output directory")
 
     args = parser.parse_args(argv)

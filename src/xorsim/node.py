@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Optional, Protocol
+from typing import TYPE_CHECKING, Optional
 
 from .coding import ReceptionReports, Scheme, find_partner
 from .packet import (
@@ -34,36 +34,13 @@ from .packet import (
     PacketUid,
     Role,
     annotate_holders,
-    packet_key,
     xor_decode,
     xor_encode,
 )
 from .topology import NodeId
 
-
-class SimHooks(Protocol):
-    """Callbacks a node uses to report observable transitions."""
-
-    def trace(self, now: float, node: NodeId, event: str, uid, detail: str = "") -> None: ...
-
-    def deliver(self, node: NodeId, packet: NativePacket, now: float) -> None: ...
-
-    def native_buffered(self, node: NodeId, packet: NativePacket) -> None: ...
-
-    def encoded_pair(self, node: NodeId, p: NativePacket, q: NativePacket, now: float) -> None: ...
-
-    def decode_failed(self, node: NodeId, encoded: EncodedPacket, missing: PacketUid, now: float) -> None: ...
-
-
-@dataclass
-class NodeStats:
-    transmissions: int = 0
-    encodes: int = 0
-    decodes: int = 0
-    decode_failures: int = 0
-    duplicates: int = 0
-    overheard: int = 0
-    delivered: int = 0
+if TYPE_CHECKING:
+    from .simulator import Simulation
 
 
 @dataclass
@@ -72,14 +49,8 @@ class Transmission:
 
     sender: NodeId
     packet: Packet
-    started_at: float
-    duration: float
     addressed: frozenset[NodeId]
     overhearers: frozenset[NodeId]
-
-    @property
-    def end_time(self) -> float:
-        return self.started_at + self.duration
 
 
 @dataclass
@@ -94,31 +65,24 @@ class Node:
     seen_overheard: set = field(default_factory=set)
     reports: ReceptionReports = field(default_factory=dict)  # neighbor -> native uids
     transmitting: bool = False
-    stats: NodeStats = field(default_factory=NodeStats)
-    pair_probe = None
 
     def __post_init__(self) -> None:
         self.reports = {nb: set() for nb in self.neighbors}
-
-    @property
-    def seen(self) -> set:
-        return self.seen_addressed | self.seen_overheard
 
     def accept(self, packet: Packet, role: Role) -> None:
         """Queue one delivered packet for processing."""
         self.input_queue.append((packet, role))
 
-    def process_input(self, now: float, sim: SimHooks) -> None:
+    def process_input(self, now: float, sim: Simulation) -> None:
         """Drain the input queue in arrival order."""
         while self.input_queue:
             packet, role = self.input_queue.popleft()
             self.on_receive(packet, role, now, sim)
 
-    def on_receive(self, packet: Packet, role: Role, now: float, sim: SimHooks) -> None:
-        key = packet_key(packet)
+    def on_receive(self, packet: Packet, role: Role, now: float, sim: Simulation) -> None:
+        key = packet.key
         seen = self.seen_overheard if role is Role.OVERHEARD else self.seen_addressed
         if key in seen:
-            self.stats.duplicates += 1
             sim.trace(now, self.id, "dup_discard", packet, role.value)
             return
         seen.add(key)
@@ -130,7 +94,6 @@ class Node:
         if isinstance(packet, NativePacket):
             if packet.dst == self.id:
                 self._buffer_native(packet, sim)
-                self.stats.delivered += 1
                 sim.deliver(self.id, packet, now)
                 sim.trace(now, self.id, "deliver", packet)
                 return
@@ -139,7 +102,7 @@ class Node:
 
         self._handle_addressed_encoded(packet, now, sim)
 
-    def _relay_native(self, packet: NativePacket, now: float, sim: SimHooks) -> None:
+    def _relay_native(self, packet: NativePacket, now: float, sim: Simulation) -> None:
         idx = find_partner(
             packet,
             self.input_queue,
@@ -147,7 +110,7 @@ class Node:
             self_id=self.id,
             neighbors=self.neighbors,
             reports=self.reports,
-            probe=self.pair_probe,
+            probe=sim.pair_probe,
         )
         if idx is not None:
             partner, _ = self.input_queue[idx]
@@ -159,7 +122,6 @@ class Node:
             self.buffer[encoded.key] = encoded
             self.seen_addressed.add(encoded.key)
             self.output_queue.append(encoded)
-            self.stats.encodes += 1
             sim.encoded_pair(self.id, packet, partner, now)
             sim.trace(now, self.id, "encode", encoded, f"{packet.uid}+{partner.uid}")
             return
@@ -167,7 +129,7 @@ class Node:
         self.output_queue.append(packet)
         sim.trace(now, self.id, "enqueue", packet)
 
-    def _handle_addressed_encoded(self, packet: EncodedPacket, now: float, sim: SimHooks) -> None:
+    def _handle_addressed_encoded(self, packet: EncodedPacket, now: float, sim: Simulation) -> None:
         self.buffer[packet.key] = packet
         remaining = packet
         for header in packet.constituents:
@@ -181,18 +143,15 @@ class Node:
                     native = xor_decode(packet, known)
                     self.seen_addressed.add(native.uid)
                     self._buffer_native(native, sim)
-                    self.stats.decodes += 1
-                    self.stats.delivered += 1
                     sim.deliver(self.id, native, now)
                     sim.trace(now, self.id, "decode_deliver", native, f"from {packet}")
                 else:
-                    self.stats.decode_failures += 1
                     sim.decode_failed(self.id, packet, counterpart.uid, now)
                     sim.trace(now, self.id, "decode_fail", packet, f"missing {counterpart.uid}")
         if any(h.active and h.custodian == self.id for h in remaining.constituents):
             self.forward_encoded(remaining, now, sim)
 
-    def forward_encoded(self, packet: EncodedPacket, now: float, sim: SimHooks) -> None:
+    def forward_encoded(self, packet: EncodedPacket, now: float, sim: Simulation) -> None:
         """Queue an encoded packet onward, keeping only the branches routed
         through this node. Never re-encodes and never splits the payload."""
         for header in packet.constituents:
@@ -201,8 +160,7 @@ class Node:
         self.output_queue.append(packet)
         sim.trace(now, self.id, "forward_encoded", packet)
 
-    def _store_overheard(self, packet: Packet, now: float, sim: SimHooks) -> None:
-        self.stats.overheard += 1
+    def _store_overheard(self, packet: Packet, now: float, sim: Simulation) -> None:
         if isinstance(packet, NativePacket):
             self._buffer_native(packet, sim)
             sim.trace(now, self.id, "overhear", packet)
@@ -223,7 +181,7 @@ class Node:
             self._buffer_native(native, sim)
             sim.trace(now, self.id, "early_decode", native, f"from {packet}")
 
-    def on_send(self, now: float, sim: SimHooks) -> Optional[Transmission]:
+    def on_send(self, now: float, sim: Simulation) -> Optional[Transmission]:
         """Pop the output-queue head and turn it into a broadcast."""
         if not self.output_queue:
             return None
@@ -239,21 +197,14 @@ class Node:
             )
             packet = replace(packet, constituents=advanced)
             addressed = frozenset(h.custodian for h in packet.active_headers())
-        self.stats.transmissions += 1
         return Transmission(
             sender=self.id,
             packet=packet,
-            started_at=now,
-            duration=0.0,  # set by the channel model
             addressed=addressed,
             overhearers=self.neighbors - addressed,
         )
 
-    def publish_reception_report(self) -> frozenset[PacketUid]:
-        """Snapshot of the native uids this node holds."""
-        return frozenset(k for k, v in self.buffer.items() if isinstance(v, NativePacket))
-
-    def _buffer_native(self, packet: NativePacket, sim: SimHooks) -> None:
+    def _buffer_native(self, packet: NativePacket, sim: Simulation) -> None:
         if packet.uid in self.buffer:
             return
         self.buffer[packet.uid] = packet

@@ -81,10 +81,6 @@ class ConstituentHeader:
     def custodian(self) -> NodeId:
         return self.route[self.hop_index]
 
-    @property
-    def at_destination(self) -> bool:
-        return self.custodian == self.dst
-
 
 @dataclass(frozen=True)
 class EncodedPacket:
@@ -115,10 +111,6 @@ class EncodedPacket:
 
 
 Packet = Union[NativePacket, EncodedPacket]
-
-
-def packet_key(packet: Packet):
-    return packet.key
 
 
 def annotate_holders(packet: NativePacket, node: NodeId, neighbors: frozenset[NodeId]) -> NativePacket:

@@ -132,13 +132,9 @@ def random_scenario(
     """Seeded random field with randomly chosen routable flow endpoints."""
     tseed = seed if topology_seed is None else topology_seed
     topo = build_topology(random_layout(n_nodes, side, tseed), radio_range)
-    flows = tuple(
-        FlowSpec(flow=i, src=src, dst=dst, rate=rate, packet_size=packet_size)
-        for i, (src, dst) in enumerate(_sample_endpoints(topo, n_flows, seed))
-    )
     return Scenario(
         topo,
-        flows,
+        random_flows(topo, n_flows, rate, packet_size, seed),
         scheme,
         duration=duration,
         channel_rate=channel_rate,
@@ -148,10 +144,13 @@ def random_scenario(
     )
 
 
-def _sample_endpoints(topo: Topology, n_flows: int, seed: int) -> list[tuple[int, int]]:
+def random_flows(
+    topo: Topology, n_flows: int, rate: float, packet_size: int, seed: int
+) -> tuple[FlowSpec, ...]:
+    """n_flows constant-rate flows between seeded random routable endpoints."""
     rng = random.Random(f"flows:{seed}")
-    pairs = []
-    for _ in range(n_flows):
+    flows = []
+    for i in range(n_flows):
         for _attempt in range(500):
             src = rng.randrange(topo.n)
             dst = rng.randrange(topo.n)
@@ -161,10 +160,10 @@ def _sample_endpoints(topo: Topology, n_flows: int, seed: int) -> list[tuple[int
                 shortest_path(topo, src, dst)
             except NoRouteError:
                 continue
-            pairs.append((src, dst))
+            flows.append(FlowSpec(flow=i, src=src, dst=dst, rate=rate, packet_size=packet_size))
             break
         else:
             raise ScenarioInvalidError(
                 f"seed {seed}: could not sample a routable flow in this layout"
             )
-    return pairs
+    return tuple(flows)

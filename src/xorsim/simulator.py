@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Optional
 
@@ -134,9 +135,7 @@ class Simulation:
         self.decode_failures = 0
         self.holder_bytes_total = 0
 
-        # optional test probes
-        self.pair_probe = None
-        self.encode_probe = None
+        self.pair_probe = None  # optional: called on every cross-flow pair scanned
 
         for flow in scenario.flows:
             self._schedule_generation(flow)
@@ -207,12 +206,10 @@ class Simulation:
         node = self.nodes[node_id]
         if node.transmitting:
             return
-        node.pair_probe = self.pair_probe
         node.process_input(now, self)
         tx = node.on_send(now, self)
         if tx is None:
             return
-        tx = replace(tx, duration=self.tx_duration(tx.packet))
         node.transmitting = True
         self.active_transmissions.append(tx)
         if isinstance(tx.packet, EncodedPacket):
@@ -222,7 +219,7 @@ class Simulation:
         if self.scenario.scheme is Scheme.EXCODE:
             self.holder_bytes_total += holder_overhead_bytes(tx.packet)
         self.trace(now, node_id, "tx_start", tx.packet, "to=" + "|".join(map(str, sorted(tx.addressed))))
-        self._schedule(tx.end_time, EventKind.TX_END, tx)
+        self._schedule(now + self.tx_duration(tx.packet), EventKind.TX_END, tx)
 
     def tx_duration(self, packet) -> float:
         """Serialization time; holder bytes ride for free unless counted in."""
@@ -253,8 +250,6 @@ class Simulation:
     def encoded_pair(self, node: NodeId, p: NativePacket, q: NativePacket, now: float) -> None:
         self.encode_count += 1
         self.per_node_encodes[node] = self.per_node_encodes.get(node, 0) + 1
-        if self.encode_probe is not None:
-            self.encode_probe(self, node, p, q)
 
     def decode_failed(self, node: NodeId, encoded: EncodedPacket, missing: PacketUid, now: float) -> None:
         self.decode_failures += 1
@@ -266,12 +261,12 @@ class Simulation:
 
 def validate_scenario(scenario: Scenario) -> None:
     topo = scenario.topology
-    if scenario.duration <= 0:
-        raise ScenarioInvalidError("duration must be positive")
-    if scenario.channel_rate <= 0:
-        raise ScenarioInvalidError("channel rate must be positive")
-    if scenario.drain_grace < 0:
-        raise ScenarioInvalidError("drain grace must be >= 0")
+    if not 0 < scenario.duration < math.inf:
+        raise ScenarioInvalidError("duration must be positive and finite")
+    if not 0 < scenario.channel_rate < math.inf:
+        raise ScenarioInvalidError("channel rate must be positive and finite")
+    if not 0 <= scenario.drain_grace < math.inf:
+        raise ScenarioInvalidError("drain grace must be >= 0 and finite")
     seen_ids = set()
     for f in scenario.flows:
         tag = f"flow {f.flow}"
@@ -282,12 +277,14 @@ def validate_scenario(scenario: Scenario) -> None:
             raise ScenarioInvalidError(f"{tag}: endpoint out of range")
         if f.src == f.dst:
             raise ScenarioInvalidError(f"{tag}: source equals destination")
-        if f.rate <= 0:
-            raise ScenarioInvalidError(f"{tag}: rate must be positive")
+        if not 0 < f.rate < math.inf:
+            raise ScenarioInvalidError(f"{tag}: rate must be positive and finite")
         if f.packet_size < 1:
             raise ScenarioInvalidError(f"{tag}: packet size must be >= 1 byte")
-        if f.start < 0:
-            raise ScenarioInvalidError(f"{tag}: start must be >= 0")
+        if not 0 <= f.start < math.inf:
+            raise ScenarioInvalidError(f"{tag}: start must be >= 0 and finite")
+        if f.stop is not None and not math.isfinite(f.stop):
+            raise ScenarioInvalidError(f"{tag}: stop must be finite")
         if f.stop is not None and f.stop < f.start:
             raise ScenarioInvalidError(f"{tag}: stop precedes start")
         try:

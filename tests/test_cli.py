@@ -9,7 +9,6 @@ from xorsim.cli import (
     load_config,
     main,
     parse_scheme,
-    run_fixture_checks,
     run_plan,
 )
 from xorsim.coding import Scheme
@@ -77,13 +76,22 @@ def test_full_config_round_trip(tmp_path):
         ("topology: {nodes: zero}", "topology.nodes must be a number"),
         ("topology: {nodes: 0}", "topology.nodes must be >="),
         ("topology: {positions: [[1, 2], [3]]}", "topology.positions"),
+        ("topology: {positions: [[a, 1], [2, 3]]}", "topology.positions[0] must be a number"),
         ("flows: {rate: -1}", "flows.rate must be >="),
+        ("flows: {rate: .inf}", "flows.rate must be finite"),
         ("flows: {list: 3}", "flows.list must be a list"),
+        ("flows: {list: [{src: abc, dst: 1}]}", "flows.list[0].src must be a number"),
+        ("flows: {list: [{src: 0, dst: 1, rate: .nan}]}", "flows.list[0].rate must be finite"),
         ("scheme: sideways", "unknown scheme 'sideways'"),
         ("sweep: {flows: [2], rates: [1.0]}", "either flows or rates"),
         ("sweep: {flows: []}", "sweep.flows must be a non-empty list"),
+        ("flows: {list: [{src: 0, dst: 1}]}\nsweep: {flows: [1, 2, 3]}",
+         "sweep.flows cannot be combined with flows.list"),
+        ("flows: {list: [{src: 0, dst: 1}]}\nsweep: {rates: [1, 50]}",
+         "sweep.rates cannot be combined with flows.list"),
         ("count_header_overhead: 3", "must be true or false"),
         ("duration: 0", "duration must be >="),
+        ("duration: .nan", "duration must be finite"),
     ],
 )
 def test_config_errors_name_the_key(tmp_path, snippet, needle):
@@ -165,13 +173,6 @@ def test_run_plan_outputs_are_byte_stable(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
-def test_fixture_checks_all_pass():
-    results = run_fixture_checks()
-    assert len(results) == 8
-    for name, passed, detail in results:
-        assert passed, (name, detail)
-
-
 def test_main_run_subcommand(tmp_path, capsys):
     config = write_config(tmp_path, CHAIN_YAML)
     out = tmp_path / "results"
@@ -190,6 +191,18 @@ def test_main_scheme_and_seed_overrides(tmp_path, capsys):
     lines = (out / "results.csv").read_text().splitlines()
     assert len(lines) == 2
     assert lines[1].startswith("excode,5,")
+
+
+def test_main_figures_only_draws_charts(tmp_path, capsys, monkeypatch):
+    # the real sweep takes minutes; what figures owns is the plan and exit 0
+    plans = []
+    monkeypatch.setattr("xorsim.cli.run_plan", lambda plan, out: plans.append((plan, out)) or [])
+    assert main(["figures", "--out", str(tmp_path)]) == 0
+    [(plan, out)] = plans
+    assert plan.sweep_flows == [2, 4, 6, 8]
+    assert plan.sweep_seeds == [0, 1, 2, 3, 4]
+    assert (plan.duration, plan.rate) == (4.0, 150.0)
+    assert "PASS" not in capsys.readouterr().out
 
 
 def test_main_reports_config_errors(tmp_path, capsys):

@@ -9,6 +9,8 @@ from xorsim.packet import NativePacket, PacketUid, Role, xor_encode
 class HookRecorder:
     """Stand-in for the simulation side of the node protocol."""
 
+    pair_probe = None
+
     def __init__(self):
         self.events = []
         self.delivered = []
@@ -61,7 +63,7 @@ def test_relay_forwards_without_partner():
     node.process_input(0.0, sim)
     assert list(node.output_queue) == [P_EAST]
     assert node.buffer[P_EAST.uid] == P_EAST
-    assert node.stats.encodes == 0
+    assert sim.pairs == []
 
 
 def test_relay_codes_with_queued_partner():
@@ -69,10 +71,10 @@ def test_relay_codes_with_queued_partner():
     node.accept(Q_WEST, Role.ADDRESSED)
     node.accept(P_EAST, Role.ADDRESSED)
     node.process_input(0.0, sim)
-    assert node.stats.encodes == 1
     assert sim.pairs == [(1, Q_WEST.uid, P_EAST.uid)]
     assert not node.input_queue
     [encoded] = node.output_queue
+    assert ("encode", 1, str(encoded)) in sim.events
     assert encoded.key == (P_EAST.uid, Q_WEST.uid)
     assert encoded.payload == xor_encode(P_EAST, Q_WEST, 0.0).payload
     # both originals and the mix are remembered
@@ -87,7 +89,7 @@ def test_relay_never_codes_under_non_coding():
     node.accept(Q_WEST, Role.ADDRESSED)
     node.accept(P_EAST, Role.ADDRESSED)
     node.process_input(0.0, sim)
-    assert node.stats.encodes == 0
+    assert sim.pairs == []
     assert list(node.output_queue) == [Q_WEST, P_EAST]
 
 
@@ -96,7 +98,7 @@ def test_duplicate_addressed_copies_are_dropped():
     node.accept(P_EAST, Role.ADDRESSED)
     node.accept(P_EAST, Role.ADDRESSED)
     node.process_input(0.0, sim)
-    assert node.stats.duplicates == 1
+    assert dup_discards(sim) == [("dup_discard", 1, str(P_EAST.uid))]
     assert list(node.output_queue) == [P_EAST]
 
 
@@ -104,9 +106,13 @@ def test_roles_deduplicate_independently():
     node, sim = relay_node()
     node.on_receive(P_EAST, Role.ADDRESSED, 0.0, sim)
     node.on_receive(P_EAST, Role.OVERHEARD, 0.0, sim)
-    assert node.stats.duplicates == 0
+    assert dup_discards(sim) == []
     node.on_receive(P_EAST, Role.OVERHEARD, 0.0, sim)
-    assert node.stats.duplicates == 1
+    assert dup_discards(sim) == [("dup_discard", 1, str(P_EAST.uid))]
+
+
+def dup_discards(sim):
+    return [e for e in sim.events if e[0] == "dup_discard"]
 
 
 def test_destination_delivers_and_buffers():
@@ -116,7 +122,7 @@ def test_destination_delivers_and_buffers():
     node.accept(arriving, Role.ADDRESSED)
     node.process_input(1.0, sim)
     assert sim.delivered == [(2, arriving)]
-    assert node.stats.delivered == 1
+    assert ("deliver", 2, str(arriving.uid)) in sim.events
     assert not node.output_queue
     assert node.buffer[arriving.uid] == arriving
 
@@ -126,7 +132,7 @@ def test_overheard_native_is_buffered_never_forwarded():
     node.on_receive(Q_WEST, Role.OVERHEARD, 0.0, sim)
     assert node.buffer[Q_WEST.uid] == Q_WEST
     assert not node.output_queue
-    assert node.stats.overheard == 1
+    assert sim.events == [("overhear", 1, str(Q_WEST.uid))]
 
 
 def test_overheard_mix_decodes_against_known_original():
@@ -163,8 +169,8 @@ def test_destination_decodes_addressed_mix():
     sim = HookRecorder()
     node.on_receive(replace(Q_WEST, hop_index=0), Role.OVERHEARD, 0.1, sim)
     node.on_receive(encoded, Role.ADDRESSED, 1.0, sim)
-    assert node.stats.decodes == 1
     assert [(n, pkt.uid) for n, pkt in sim.delivered] == [(2, p.uid)]
+    assert ("decode_deliver", 2, str(p.uid)) in sim.events
     delivered = sim.delivered[0][1]
     assert delivered.payload == P_EAST.payload
     assert not node.output_queue  # the other branch is not ours to carry
@@ -175,8 +181,8 @@ def test_decode_failure_is_counted_not_fatal():
     node = Node(id=2, neighbors=frozenset({1}), scheme=Scheme.EXCODE)
     sim = HookRecorder()
     node.on_receive(encoded, Role.ADDRESSED, 1.0, sim)
-    assert node.stats.decode_failures == 1
     assert sim.failures == [(2, q.uid)]
+    assert ("decode_fail", 2, str(encoded)) in sim.events
     assert not sim.delivered
 
 
@@ -204,7 +210,7 @@ def test_send_annotates_then_advances():
     assert tx.addressed == frozenset({1})
     assert tx.overhearers == frozenset({5})
     assert tx.sender == 0
-    assert node.stats.transmissions == 1
+    assert not node.output_queue
 
 
 def test_send_encoded_advances_active_branches_only():
@@ -228,12 +234,17 @@ def test_send_with_empty_backlog():
 
 
 def test_reception_report_lists_only_natives():
+    # the natives a node buffers are what it reports: each one is announced
+    # once through native_buffered, the mix itself never
     node, sim = relay_node()
+    encoded = xor_encode(P_EAST, Q_WEST, 0.0)
     node.on_receive(Q_WEST, Role.OVERHEARD, 0.0, sim)
-    node.on_receive(xor_encode(P_EAST, Q_WEST, 0.0), Role.OVERHEARD, 0.1, sim)
-    report = node.publish_reception_report()
-    assert Q_WEST.uid in report
-    assert all(isinstance(uid, PacketUid) for uid in report)
+    node.on_receive(encoded, Role.OVERHEARD, 0.1, sim)
+    natives = {k for k, v in node.buffer.items() if isinstance(v, NativePacket)}
+    assert natives == {Q_WEST.uid, P_EAST.uid}  # P_EAST recovered early
+    assert sim.buffered == [(1, Q_WEST.uid), (1, P_EAST.uid)]
+    assert encoded.key in node.buffer
+    assert all(isinstance(uid, PacketUid) for uid in natives)
 
 
 def test_everything_buffered_was_seen():
@@ -255,5 +266,5 @@ def test_everything_buffered_was_seen():
             pkt = xor_encode(pkt, other, 0.0)
         role = Role.OVERHEARD if rng.random() < 0.5 else Role.ADDRESSED
         node.on_receive(pkt, role, float(step), sim)
-        assert set(node.buffer) <= node.seen
+        assert set(node.buffer) <= node.seen_addressed | node.seen_overheard
         node.output_queue.clear()

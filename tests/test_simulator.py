@@ -143,18 +143,27 @@ def test_validation_messages():
     bad("endpoint out of range", dst=7)
     bad("source equals destination", dst=0)
     bad("rate must be positive", rate=0.0)
+    bad("rate must be positive and finite", rate=math.inf)
     bad("packet size", packet_size=0)
     bad("start must be", start=-1.0)
+    bad("start must be >= 0 and finite", start=math.nan)
+    bad("stop must be finite", stop=math.nan)
     bad("stop precedes start", start=2.0, stop=1.0)
     bad("no route from 0 to 2", dst=2)
     with pytest.raises(ScenarioInvalidError, match="duplicate flow id"):
         validate_scenario(Scenario(topo, (ok, ok), Scheme.EXCODE))
     with pytest.raises(ScenarioInvalidError, match="duration"):
         validate_scenario(Scenario(topo, (ok,), Scheme.EXCODE, duration=0.0))
+    with pytest.raises(ScenarioInvalidError, match="duration must be positive and finite"):
+        validate_scenario(Scenario(topo, (ok,), Scheme.EXCODE, duration=math.nan))
+    with pytest.raises(ScenarioInvalidError, match="channel rate must be positive and finite"):
+        validate_scenario(Scenario(topo, (ok,), Scheme.EXCODE, channel_rate=math.inf))
     with pytest.raises(ScenarioInvalidError, match="channel rate"):
         validate_scenario(Scenario(topo, (ok,), Scheme.EXCODE, channel_rate=0.0))
     with pytest.raises(ScenarioInvalidError, match="drain grace"):
         validate_scenario(Scenario(topo, (ok,), Scheme.EXCODE, drain_grace=-1.0))
+    with pytest.raises(ScenarioInvalidError, match="drain grace must be >= 0 and finite"):
+        validate_scenario(Scenario(topo, (ok,), Scheme.EXCODE, drain_grace=math.inf))
 
 
 def test_payload_bytes_deterministic_and_seed_sensitive():
@@ -263,22 +272,33 @@ def test_encode_fires_only_when_both_sides_can_already_decode():
         scn = random_scenario(
             Scheme.EXCODE, seed=seed, n_flows=4, rate=120.0, duration=1.0, capture_trace=False
         )
-        sim = Simulation(scn)
-        sim.encode_probe = probe
+        sim = watch_encodes(Simulation(scn), probe)
         sim.run()
         assert sim.decode_failures == 0
-    junction = Simulation(junction_scenario(Scheme.EXCODE))
-    junction.encode_probe = probe
+    junction = watch_encodes(Simulation(junction_scenario(Scheme.EXCODE)), probe)
     junction.run()
     assert junction.per_node_encodes == {2: 1}
     assert calls
+
+
+def watch_encodes(sim, probe):
+    """Call probe(sim, node, p, q) on every encode, ahead of the sim's own hook."""
+    hook = sim.encoded_pair
+
+    def encoded_pair(node, p, q, now):
+        probe(sim, node, p, q)
+        hook(node, p, q, now)
+
+    sim.encoded_pair = encoded_pair
+    return sim
 
 
 def test_reception_reports_mirror_neighbor_buffers():
     sim = run(random_scenario(Scheme.COPE, seed=5, n_flows=4, rate=40.0, duration=2.0, capture_trace=False))
     for node in sim.nodes:
         for nb in node.neighbors:
-            assert node.reports[nb] == set(sim.nodes[nb].publish_reception_report())
+            natives = {k for k, v in sim.nodes[nb].buffer.items() if isinstance(v, NativePacket)}
+            assert node.reports[nb] == natives
 
 
 def test_reports_stay_empty_outside_the_report_scheme():
