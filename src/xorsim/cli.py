@@ -30,11 +30,12 @@ from .simulator import (
 )
 from .topology import Topology, build_topology, random_layout
 
+# (chart file stem, MetricsReport attribute, axis label)
 CHART_METRICS = (
-    ("throughput_kbps", "delivered payload (kb/s)"),
-    ("encoded_frac", "encoded transmission fraction"),
-    ("pdr", "packet delivery ratio"),
-    ("mean_delay_s", "mean end-to-end delay (s)"),
+    ("throughput_kbps", "throughput_kbps", "delivered payload (kb/s)"),
+    ("encoded_frac", "encoded_fraction", "encoded transmission fraction"),
+    ("pdr", "delivery_ratio", "packet delivery ratio"),
+    ("mean_delay_s", "mean_delay_s", "mean end-to-end delay (s)"),
 )
 
 
@@ -104,6 +105,9 @@ def load_config(path) -> ExperimentPlan:
     if "seed" in topo:
         plan.topology_seed = _num("topology.seed", topo["seed"], int)
     if "positions" in topo:
+        for key in ("nodes", "side", "seed"):
+            if key in topo:
+                raise ValidationError(f"topology.{key} cannot be combined with topology.positions")
         pos = topo["positions"]
         if not isinstance(pos, list) or not all(
             isinstance(p, (list, tuple)) and len(p) == 2 for p in pos
@@ -119,6 +123,8 @@ def load_config(path) -> ExperimentPlan:
     plan.rate = _num("flows.rate", flows.get("rate", plan.rate), float, minimum=1e-9)
     plan.packet_size = _num("flows.packet_size", flows.get("packet_size", plan.packet_size), int, minimum=1)
     if "list" in flows:
+        if "count" in flows:
+            raise ValidationError("flows.count cannot be combined with flows.list")
         if not isinstance(flows["list"], list):
             raise ValidationError("flows.list must be a list of flow mappings")
         plan.explicit_flows = tuple(_flow_from_mapping(i, m, plan) for i, m in enumerate(flows["list"]))
@@ -180,7 +186,10 @@ def _num(key: str, value, kind, minimum=None):
         raise ValidationError(f"{key} must be finite")
     if kind is int and int(value) != value:
         raise ValidationError(f"{key} must be an integer")
-    value = kind(value)
+    try:
+        value = kind(value)
+    except OverflowError:
+        raise ValidationError(f"{key} is too large") from None
     if minimum is not None and value < minimum:
         raise ValidationError(f"{key} must be >= {minimum}")
     return value
@@ -284,14 +293,14 @@ def write_charts(reports: list[MetricsReport], out: Path) -> None:
     for rep in reports:
         by_scheme.setdefault(rep.scheme, {}).setdefault(rep.flows, []).append(rep)
 
-    for column, label in CHART_METRICS:
+    for column, attr, label in CHART_METRICS:
         series: dict[str, list[tuple[float, float]]] = {}
         for scheme, groups in sorted(by_scheme.items()):
             pts = []
             for flows_n in sorted(groups):
                 reps = groups[flows_n]
                 xs = [r.offered_kbps for r in reps]
-                ys = [_metric_value(r, column) for r in reps]
+                ys = [getattr(r, attr) for r in reps]
                 ys = [y for y in ys if y is not None]
                 if not ys:
                     continue
@@ -299,15 +308,6 @@ def write_charts(reports: list[MetricsReport], out: Path) -> None:
             if pts:
                 series[scheme] = pts
         write_svg_chart(out / f"{column}.svg", label, "offered load (kb/s)", label, series)
-
-
-def _metric_value(rep: MetricsReport, column: str):
-    return {
-        "throughput_kbps": rep.throughput_kbps,
-        "encoded_frac": rep.encoded_fraction,
-        "pdr": rep.delivery_ratio,
-        "mean_delay_s": rep.mean_delay_s,
-    }[column]
 
 
 SCHEME_COLORS = {"excode": "#c0392b", "cope": "#2471a3", "none": "#7d7d7d"}

@@ -14,13 +14,12 @@ therefore in its holder set.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .packet import NativePacket, PacketUid, Role
+from .packet import NativePacket, PacketUid
 from .topology import NodeId
 
 ReceptionReports = dict[NodeId, set[PacketUid]]
-PairProbe = Callable[[NodeId, NativePacket, NativePacket, bool, bool], None]
 
 
 class Scheme(enum.Enum):
@@ -62,34 +61,23 @@ def find_partner(
     self_id: NodeId,
     neighbors: frozenset[NodeId],
     reports: ReceptionReports,
-    probe: Optional[PairProbe] = None,
 ) -> Optional[int]:
     """Index of the first queued packet codable with p, front to back.
 
-    Queue entries are (packet, role) pairs of a node's input queue. Only
-    natives awaiting relay at this node are eligible: overheard copies and
-    packets destined here are skipped, as is anything already encoded.
-    Returns None under the non-coding scheme or when nothing matches.
+    The queue is a node's input queue of addressed arrivals. Only natives
+    awaiting relay at this node are eligible: packets destined here are
+    skipped, as is anything already encoded. Returns None under the
+    non-coding scheme or when nothing matches.
     """
     if scheme is Scheme.NON_CODING:
         return None
-    for idx, (cand, role) in enumerate(queue):
-        if role is not Role.ADDRESSED or not isinstance(cand, NativePacket):
-            continue
-        if cand.dst == self_id:
+    for idx, cand in enumerate(queue):
+        if not isinstance(cand, NativePacket) or cand.dst == self_id:
             continue
         if scheme is Scheme.EXCODE:
             ok = excode_can_code(p, cand)
         else:
             ok = cope_can_code(p, cand, reports, neighbors)
-        if probe is not None and cand.uid.flow != p.uid.flow:
-            probe(
-                self_id,
-                p,
-                cand,
-                cope_can_code(p, cand, reports, neighbors),
-                excode_can_code(p, cand),
-            )
         if ok:
             return idx
     return None

@@ -31,7 +31,6 @@ from .packet import (
     EncodedPacket,
     NativePacket,
     Packet,
-    PacketUid,
     Role,
     annotate_holders,
     xor_decode,
@@ -58,26 +57,21 @@ class Node:
     id: NodeId
     neighbors: frozenset[NodeId]
     scheme: Scheme
-    input_queue: deque = field(default_factory=deque)  # (packet, role) pairs
+    input_queue: deque = field(default_factory=deque)  # addressed arrivals
     output_queue: deque = field(default_factory=deque)
     buffer: dict = field(default_factory=dict)  # key -> packet, natives and encoded
     seen_addressed: set = field(default_factory=set)
     seen_overheard: set = field(default_factory=set)
     reports: ReceptionReports = field(default_factory=dict)  # neighbor -> native uids
-    transmitting: bool = False
+    transmitting: Optional[Transmission] = None  # the broadcast on air
 
     def __post_init__(self) -> None:
         self.reports = {nb: set() for nb in self.neighbors}
 
-    def accept(self, packet: Packet, role: Role) -> None:
-        """Queue one delivered packet for processing."""
-        self.input_queue.append((packet, role))
-
     def process_input(self, now: float, sim: Simulation) -> None:
         """Drain the input queue in arrival order."""
         while self.input_queue:
-            packet, role = self.input_queue.popleft()
-            self.on_receive(packet, role, now, sim)
+            self.on_receive(self.input_queue.popleft(), Role.ADDRESSED, now, sim)
 
     def on_receive(self, packet: Packet, role: Role, now: float, sim: Simulation) -> None:
         key = packet.key
@@ -110,10 +104,9 @@ class Node:
             self_id=self.id,
             neighbors=self.neighbors,
             reports=self.reports,
-            probe=sim.pair_probe,
         )
         if idx is not None:
-            partner, _ = self.input_queue[idx]
+            partner = self.input_queue[idx]
             del self.input_queue[idx]
             self.seen_addressed.add(partner.uid)
             self._buffer_native(packet, sim)
@@ -131,32 +124,36 @@ class Node:
 
     def _handle_addressed_encoded(self, packet: EncodedPacket, now: float, sim: Simulation) -> None:
         self.buffer[packet.key] = packet
-        remaining = packet
-        for header in packet.constituents:
-            if not header.active or header.custodian != self.id:
+        for header in packet.active_headers():
+            if header.custodian != self.id or header.dst != self.id:
                 continue
-            if header.dst == self.id:
-                remaining = self._deactivate(remaining, header.uid)
-                counterpart = packet.counterpart(header)
-                known = self.buffer.get(counterpart.uid)
-                if isinstance(known, NativePacket):
-                    native = xor_decode(packet, known)
-                    self.seen_addressed.add(native.uid)
-                    self._buffer_native(native, sim)
-                    sim.deliver(self.id, native, now)
-                    sim.trace(now, self.id, "decode_deliver", native, f"from {packet}")
-                else:
-                    sim.decode_failed(self.id, packet, counterpart.uid, now)
-                    sim.trace(now, self.id, "decode_fail", packet, f"missing {counterpart.uid}")
-        if any(h.active and h.custodian == self.id for h in remaining.constituents):
-            self.forward_encoded(remaining, now, sim)
+            counterpart = packet.counterpart(header)
+            known = self.buffer.get(counterpart.uid)
+            if known is not None:
+                native = xor_decode(packet, known)
+                self.seen_addressed.add(native.uid)
+                self._buffer_native(native, sim)
+                sim.deliver(self.id, native, now)
+                sim.trace(now, self.id, "decode_deliver", native, f"from {packet}")
+            else:
+                sim.decode_failed(self.id, packet, counterpart.uid, now)
+                sim.trace(now, self.id, "decode_fail", packet, f"missing {counterpart.uid}")
+        if any(self._carries(h) for h in packet.active_headers()):
+            self.forward_encoded(packet, now, sim)
+
+    def _carries(self, header: ConstituentHeader) -> bool:
+        """This node is the custodian of the branch and must send it on."""
+        return header.custodian == self.id and header.dst != self.id
 
     def forward_encoded(self, packet: EncodedPacket, now: float, sim: Simulation) -> None:
-        """Queue an encoded packet onward, keeping only the branches routed
-        through this node. Never re-encodes and never splits the payload."""
-        for header in packet.constituents:
-            if header.active and header.custodian != self.id:
-                packet = self._deactivate(packet, header.uid)
+        """Queue an encoded packet onward, keeping active only the branches
+        this node carries further. Never re-encodes and never splits the payload."""
+        if not all(self._carries(h) for h in packet.active_headers()):
+            headers = tuple(
+                replace(h, active=False) if h.active and not self._carries(h) else h
+                for h in packet.constituents
+            )
+            packet = replace(packet, constituents=headers)
         self.output_queue.append(packet)
         sim.trace(now, self.id, "forward_encoded", packet)
 
@@ -168,15 +165,9 @@ class Node:
         self.buffer[packet.key] = packet
         sim.trace(now, self.id, "overhear", packet)
         # holding one original lets the node pull out the other right away
-        known = None
-        unknown: Optional[ConstituentHeader] = None
-        a, b = packet.constituents
-        if a.uid in self.buffer and b.uid not in self.buffer:
-            known, unknown = self.buffer[a.uid], b
-        elif b.uid in self.buffer and a.uid not in self.buffer:
-            known, unknown = self.buffer[b.uid], a
-        if known is not None and isinstance(known, NativePacket):
-            native = xor_decode(packet, known)
+        held = [h.uid for h in packet.constituents if h.uid in self.buffer]
+        if len(held) == 1:
+            native = xor_decode(packet, self.buffer[held[0]])
             self.seen_overheard.add(native.uid)
             self._buffer_native(native, sim)
             sim.trace(now, self.id, "early_decode", native, f"from {packet}")
@@ -209,10 +200,3 @@ class Node:
             return
         self.buffer[packet.uid] = packet
         sim.native_buffered(self.id, packet)
-
-    @staticmethod
-    def _deactivate(packet: EncodedPacket, uid: PacketUid) -> EncodedPacket:
-        headers = tuple(
-            replace(h, active=False) if h.uid == uid else h for h in packet.constituents
-        )
-        return replace(packet, constituents=headers)

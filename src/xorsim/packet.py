@@ -150,13 +150,7 @@ def xor_encode(p: NativePacket, q: NativePacket, now: float) -> EncodedPacket:
 
 def xor_decode(encoded: EncodedPacket, known: NativePacket) -> NativePacket:
     """Recover the other constituent given one of the two originals."""
-    a, b = encoded.constituents
-    if known.uid == a.uid:
-        other = b
-    elif known.uid == b.uid:
-        other = a
-    else:
-        raise NotConstituentError(f"{known.uid} is not a constituent of {encoded}")
+    other = encoded.counterpart(known.uid)
     return NativePacket(
         uid=other.uid,
         src=other.route[0],

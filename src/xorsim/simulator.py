@@ -15,7 +15,6 @@ import heapq
 import math
 import random
 from dataclasses import dataclass
-from enum import Enum
 from typing import Optional
 
 from .coding import Scheme
@@ -64,10 +63,10 @@ class Scenario:
     capture_trace: bool = True
 
 
-class EventKind(Enum):
-    PACKET_GEN = "gen"
-    TX_END = "tx_end"
-    NODE_WAKE = "wake"
+# event kinds, the third field of a heap entry
+PACKET_GEN = "gen"
+TX_END = "tx_end"
+NODE_WAKE = "wake"
 
 
 class TraceLog:
@@ -108,12 +107,9 @@ class Simulation:
     """One run. Build it, call run(), then read counters or finalize metrics."""
 
     def __init__(self, scenario: Scenario):
-        validate_scenario(scenario)
+        self.routes = validate_scenario(scenario)
         self.scenario = scenario
         topo = scenario.topology
-        self.routes: dict[int, tuple[NodeId, ...]] = {
-            f.flow: shortest_path(topo, f.src, f.dst) for f in scenario.flows
-        }
         self.nodes: list[Node] = [
             Node(id=i, neighbors=topo.neighbors(i), scheme=scenario.scheme)
             for i in range(topo.n)
@@ -121,29 +117,23 @@ class Simulation:
         self.trace_log = TraceLog()
         self._heap: list = []
         self._ordinal = 0
-        self.now = 0.0
-        self.active_transmissions: list[Transmission] = []
 
         self.generated: dict[PacketUid, NativePacket] = {}
-        self.delivered: dict[PacketUid, tuple[float, NativePacket]] = {}
-        self.delivery_order: dict[int, list[int]] = {f.flow: [] for f in scenario.flows}
+        self.delivered: dict[PacketUid, tuple[float, NativePacket]] = {}  # in delivery order
         self.double_deliveries = 0
         self.tx_native = 0
         self.tx_encoded = 0
-        self.encode_count = 0
         self.per_node_encodes: dict[NodeId, int] = {}
         self.decode_failures = 0
         self.holder_bytes_total = 0
-
-        self.pair_probe = None  # optional: called on every cross-flow pair scanned
 
         for flow in scenario.flows:
             self._schedule_generation(flow)
 
     # -- event plumbing ----------------------------------------------------
 
-    def _schedule(self, time: float, kind: EventKind, data) -> None:
-        heapq.heappush(self._heap, (time, self._ordinal, kind.value, data))
+    def _schedule(self, time: float, kind: str, data) -> None:
+        heapq.heappush(self._heap, (time, self._ordinal, kind, data))
         self._ordinal += 1
 
     def _schedule_generation(self, flow: FlowSpec) -> None:
@@ -153,7 +143,7 @@ class Simulation:
             t = flow.start + k / flow.rate
             if t >= stop:
                 break
-            self._schedule(t, EventKind.PACKET_GEN, (flow, k))
+            self._schedule(t, PACKET_GEN, (flow, k))
             k += 1
 
     def run(self) -> "Simulation":
@@ -161,10 +151,9 @@ class Simulation:
         heap = self._heap
         while heap and heap[0][0] <= end:
             time, _, kind, data = heapq.heappop(heap)
-            self.now = time
-            if kind == EventKind.NODE_WAKE.value:
+            if kind == NODE_WAKE:
                 self._on_wake(data, time)
-            elif kind == EventKind.TX_END.value:
+            elif kind == TX_END:
                 self._on_tx_end(data, time)
             else:
                 self._on_gen(data, time)
@@ -185,33 +174,31 @@ class Simulation:
         )
         self.generated[uid] = packet
         self.trace(now, flow.src, "gen", packet)
-        self.nodes[flow.src].accept(packet, Role.ADDRESSED)
-        self._schedule(now, EventKind.NODE_WAKE, flow.src)
+        self.nodes[flow.src].input_queue.append(packet)
+        self._schedule(now, NODE_WAKE, flow.src)
 
     def _on_tx_end(self, tx: Transmission, now: float) -> None:
         sender = self.nodes[tx.sender]
-        sender.transmitting = False
-        self.active_transmissions.remove(tx)
+        sender.transmitting = None
         self.trace(now, tx.sender, "tx_end", tx.packet)
         # overhearing is pure listening: it lands in the buffer the moment
         # the transmission ends, never competing with the radio's work
         for receiver in sorted(tx.overhearers):
             self.nodes[receiver].on_receive(tx.packet, Role.OVERHEARD, now, self)
         for receiver in sorted(tx.addressed):
-            self.nodes[receiver].accept(tx.packet, Role.ADDRESSED)
-            self._schedule(now, EventKind.NODE_WAKE, receiver)
-        self._schedule(now, EventKind.NODE_WAKE, tx.sender)
+            self.nodes[receiver].input_queue.append(tx.packet)
+            self._schedule(now, NODE_WAKE, receiver)
+        self._schedule(now, NODE_WAKE, tx.sender)
 
     def _on_wake(self, node_id: NodeId, now: float) -> None:
         node = self.nodes[node_id]
-        if node.transmitting:
+        if node.transmitting is not None:
             return
         node.process_input(now, self)
         tx = node.on_send(now, self)
         if tx is None:
             return
-        node.transmitting = True
-        self.active_transmissions.append(tx)
+        node.transmitting = tx
         if isinstance(tx.packet, EncodedPacket):
             self.tx_encoded += 1
         else:
@@ -219,7 +206,7 @@ class Simulation:
         if self.scenario.scheme is Scheme.EXCODE:
             self.holder_bytes_total += holder_overhead_bytes(tx.packet)
         self.trace(now, node_id, "tx_start", tx.packet, "to=" + "|".join(map(str, sorted(tx.addressed))))
-        self._schedule(now + self.tx_duration(tx.packet), EventKind.TX_END, tx)
+        self._schedule(now + self.tx_duration(tx.packet), TX_END, tx)
 
     def tx_duration(self, packet) -> float:
         """Serialization time; holder bytes ride for free unless counted in."""
@@ -239,7 +226,6 @@ class Simulation:
             self.double_deliveries += 1
             return
         self.delivered[packet.uid] = (now, packet)
-        self.delivery_order[packet.uid.flow].append(packet.uid.seq)
 
     def native_buffered(self, node: NodeId, packet: NativePacket) -> None:
         if self.scenario.scheme is not Scheme.COPE:
@@ -248,7 +234,6 @@ class Simulation:
             self.nodes[nb].reports[node].add(packet.uid)
 
     def encoded_pair(self, node: NodeId, p: NativePacket, q: NativePacket, now: float) -> None:
-        self.encode_count += 1
         self.per_node_encodes[node] = self.per_node_encodes.get(node, 0) + 1
 
     def decode_failed(self, node: NodeId, encoded: EncodedPacket, missing: PacketUid, now: float) -> None:
@@ -258,8 +243,13 @@ class Simulation:
     def total_tx(self) -> int:
         return self.tx_native + self.tx_encoded
 
+    @property
+    def encode_count(self) -> int:
+        return sum(self.per_node_encodes.values())
 
-def validate_scenario(scenario: Scenario) -> None:
+
+def validate_scenario(scenario: Scenario) -> dict[int, tuple[NodeId, ...]]:
+    """Check the scenario's structure; return each flow's route by flow id."""
     topo = scenario.topology
     if not 0 < scenario.duration < math.inf:
         raise ScenarioInvalidError("duration must be positive and finite")
@@ -267,12 +257,11 @@ def validate_scenario(scenario: Scenario) -> None:
         raise ScenarioInvalidError("channel rate must be positive and finite")
     if not 0 <= scenario.drain_grace < math.inf:
         raise ScenarioInvalidError("drain grace must be >= 0 and finite")
-    seen_ids = set()
+    routes: dict[int, tuple[NodeId, ...]] = {}
     for f in scenario.flows:
         tag = f"flow {f.flow}"
-        if f.flow in seen_ids:
+        if f.flow in routes:
             raise ScenarioInvalidError(f"{tag}: duplicate flow id")
-        seen_ids.add(f.flow)
         if not (0 <= f.src < topo.n) or not (0 <= f.dst < topo.n):
             raise ScenarioInvalidError(f"{tag}: endpoint out of range")
         if f.src == f.dst:
@@ -288,9 +277,10 @@ def validate_scenario(scenario: Scenario) -> None:
         if f.stop is not None and f.stop < f.start:
             raise ScenarioInvalidError(f"{tag}: stop precedes start")
         try:
-            shortest_path(topo, f.src, f.dst)
+            routes[f.flow] = shortest_path(topo, f.src, f.dst)
         except NoRouteError:
             raise ScenarioInvalidError(f"{tag}: no route from {f.src} to {f.dst}") from None
+    return routes
 
 
 def run(scenario: Scenario) -> Simulation:
@@ -303,7 +293,7 @@ def run(scenario: Scenario) -> Simulation:
 
 def audit_conservation(sim: Simulation) -> list[str]:
     """Every generated packet must be in exactly one place: delivered, queued
-    at its current custodian, or inside an in-flight transmission."""
+    at its current custodian, or inside a node's transmission on air."""
     places: dict[PacketUid, list[str]] = {}
 
     def put(uid: PacketUid, where: str) -> None:
@@ -318,13 +308,12 @@ def audit_conservation(sim: Simulation) -> list[str]:
                     put(h.uid, where)
 
     for node in sim.nodes:
-        for pkt, role in node.input_queue:
-            if role is Role.ADDRESSED:
-                put_packet(pkt, f"input:{node.id}", node.id)
+        for pkt in node.input_queue:
+            put_packet(pkt, f"input:{node.id}", node.id)
         for pkt in node.output_queue:
             put_packet(pkt, f"output:{node.id}", None)
-    for tx in sim.active_transmissions:
-        put_packet(tx.packet, f"air:{tx.sender}", None)
+        if node.transmitting is not None:
+            put_packet(node.transmitting.packet, f"air:{node.id}", None)
     for uid in sim.delivered:
         put(uid, "delivered")
 
@@ -344,8 +333,9 @@ def audit_conservation(sim: Simulation) -> list[str]:
 def fifo_violations(sim: Simulation) -> list[str]:
     """Per flow, delivered sequence numbers must be strictly increasing."""
     bad = []
-    for flow, seqs in sim.delivery_order.items():
-        for a, b in zip(seqs, seqs[1:]):
-            if b <= a:
-                bad.append(f"flow {flow}: seq {b} delivered after {a}")
+    last: dict[int, int] = {}
+    for flow, seq in sim.delivered:
+        if flow in last and seq <= last[flow]:
+            bad.append(f"flow {flow}: seq {seq} delivered after {last[flow]}")
+        last[flow] = seq
     return bad

@@ -1,0 +1,33 @@
+import itertools
+
+import pytest
+
+from xorsim import node
+from xorsim.coding import Scheme, cope_can_code, excode_can_code
+from xorsim.packet import NativePacket
+
+
+@pytest.fixture
+def watch_scans(monkeypatch):
+    """watch_scans(probe) wraps the partner scan where nodes look it up.
+
+    After each scan, probe(node, p, q, cope_ok, excode_ok) is called on every
+    cross-flow candidate the scan examined: each queued native not destined
+    to the relay, up to and including the returned index, in queue order.
+    """
+
+    def install(probe):
+        scan = node.find_partner
+
+        def watched(p, queue, scheme, *, self_id, neighbors, reports):
+            idx = scan(p, queue, scheme, self_id=self_id, neighbors=neighbors, reports=reports)
+            if scheme is not Scheme.NON_CODING:
+                examined = len(queue) if idx is None else idx + 1
+                for q in itertools.islice(queue, examined):
+                    if isinstance(q, NativePacket) and q.dst != self_id and q.uid.flow != p.uid.flow:
+                        probe(self_id, p, q, cope_can_code(p, q, reports, neighbors), excode_can_code(p, q))
+            return idx
+
+        monkeypatch.setattr(node, "find_partner", watched)
+
+    return install

@@ -20,7 +20,7 @@ from xorsim.scenarios import (
     long_chain_scenario,
     random_scenario,
 )
-from xorsim.simulator import Simulation, audit_conservation, fifo_violations, run
+from xorsim.simulator import audit_conservation, fifo_violations, run
 
 AUDITED = {"runs": 0}
 
@@ -113,11 +113,13 @@ def test_criterion_4_no_decode_failures_across_random_fields():
                 f"({encodes} encodes exercised)", started)
 
 
-def test_criterion_5_coding_opportunity_superset():
+def test_criterion_5_coding_opportunity_superset(watch_scans):
     started = time.perf_counter()
 
     def probe(node, p, q, cope_ok, excode_ok):
         assert not (cope_ok and not excode_ok), (node, p.uid, q.uid)
+
+    watch_scans(probe)  # no pair is report-codable but not holder-codable
 
     cells = {}
     for flows in (2, 4, 6, 8):
@@ -126,9 +128,7 @@ def test_criterion_5_coding_opportunity_superset():
             for scheme in (Scheme.EXCODE, Scheme.COPE):
                 scn = random_scenario(scheme, seed=seed, n_flows=flows,
                                       rate=150.0, duration=4.0, capture_trace=False)
-                sim = Simulation(scn)
-                sim.pair_probe = probe  # no pair is report-codable but not holder-codable
-                counts[scheme] = finalize(audited(sim.run()))
+                counts[scheme] = finalize(audited(run(scn)))
             assert counts[Scheme.EXCODE].encode_count >= counts[Scheme.COPE].encode_count, \
                 (flows, seed)
             cells[(flows, seed)] = counts

@@ -77,11 +77,20 @@ def test_full_config_round_trip(tmp_path):
         ("topology: {nodes: 0}", "topology.nodes must be >="),
         ("topology: {positions: [[1, 2], [3]]}", "topology.positions"),
         ("topology: {positions: [[a, 1], [2, 3]]}", "topology.positions[0] must be a number"),
+        ("topology: {nodes: 9, positions: [[0, 0], [100, 0]]}",
+         "topology.nodes cannot be combined with topology.positions"),
+        ("topology: {side: 500, positions: [[0, 0], [100, 0]]}",
+         "topology.side cannot be combined with topology.positions"),
+        ("topology: {seed: 3, positions: [[0, 0], [100, 0]]}",
+         "topology.seed cannot be combined with topology.positions"),
         ("flows: {rate: -1}", "flows.rate must be >="),
         ("flows: {rate: .inf}", "flows.rate must be finite"),
+        ("flows: {rate: 1" + "0" * 400 + "}", "flows.rate is too large"),
         ("flows: {list: 3}", "flows.list must be a list"),
         ("flows: {list: [{src: abc, dst: 1}]}", "flows.list[0].src must be a number"),
         ("flows: {list: [{src: 0, dst: 1, rate: .nan}]}", "flows.list[0].rate must be finite"),
+        ("flows: {count: 5, list: [{src: 0, dst: 1}]}",
+         "flows.count cannot be combined with flows.list"),
         ("scheme: sideways", "unknown scheme 'sideways'"),
         ("sweep: {flows: [2], rates: [1.0]}", "either flows or rates"),
         ("sweep: {flows: []}", "sweep.flows must be a non-empty list"),

@@ -2,7 +2,7 @@ import random
 from dataclasses import replace
 
 from xorsim.coding import Scheme, cope_can_code, excode_can_code, find_partner
-from xorsim.packet import NativePacket, PacketUid, Role, xor_encode
+from xorsim.packet import NativePacket, PacketUid, xor_encode
 
 
 def native(flow, seq, route, *, holders=None, hop_index=0, payload=b"\x00" * 4):
@@ -101,16 +101,16 @@ def scan_args(self_id=2, neighbors=frozenset({0, 1, 3, 4}), reports=None):
 
 
 def test_scan_disabled_without_coding():
-    queue = [(Q_AT_RELAY, Role.ADDRESSED)]
+    queue = [Q_AT_RELAY]
     assert find_partner(P_AT_RELAY, queue, Scheme.NON_CODING, **scan_args()) is None
 
 
 def test_scan_returns_first_match():
     other = replace(Q_AT_RELAY, uid=PacketUid(1, 1))
     queue = [
-        (native(2, 0, (3, 2, 4), holders={3}), Role.ADDRESSED),  # no overlap
-        (Q_AT_RELAY, Role.ADDRESSED),
-        (other, Role.ADDRESSED),
+        native(2, 0, (3, 2, 4), holders={3}),  # no overlap
+        Q_AT_RELAY,
+        other,
     ]
     assert find_partner(P_AT_RELAY, queue, Scheme.EXCODE, **scan_args()) == 1
 
@@ -119,31 +119,17 @@ def test_scan_skips_ineligible_entries():
     encoded = xor_encode(P_AT_RELAY, Q_AT_RELAY, 0.0)
     to_self = replace(Q_AT_RELAY, dst=2, route=(5, 3, 2), hop_index=2)
     queue = [
-        (Q_AT_RELAY, Role.OVERHEARD),  # listening copy, not ours to code
-        (encoded, Role.ADDRESSED),  # never recode
-        (to_self, Role.ADDRESSED),  # terminates here, nothing to relay
-        (Q_AT_RELAY, Role.ADDRESSED),
+        encoded,  # never recode
+        to_self,  # terminates here, nothing to relay
+        Q_AT_RELAY,
     ]
-    assert find_partner(P_AT_RELAY, queue, Scheme.EXCODE, **scan_args()) == 3
+    assert find_partner(P_AT_RELAY, queue, Scheme.EXCODE, **scan_args()) == 2
 
 
 def test_scan_empty_and_no_match():
     assert find_partner(P_AT_RELAY, [], Scheme.EXCODE, **scan_args()) is None
-    lonely = [(native(1, 0, (3, 2, 4), holders={3}), Role.ADDRESSED)]
+    lonely = [native(1, 0, (3, 2, 4), holders={3})]
     assert find_partner(P_AT_RELAY, lonely, Scheme.EXCODE, **scan_args()) is None
-
-
-def test_scan_probe_sees_cross_flow_candidates():
-    seen = []
-    probe = lambda node, p, q, cope_ok, excode_ok: seen.append((q.uid, cope_ok, excode_ok))
-    same_flow = replace(P_AT_RELAY, uid=PacketUid(0, 5))
-    miss = native(2, 0, (3, 2, 4), holders={3})
-    queue = [(same_flow, Role.ADDRESSED), (miss, Role.ADDRESSED), (Q_AT_RELAY, Role.ADDRESSED)]
-    idx = find_partner(
-        P_AT_RELAY, queue, Scheme.EXCODE, probe=probe, **scan_args()
-    )
-    assert idx == 2
-    assert seen == [(miss.uid, False, False), (Q_AT_RELAY.uid, False, True)]
 
 
 def test_scan_against_constructed_queues():
@@ -158,17 +144,16 @@ def test_scan_against_constructed_queues():
         queue = []
         expected = None
         for idx in range(rng.randrange(0, 7)):
-            kind = rng.choice(["match", "cold", "overheard", "same_flow", "to_self"])
+            kind = rng.choice(["match", "cold", "same_flow", "to_self"])
             flow = 0 if kind == "same_flow" else idx + 1
             # non-"cold" ingredients would all match on holders alone, so the
             # eligibility filters are what keeps them out
             holders = {9} if kind == "cold" else {p.dst, 9}
             dst_route = (8, 2, self_id) if kind == "to_self" else (8, 2, next(iter(p.holders)))
             cand = native(flow, idx, dst_route, hop_index=1, holders=holders)
-            role = Role.OVERHEARD if kind == "overheard" else Role.ADDRESSED
             if kind == "match" and expected is None:
                 expected = idx
-            queue.append((cand, role))
+            queue.append(cand)
         got = find_partner(
             p, queue, Scheme.EXCODE,
             self_id=self_id, neighbors=neighbors, reports={},

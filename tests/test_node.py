@@ -9,8 +9,6 @@ from xorsim.packet import NativePacket, PacketUid, Role, xor_encode
 class HookRecorder:
     """Stand-in for the simulation side of the node protocol."""
 
-    pair_probe = None
-
     def __init__(self):
         self.events = []
         self.delivered = []
@@ -59,7 +57,7 @@ Q_WEST = native(1, 0, (2, 1, 0), 1, {2, 1}, payload=b"<-west")
 
 def test_relay_forwards_without_partner():
     node, sim = relay_node()
-    node.accept(P_EAST, Role.ADDRESSED)
+    node.input_queue.append(P_EAST)
     node.process_input(0.0, sim)
     assert list(node.output_queue) == [P_EAST]
     assert node.buffer[P_EAST.uid] == P_EAST
@@ -68,8 +66,8 @@ def test_relay_forwards_without_partner():
 
 def test_relay_codes_with_queued_partner():
     node, sim = relay_node()
-    node.accept(Q_WEST, Role.ADDRESSED)
-    node.accept(P_EAST, Role.ADDRESSED)
+    node.input_queue.append(Q_WEST)
+    node.input_queue.append(P_EAST)
     node.process_input(0.0, sim)
     assert sim.pairs == [(1, Q_WEST.uid, P_EAST.uid)]
     assert not node.input_queue
@@ -86,8 +84,8 @@ def test_relay_codes_with_queued_partner():
 
 def test_relay_never_codes_under_non_coding():
     node, sim = relay_node(Scheme.NON_CODING)
-    node.accept(Q_WEST, Role.ADDRESSED)
-    node.accept(P_EAST, Role.ADDRESSED)
+    node.input_queue.append(Q_WEST)
+    node.input_queue.append(P_EAST)
     node.process_input(0.0, sim)
     assert sim.pairs == []
     assert list(node.output_queue) == [Q_WEST, P_EAST]
@@ -95,8 +93,8 @@ def test_relay_never_codes_under_non_coding():
 
 def test_duplicate_addressed_copies_are_dropped():
     node, sim = relay_node()
-    node.accept(P_EAST, Role.ADDRESSED)
-    node.accept(P_EAST, Role.ADDRESSED)
+    node.input_queue.append(P_EAST)
+    node.input_queue.append(P_EAST)
     node.process_input(0.0, sim)
     assert dup_discards(sim) == [("dup_discard", 1, str(P_EAST.uid))]
     assert list(node.output_queue) == [P_EAST]
@@ -119,7 +117,7 @@ def test_destination_delivers_and_buffers():
     node = Node(id=2, neighbors=frozenset({1}), scheme=Scheme.EXCODE)
     sim = HookRecorder()
     arriving = replace(P_EAST, hop_index=2, holders=frozenset({0, 1, 2}))
-    node.accept(arriving, Role.ADDRESSED)
+    node.input_queue.append(arriving)
     node.process_input(1.0, sim)
     assert sim.delivered == [(2, arriving)]
     assert ("deliver", 2, str(arriving.uid)) in sim.events
@@ -217,7 +215,8 @@ def test_send_encoded_advances_active_branches_only():
     p = native(0, 0, (0, 1, 2), 1, {0, 1})
     q = native(1, 0, (2, 1, 0), 1, {2, 1})
     encoded = xor_encode(p, q, 0.0)
-    encoded = Node._deactivate(encoded, q.uid)
+    a, b = encoded.constituents  # a carries p: flow 0 sorts first
+    encoded = replace(encoded, constituents=(a, replace(b, active=False)))
     node = Node(id=1, neighbors=frozenset({0, 2}), scheme=Scheme.EXCODE)
     node.output_queue.append(encoded)
     tx = node.on_send(0.0, HookRecorder())

@@ -124,11 +124,34 @@ def test_packet_caught_midair_at_cutoff():
     cut = Scenario(topo, flows, Scheme.NON_CODING, duration=0.003)
     sim = run(cut)
     assert not sim.delivered
-    assert len(sim.active_transmissions) == 1
+    [sender] = [node for node in sim.nodes if node.transmitting is not None]
+    assert sender.id == 1 and str(sender.transmitting.packet) == "0.0"
     assert audit_conservation(sim) == []  # in flight counts as a place
     drained = run(replace(cut, drain_grace=0.01))
     assert set(drained.delivered) == set(drained.generated)
-    assert drained.active_transmissions == []
+    assert all(node.transmitting is None for node in drained.nodes)
+
+
+def test_audits_name_planted_faults():
+    topo = build_topology([(0.0, 0.0), (150.0, 0.0), (300.0, 0.0)], 200.0)
+    flows = (FlowSpec(0, 0, 2, rate=10.0),)
+    sim = run(Scenario(topo, flows, Scheme.NON_CODING, duration=0.5, drain_grace=0.1))
+    assert audit_conservation(sim) == [] and fifo_violations(sim) == []
+    delivered = dict(sim.delivered)
+    first, second, *rest = delivered
+    assert len(delivered) == len(sim.generated) == 5
+
+    del sim.delivered[first]
+    assert audit_conservation(sim) == [f"{first}: found in nowhere"]
+
+    sim.delivered = dict(delivered)
+    sim.nodes[1].output_queue.append(delivered[first][1])
+    assert audit_conservation(sim) == [f"{first}: found in ['output:1', 'delivered']"]
+    sim.nodes[1].output_queue.clear()
+
+    sim.delivered = {uid: delivered[uid] for uid in (second, first, *rest)}
+    assert audit_conservation(sim) == []
+    assert fifo_violations(sim) == [f"flow 0: seq {first.seq} delivered after {second.seq}"]
 
 
 def test_validation_messages():
@@ -245,7 +268,7 @@ def test_every_coding_decision_saves_transmissions():
         assert totals[Scheme.EXCODE] <= totals[Scheme.NON_CODING]
 
 
-def test_report_rule_never_fires_where_holder_rule_would_not():
+def test_report_rule_never_fires_where_holder_rule_would_not(watch_scans):
     hits = []
 
     def probe(node, p, q, cope_ok, excode_ok):
@@ -253,10 +276,9 @@ def test_report_rule_never_fires_where_holder_rule_would_not():
         if cope_ok:
             hits.append(node)
 
+    watch_scans(probe)
     for name in ("chain", "cross", "junction"):
-        sim = Simulation(FIXTURES[name](Scheme.COPE))
-        sim.pair_probe = probe
-        sim.run()
+        run(FIXTURES[name](Scheme.COPE))
     assert hits  # the two-hop fixtures really were exercised
 
 
