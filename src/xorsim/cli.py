@@ -8,6 +8,7 @@ the README for the full schema.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -17,7 +18,7 @@ from typing import Optional
 import yaml
 
 from .coding import Scheme
-from .metrics import MetricsReport, csv_header, finalize
+from .metrics import COLUMN_ATTRS, MetricsReport, csv_header, finalize
 from .scenarios import random_flows
 from .simulator import (
     DEFAULT_CHANNEL_RATE,
@@ -28,14 +29,18 @@ from .simulator import (
     ScenarioInvalidError,
     Simulation,
 )
-from .topology import Topology, build_topology, random_layout
+from .topology import build_topology, random_layout
 
-# (chart file stem, MetricsReport attribute, axis label)
+# the unit-disk adjacency is built pairwise and can hold nodes**2 entries
+MAX_NODES = 1_000
+MAX_PACKET_SIZE = 65_535  # bytes, the largest IP datagram
+
+# (results.csv column the chart is named after, axis label)
 CHART_METRICS = (
-    ("throughput_kbps", "throughput_kbps", "delivered payload (kb/s)"),
-    ("encoded_frac", "encoded_fraction", "encoded transmission fraction"),
-    ("pdr", "delivery_ratio", "packet delivery ratio"),
-    ("mean_delay_s", "mean_delay_s", "mean end-to-end delay (s)"),
+    ("throughput_kbps", "delivered payload (kb/s)"),
+    ("encoded_frac", "encoded transmission fraction"),
+    ("pdr", "packet delivery ratio"),
+    ("mean_delay_s", "mean end-to-end delay (s)"),
 )
 
 
@@ -45,35 +50,32 @@ class ValidationError(Exception):
 
 @dataclass
 class ExperimentPlan:
-    """Everything run_plan needs: the base scenario knobs plus sweep axes."""
+    """The base scenario knobs plus one list per sweep axis; run_plan runs
+    every flow count x rate x scheme x seed."""
 
     nodes: int = 16
     side: float = 800.0
     radio_range: float = 200.0
     topology_seed: Optional[int] = None
     positions: Optional[list[tuple[float, float]]] = None
-    flow_count: int = 2
-    rate: float = 5.0
     packet_size: int = DEFAULT_PACKET_SIZE
     explicit_flows: Optional[tuple[FlowSpec, ...]] = None
     channel_rate: float = DEFAULT_CHANNEL_RATE
     duration: float = DEFAULT_DURATION
-    scheme: Scheme = Scheme.EXCODE
-    seed: int = 0
     count_header_overhead: bool = False
     drain_grace: float = 0.0
-    sweep_flows: Optional[list[int]] = None
-    sweep_rates: Optional[list[float]] = None
-    sweep_schemes: list[Scheme] = field(default_factory=lambda: list(Scheme))
-    sweep_seeds: Optional[list[int]] = None
+    flow_counts: list[int] = field(default_factory=lambda: [2])
+    rates: list[float] = field(default_factory=lambda: [5.0])
+    schemes: list[Scheme] = field(default_factory=lambda: list(Scheme))
+    seeds: list[int] = field(default_factory=lambda: [0])
 
 
-def parse_scheme(name: str) -> Scheme:
+def parse_scheme(name: str, key: str = "scheme") -> Scheme:
     try:
         return Scheme(name)
     except ValueError:
         valid = ", ".join(s.value for s in Scheme)
-        raise ValidationError(f"scheme: unknown scheme {name!r} (valid: {valid})") from None
+        raise ValidationError(f"{key}: unknown scheme {name!r} (valid: {valid})") from None
 
 
 def load_config(path) -> ExperimentPlan:
@@ -84,7 +86,7 @@ def load_config(path) -> ExperimentPlan:
         raise ValidationError(f"cannot read config: {exc}") from None
     try:
         raw = yaml.safe_load(text)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: integers over 4300 digits
         raise ValidationError(f"config parse error: {exc}") from None
     if raw is None:
         raw = {}
@@ -99,7 +101,7 @@ def load_config(path) -> ExperimentPlan:
             raise ValidationError(f"unknown config key: {key}")
 
     topo = _section(raw, "topology", {"nodes", "side", "range", "seed", "positions"})
-    plan.nodes = _num("topology.nodes", topo.get("nodes", plan.nodes), int, minimum=1)
+    plan.nodes = _num("topology.nodes", topo.get("nodes", plan.nodes), int, minimum=1, maximum=MAX_NODES)
     plan.side = _num("topology.side", topo.get("side", plan.side), float, minimum=1e-9)
     plan.radio_range = _num("topology.range", topo.get("range", plan.radio_range), float, minimum=1e-9)
     if "seed" in topo:
@@ -113,18 +115,41 @@ def load_config(path) -> ExperimentPlan:
             isinstance(p, (list, tuple)) and len(p) == 2 for p in pos
         ):
             raise ValidationError("topology.positions must be a list of [x, y] pairs")
+        if len(pos) > MAX_NODES:
+            raise ValidationError(f"topology.positions must have at most {MAX_NODES} entries")
         plan.positions = [
             tuple(_num(f"topology.positions[{i}]", v, float) for v in p) for i, p in enumerate(pos)
         ]
         plan.nodes = len(plan.positions)
 
     flows = _section(raw, "flows", {"count", "rate", "packet_size", "list"})
-    plan.flow_count = _num("flows.count", flows.get("count", plan.flow_count), int, minimum=0)
-    plan.rate = _num("flows.rate", flows.get("rate", plan.rate), float, minimum=1e-9)
-    plan.packet_size = _num("flows.packet_size", flows.get("packet_size", plan.packet_size), int, minimum=1)
+    sweep = _section(raw, "sweep", {"flows", "rates", "schemes", "seeds"})
+    if "flows" in sweep and "rates" in sweep:
+        raise ValidationError("sweep: give either flows or rates, not both")
+    # each axis is its sweep list, else its one-value key as a one-element list
+    for name, axis, scalars, scalar_key, parse in (
+        ("flow_counts", "flows", flows, "flows.count", lambda k, v: _num(k, v, int, minimum=0)),
+        ("rates", "rates", flows, "flows.rate", lambda k, v: _num(k, v, float, minimum=1e-9)),
+        ("schemes", "schemes", raw, "scheme", lambda k, v: parse_scheme(str(v), k)),
+        ("seeds", "seeds", raw, "seed", lambda k, v: _num(k, v, int)),
+    ):
+        key = scalar_key.rpartition(".")[2]
+        if axis in sweep:
+            if key in scalars:
+                raise ValidationError(f"{scalar_key} cannot be combined with sweep.{axis}")
+            values = _as_list(sweep[axis], f"sweep.{axis}")
+            setattr(plan, name, [parse(f"sweep.{axis}", v) for v in values])
+        elif key in scalars:
+            setattr(plan, name, [parse(scalar_key, scalars[key])])
+
+    plan.packet_size = _num("flows.packet_size", flows.get("packet_size", plan.packet_size), int,
+                            minimum=1, maximum=MAX_PACKET_SIZE)
     if "list" in flows:
         if "count" in flows:
             raise ValidationError("flows.count cannot be combined with flows.list")
+        for axis in ("flows", "rates"):
+            if axis in sweep:
+                raise ValidationError(f"sweep.{axis} cannot be combined with flows.list")
         if not isinstance(flows["list"], list):
             raise ValidationError("flows.list must be a list of flow mappings")
         plan.explicit_flows = tuple(_flow_from_mapping(i, m, plan) for i, m in enumerate(flows["list"]))
@@ -133,31 +158,11 @@ def load_config(path) -> ExperimentPlan:
     plan.channel_rate = _num("channel.rate_bps", channel.get("rate_bps", plan.channel_rate), float, minimum=1e-9)
 
     plan.duration = _num("duration", raw.get("duration", plan.duration), float, minimum=1e-9)
-    plan.seed = _num("seed", raw.get("seed", plan.seed), int)
     plan.drain_grace = _num("drain_grace", raw.get("drain_grace", plan.drain_grace), float, minimum=0.0)
-    if "scheme" in raw:
-        plan.scheme = parse_scheme(str(raw["scheme"]))
     if "count_header_overhead" in raw:
         if not isinstance(raw["count_header_overhead"], bool):
             raise ValidationError("count_header_overhead must be true or false")
         plan.count_header_overhead = raw["count_header_overhead"]
-
-    sweep = _section(raw, "sweep", {"flows", "rates", "schemes", "seeds"})
-    if "flows" in sweep and "rates" in sweep:
-        raise ValidationError("sweep: give either flows or rates, not both")
-    for axis in ("flows", "rates"):
-        if axis in sweep and plan.explicit_flows is not None:
-            raise ValidationError(f"sweep.{axis} cannot be combined with flows.list")
-    if "flows" in sweep:
-        plan.sweep_flows = [_num("sweep.flows", v, int, minimum=0) for v in _as_list(sweep["flows"], "sweep.flows")]
-    if "rates" in sweep:
-        plan.sweep_rates = [_num("sweep.rates", v, float, minimum=1e-9) for v in _as_list(sweep["rates"], "sweep.rates")]
-    if "schemes" in sweep:
-        plan.sweep_schemes = [parse_scheme(str(s)) for s in _as_list(sweep["schemes"], "sweep.schemes")]
-    elif "scheme" in raw:
-        plan.sweep_schemes = [plan.scheme]
-    if "seeds" in sweep:
-        plan.sweep_seeds = [_num("sweep.seeds", v, int) for v in _as_list(sweep["seeds"], "sweep.seeds")]
     return plan
 
 
@@ -179,7 +184,7 @@ def _as_list(value, key: str) -> list:
     return value
 
 
-def _num(key: str, value, kind, minimum=None):
+def _num(key: str, value, kind, minimum=None, maximum=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValidationError(f"{key} must be a number")
     if isinstance(value, float) and not math.isfinite(value):
@@ -192,22 +197,26 @@ def _num(key: str, value, kind, minimum=None):
         raise ValidationError(f"{key} is too large") from None
     if minimum is not None and value < minimum:
         raise ValidationError(f"{key} must be >= {minimum}")
+    if maximum is not None and value > maximum:
+        raise ValidationError(f"{key} must be <= {maximum}")
     return value
 
 
 # -- scenario assembly -------------------------------------------------------
 
 
-def build_scenario(plan: ExperimentPlan, scheme: Scheme, seed: int,
-                   flow_count: Optional[int] = None, rate: Optional[float] = None,
+def build_scenario(plan: ExperimentPlan, scheme: Scheme, seed: int, n_flows: int, rate: float,
                    capture_trace: bool = True) -> Scenario:
-    n_flows = plan.flow_count if flow_count is None else flow_count
-    flow_rate = plan.rate if rate is None else rate
-    topo = _plan_topology(plan, seed)
+    if plan.positions is not None:
+        positions = plan.positions
+    else:
+        tseed = plan.topology_seed if plan.topology_seed is not None else seed
+        positions = random_layout(plan.nodes, plan.side, tseed)
+    topo = build_topology(positions, plan.radio_range)
     if plan.explicit_flows is not None:
         flows = plan.explicit_flows
     else:
-        flows = random_flows(topo, n_flows, flow_rate, plan.packet_size, seed)
+        flows = random_flows(topo, n_flows, rate, plan.packet_size, seed)
     return Scenario(
         topology=topo,
         flows=flows,
@@ -221,13 +230,6 @@ def build_scenario(plan: ExperimentPlan, scheme: Scheme, seed: int,
     )
 
 
-def _plan_topology(plan: ExperimentPlan, seed: int) -> Topology:
-    if plan.positions is not None:
-        return build_topology(plan.positions, plan.radio_range)
-    tseed = plan.topology_seed if plan.topology_seed is not None else seed
-    return build_topology(random_layout(plan.nodes, plan.side, tseed), plan.radio_range)
-
-
 def _flow_from_mapping(index: int, m, plan: ExperimentPlan) -> FlowSpec:
     prefix = f"flows.list[{index}]"
     if not isinstance(m, dict):
@@ -239,15 +241,15 @@ def _flow_from_mapping(index: int, m, plan: ExperimentPlan) -> FlowSpec:
         if key not in m:
             raise ValidationError(f"{prefix} missing key '{key}'")
 
-    def num(key: str, kind, default=None):
-        return _num(f"{prefix}.{key}", m.get(key, default), kind)
+    def num(key: str, kind, default=None, **bounds):
+        return _num(f"{prefix}.{key}", m.get(key, default), kind, **bounds)
 
     return FlowSpec(
         flow=num("flow", int, index),
         src=num("src", int),
         dst=num("dst", int),
-        rate=num("rate", float, plan.rate),
-        packet_size=num("packet_size", int, plan.packet_size),
+        rate=num("rate", float, plan.rates[0]),
+        packet_size=num("packet_size", int, plan.packet_size, minimum=1, maximum=MAX_PACKET_SIZE),
         start=num("start", float, 0.0),
         stop=None if m.get("stop") is None else num("stop", float),
     )
@@ -260,22 +262,12 @@ def run_plan(plan: ExperimentPlan, out_dir) -> list[MetricsReport]:
     """Run the whole sweep, write results.csv and one SVG per metric."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    seeds = plan.sweep_seeds if plan.sweep_seeds is not None else [plan.seed]
-    schemes = plan.sweep_schemes
-    cells: list[tuple[Optional[int], Optional[float]]] = [(None, None)]
-    if plan.sweep_flows is not None:
-        cells = [(fc, None) for fc in plan.sweep_flows]
-    elif plan.sweep_rates is not None:
-        cells = [(None, r) for r in plan.sweep_rates]
-
     reports = []
-    for flow_count, rate in cells:
-        for scheme in schemes:
-            for seed in seeds:
-                scenario = build_scenario(plan, scheme, seed, flow_count, rate,
-                                          capture_trace=False)
-                sim = Simulation(scenario).run()
-                reports.append(finalize(sim))
+    for n_flows, rate, scheme, seed in itertools.product(
+        plan.flow_counts, plan.rates, plan.schemes, plan.seeds
+    ):
+        scenario = build_scenario(plan, scheme, seed, n_flows, rate, capture_trace=False)
+        reports.append(finalize(Simulation(scenario).run()))
 
     csv_path = out / "results.csv"
     with open(csv_path, "w") as fh:
@@ -287,18 +279,20 @@ def run_plan(plan: ExperimentPlan, out_dir) -> list[MetricsReport]:
 
 
 def write_charts(reports: list[MetricsReport], out: Path) -> None:
-    """One chart per metric: x = offered load, one line per scheme, seeds
-    averaged. Generated straight from the report values."""
-    by_scheme: dict[str, dict[int, list[MetricsReport]]] = {}
+    """One chart per metric: x = offered load, one line per scheme, one point
+    per sweep cell (flow count, offered load) with its seeds averaged.
+    Generated straight from the report values."""
+    by_scheme: dict[str, dict[tuple[int, float], list[MetricsReport]]] = {}
     for rep in reports:
-        by_scheme.setdefault(rep.scheme, {}).setdefault(rep.flows, []).append(rep)
+        by_scheme.setdefault(rep.scheme, {}).setdefault((rep.flows, rep.offered_kbps), []).append(rep)
 
-    for column, attr, label in CHART_METRICS:
+    for column, label in CHART_METRICS:
+        attr = COLUMN_ATTRS[column]
         series: dict[str, list[tuple[float, float]]] = {}
         for scheme, groups in sorted(by_scheme.items()):
             pts = []
-            for flows_n in sorted(groups):
-                reps = groups[flows_n]
+            for cell in sorted(groups):
+                reps = groups[cell]
                 xs = [r.offered_kbps for r in reps]
                 ys = [getattr(r, attr) for r in reps]
                 ys = [y for y in ys if y is not None]
@@ -385,12 +379,8 @@ def write_svg_chart(path, title: str, xlabel: str, ylabel: str,
 def figures_command(out_dir) -> int:
     # relays must be kept busy for coding windows to open, so the sweep
     # drives them well past the ~488 pkt/s a 512-byte 2 Mb/s channel serves
-    plan = ExperimentPlan(
-        duration=4.0,
-        rate=150.0,
-        sweep_flows=[2, 4, 6, 8],
-        sweep_seeds=list(range(5)),
-    )
+    plan = ExperimentPlan(duration=4.0, rates=[150.0], flow_counts=[2, 4, 6, 8],
+                          seeds=list(range(5)))
     run_plan(plan, out_dir)
     print(f"wrote {Path(out_dir) / 'results.csv'} and charts")
     return 0
@@ -420,9 +410,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         if args.command == "run":
             plan = load_config(args.config)
             if args.scheme is not None:
-                plan.sweep_schemes = [parse_scheme(args.scheme)]
+                plan.schemes = [parse_scheme(args.scheme)]
             if args.seed is not None:
-                plan.sweep_seeds = [args.seed]
+                plan.seeds = [args.seed]
             if args.count_header_overhead:
                 plan.count_header_overhead = True
             reports = run_plan(plan, args.out)

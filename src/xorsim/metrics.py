@@ -8,19 +8,21 @@ from typing import Optional
 from .simulator import Simulation
 from .topology import NodeId
 
-CSV_COLUMNS = (
-    "scheme",
-    "seed",
-    "flows",
-    "offered_kbps",
-    "throughput_kbps",
-    "encoded_frac",
-    "pdr",
-    "mean_delay_s",
-    "total_tx",
-    "encodes",
-    "decode_failures",
-)
+# results.csv column -> MetricsReport attribute, in column order
+COLUMN_ATTRS = {
+    "scheme": "scheme",
+    "seed": "seed",
+    "flows": "flows",
+    "offered_kbps": "offered_kbps",
+    "throughput_kbps": "throughput_kbps",
+    "encoded_frac": "encoded_fraction",
+    "pdr": "delivery_ratio",
+    "mean_delay_s": "mean_delay_s",
+    "total_tx": "total_tx",
+    "encodes": "encode_count",
+    "decode_failures": "decode_failures",
+}
+CSV_COLUMNS = tuple(COLUMN_ATTRS)
 
 
 @dataclass(frozen=True)
@@ -44,21 +46,10 @@ class MetricsReport:
     holder_bytes_total: int
 
     def csv_row(self) -> str:
-        delay = "" if self.mean_delay_s is None else repr(self.mean_delay_s)
-        cells = (
-            self.scheme,
-            str(self.seed),
-            str(self.flows),
-            repr(self.offered_kbps),
-            repr(self.throughput_kbps),
-            repr(self.encoded_fraction),
-            repr(self.delivery_ratio),
-            delay,
-            str(self.total_tx),
-            str(self.encode_count),
-            str(self.decode_failures),
-        )
-        return ",".join(cells)
+        """One results.csv line: "" for None, str otherwise (str of a float
+        is its repr, the shortest string that reads back the same float)."""
+        values = (getattr(self, attr) for attr in COLUMN_ATTRS.values())
+        return ",".join("" if v is None else str(v) for v in values)
 
 
 def csv_header() -> str:

@@ -49,7 +49,6 @@ class PacketUid(NamedTuple):
 @dataclass(frozen=True)
 class NativePacket:
     uid: PacketUid
-    src: NodeId
     dst: NodeId
     route: tuple[NodeId, ...]
     hop_index: int  # position of the current custodian on route
@@ -153,7 +152,6 @@ def xor_decode(encoded: EncodedPacket, known: NativePacket) -> NativePacket:
     other = encoded.counterpart(known.uid)
     return NativePacket(
         uid=other.uid,
-        src=other.route[0],
         dst=other.dst,
         route=other.route,
         hop_index=other.hop_index,

@@ -24,6 +24,7 @@ import random
 from .coding import Scheme
 from .simulator import (
     DEFAULT_CHANNEL_RATE,
+    DEFAULT_DURATION,
     DEFAULT_PACKET_SIZE,
     FlowSpec,
     Scenario,
@@ -122,7 +123,7 @@ def random_scenario(
     n_nodes: int = 16,
     side: float = 800.0,
     radio_range: float = 200.0,
-    duration: float = 120.0,
+    duration: float = DEFAULT_DURATION,
     packet_size: int = DEFAULT_PACKET_SIZE,
     channel_rate: float = DEFAULT_CHANNEL_RATE,
     topology_seed: int | None = None,

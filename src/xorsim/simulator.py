@@ -164,7 +164,6 @@ class Simulation:
         uid = PacketUid(flow.flow, seq)
         packet = NativePacket(
             uid=uid,
-            src=flow.src,
             dst=flow.dst,
             route=self.routes[flow.flow],
             hop_index=0,

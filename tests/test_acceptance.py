@@ -181,9 +181,9 @@ def test_criterion_7_codec_property_suite():
     for trial in range(1000):
         size = rng.randrange(1, 513)
         pa, pb = rng.randbytes(size), rng.randbytes(size)
-        p = NativePacket(PacketUid(0, trial), 0, 2, (0, 1, 2), 0,
+        p = NativePacket(PacketUid(0, trial), 2, (0, 1, 2), 0,
                          frozenset({0}), pa, 0.0)
-        q = NativePacket(PacketUid(1, trial), 2, 0, (2, 1, 0), 0,
+        q = NativePacket(PacketUid(1, trial), 0, (2, 1, 0), 0,
                          frozenset({2}), pb, 0.0)
         e = xor_encode(p, q, 0.0)
         assert xor_decode(e, q).payload == pa
@@ -204,8 +204,7 @@ def test_criterion_8_determinism(tmp_path):
     assert first.trace_log.sha256() == second.trace_log.sha256()
     assert finalize(first) == finalize(second)
 
-    plan = ExperimentPlan(duration=2.0, rate=40.0, flow_count=4,
-                          sweep_seeds=[0, 1])
+    plan = ExperimentPlan(duration=2.0, rates=[40.0], flow_counts=[4], seeds=[0, 1])
     run_plan(plan, tmp_path / "a")
     run_plan(plan, tmp_path / "b")
     csv_a = (tmp_path / "a" / "results.csv").read_bytes()

@@ -1,6 +1,12 @@
+import copy
+import functools
+import operator
+import re
 import textwrap
 
 import pytest
+import yaml
+from hypothesis import given, settings, strategies as st
 
 from xorsim.cli import (
     ExperimentPlan,
@@ -37,7 +43,8 @@ def test_empty_config_gives_defaults(tmp_path):
     plan = load_config(write_config(tmp_path, ""))
     assert plan == ExperimentPlan()
     assert plan.nodes == 16
-    assert plan.sweep_schemes == [Scheme.NON_CODING, Scheme.COPE, Scheme.EXCODE]
+    assert (plan.flow_counts, plan.rates, plan.seeds) == ([2], [5.0], [0])
+    assert plan.schemes == [Scheme.NON_CODING, Scheme.COPE, Scheme.EXCODE]
 
 
 def test_full_config_round_trip(tmp_path):
@@ -46,11 +53,9 @@ def test_full_config_round_trip(tmp_path):
             tmp_path,
             """
             topology: {nodes: 9, side: 500, range: 180, seed: 3}
-            flows: {count: 4, rate: 2.5, packet_size: 256}
+            flows: {rate: 2.5, packet_size: 256}
             channel: {rate_bps: 1000000}
             duration: 30
-            seed: 7
-            scheme: cope
             count_header_overhead: true
             drain_grace: 2.0
             sweep: {flows: [2, 4], schemes: [excode, none], seeds: [1, 2, 3]}
@@ -58,13 +63,12 @@ def test_full_config_round_trip(tmp_path):
         )
     )
     assert (plan.nodes, plan.side, plan.radio_range, plan.topology_seed) == (9, 500.0, 180.0, 3)
-    assert (plan.flow_count, plan.rate, plan.packet_size) == (4, 2.5, 256)
-    assert plan.channel_rate == 1_000_000.0
-    assert (plan.duration, plan.seed, plan.scheme) == (30.0, 7, Scheme.COPE)
+    assert (plan.rates, plan.packet_size) == ([2.5], 256)
+    assert (plan.channel_rate, plan.duration) == (1_000_000.0, 30.0)
     assert plan.count_header_overhead and plan.drain_grace == 2.0
-    assert plan.sweep_flows == [2, 4]
-    assert plan.sweep_schemes == [Scheme.EXCODE, Scheme.NON_CODING]
-    assert plan.sweep_seeds == [1, 2, 3]
+    assert plan.flow_counts == [2, 4]
+    assert plan.schemes == [Scheme.EXCODE, Scheme.NON_CODING]
+    assert plan.seeds == [1, 2, 3]
 
 
 @pytest.mark.parametrize(
@@ -101,6 +105,19 @@ def test_full_config_round_trip(tmp_path):
         ("count_header_overhead: 3", "must be true or false"),
         ("duration: 0", "duration must be >="),
         ("duration: .nan", "duration must be finite"),
+        ("scheme: cope\nsweep: {schemes: [none]}", "scheme cannot be combined with sweep.schemes"),
+        ("seed: 7\nsweep: {seeds: [1]}", "seed cannot be combined with sweep.seeds"),
+        ("flows: {count: 3}\nsweep: {flows: [2]}", "flows.count cannot be combined with sweep.flows"),
+        ("flows: {rate: 2.0}\nsweep: {rates: [1.0]}", "flows.rate cannot be combined with sweep.rates"),
+        ("sweep: {schemes: [best]}", "sweep.schemes: unknown scheme 'best'"),
+        ("flows: {packet_size: 2000000000}", "flows.packet_size must be <= 65535"),
+        ("flows: {list: [{src: 0, dst: 1, packet_size: 0}]}", "flows.list[0].packet_size must be >= 1"),
+        ("flows: {list: [{src: 0, dst: 1, packet_size: 70000}]}",
+         "flows.list[0].packet_size must be <= 65535"),
+        ("topology: {nodes: 100000000}", "topology.nodes must be <= 1000"),
+        pytest.param("topology: {positions: [" + ", ".join(["[0, 0]"] * 1001) + "]}",
+                     "topology.positions must have at most 1000 entries", id="positions-over-cap"),
+        pytest.param("seed: 1" + "0" * 5000, "config parse error", id="int-over-4300-digits"),
     ],
 )
 def test_config_errors_name_the_key(tmp_path, snippet, needle):
@@ -109,13 +126,90 @@ def test_config_errors_name_the_key(tmp_path, snippet, needle):
     assert needle in str(err.value)
 
 
-def test_scheme_key_narrows_the_sweep_unless_overridden(tmp_path):
-    narrowed = load_config(write_config(tmp_path, "scheme: cope"))
-    assert narrowed.sweep_schemes == [Scheme.COPE]
-    both = load_config(
-        write_config(tmp_path, "scheme: cope\nsweep: {schemes: [none]}", name="b.yaml")
+# configs that load and between them use every key of the schema
+VALID_CONFIGS = [
+    {"topology": {"nodes": 9, "side": 500.0, "range": 180, "seed": 3},
+     "flows": {"count": 2, "rate": 2.5, "packet_size": 256}, "channel": {"rate_bps": 1000000},
+     "duration": 3, "drain_grace": 0.5, "scheme": "cope", "seed": 7, "count_header_overhead": True},
+    {"topology": {"positions": [[0, 0], [100, 0]], "range": 200},
+     "flows": {"rate": 1.0, "list": [{"flow": 0, "src": 0, "dst": 1, "rate": 2, "packet_size": 64,
+                                      "start": 0, "stop": 1.5}]},
+     "sweep": {"schemes": ["excode", "none"], "seeds": [1, 2]}},
+    {"flows": {"rate": 2.0}, "sweep": {"flows": [2, 4], "schemes": ["cope"]}},
+    {"flows": {"count": 3}, "sweep": {"rates": [1.0, 5.0], "seeds": [0]}},
+]
+numbers = st.integers() | st.floats() | st.sampled_from([10**400, 1e308, 2_000_000_000])
+values = numbers | st.recursive(
+    numbers | st.none() | st.booleans() | st.text(max_size=6) | st.sampled_from(["excode", "cope"]),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(["bogus"]), inner),
+    max_leaves=8,
+)
+
+
+def keys_in(value) -> set:
+    if isinstance(value, dict):
+        return set(value).union(*(keys_in(v) for v in value.values()))
+    if isinstance(value, list):
+        return set().union(*(keys_in(v) for v in value))
+    return set()
+
+
+def paths(node, prefix=()):
+    """The path of every entry of every mapping and list in a config."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield (*prefix, key)
+        yield from paths(child, (*prefix, key))
+
+
+@st.composite
+def edited_configs(draw):
+    """A valid config with one to three entries replaced, deleted or added;
+    an added key may be unknown or belong to another section."""
+    config = copy.deepcopy(draw(st.sampled_from(VALID_CONFIGS)))
+    for _ in range(draw(st.integers(1, 3))):
+        if not config:
+            break
+        *parents, key = draw(st.sampled_from([*paths(config)]))
+        node = functools.reduce(operator.getitem, parents, config)
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if action == "delete":
+            del node[key]
+        elif action == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(sorted(keys_in(VALID_CONFIGS) | {"bogus"})))] = draw(values)
+        else:
+            node[key] = draw(values)
+    return config
+
+
+@settings(max_examples=200, deadline=None)
+@given(raw=edited_configs())
+def test_any_config_loads_or_names_a_key(tmp_path_factory, raw):
+    path = tmp_path_factory.getbasetemp() / "fuzz.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    try:
+        assert isinstance(load_config(path), ExperimentPlan)
+    except ValidationError as exc:
+        assert any(re.search(rf"\b{key}\b", str(exc)) for key in keys_in(raw)), str(exc)
+
+
+def test_scheme_key_narrows_the_sweep_unless_overridden(tmp_path, capsys):
+    narrowed = load_config(
+        write_config(tmp_path, "scheme: cope\nseed: 7\nflows: {count: 3, rate: 2}")
     )
-    assert both.sweep_schemes == [Scheme.NON_CODING]
+    assert (narrowed.schemes, narrowed.seeds) == ([Scheme.COPE], [7])
+    assert (narrowed.flow_counts, narrowed.rates) == ([3], [2.0])
+    # the one-value key and its sweep list are two spellings of one axis
+    both = write_config(tmp_path, "scheme: cope\nsweep: {schemes: [none]}", name="b.yaml")
+    assert main(["run", "--config", str(both), "--out", str(tmp_path / "x")]) == 2
+    assert "scheme cannot be combined with sweep.schemes" in capsys.readouterr().err
+    # the command line still overrides the config
+    config = write_config(tmp_path, CHAIN_YAML.replace("sweep:\n  seeds: [0, 1]", "scheme: cope"),
+                          name="c.yaml")
+    out = tmp_path / "y"
+    assert main(["run", "--config", str(config), "--out", str(out), "--scheme", "none"]) == 0
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["none"]
 
 
 def test_missing_config_file(tmp_path):
@@ -141,12 +235,12 @@ def test_explicit_flow_errors(tmp_path):
 def load_config_and_build(tmp_path, text):
     plan = load_config(write_config(tmp_path, text))
     plan.positions = [(0.0, 0.0), (100.0, 0.0)]
-    return build_scenario(plan, Scheme.EXCODE, seed=0)
+    return build_scenario(plan, Scheme.EXCODE, 0, plan.flow_counts[0], plan.rates[0])
 
 
 def test_build_scenario_uses_positions_and_explicit_flows(tmp_path):
     plan = load_config(write_config(tmp_path, CHAIN_YAML))
-    scn = build_scenario(plan, Scheme.EXCODE, seed=0)
+    scn = build_scenario(plan, Scheme.EXCODE, 0, plan.flow_counts[0], plan.rates[0])
     assert scn.topology.n == 3
     assert [(f.src, f.dst, f.stop) for f in scn.flows] == [(0, 2, 0.5), (2, 0, 0.5)]
     assert scn.duration == 1.0
@@ -154,11 +248,12 @@ def test_build_scenario_uses_positions_and_explicit_flows(tmp_path):
 
 def test_topology_seed_decouples_layout_from_run_seed():
     plan = ExperimentPlan(topology_seed=11)
-    a = build_scenario(plan, Scheme.EXCODE, seed=0)
-    b = build_scenario(plan, Scheme.EXCODE, seed=1)
+    a = build_scenario(plan, Scheme.EXCODE, 0, 2, 5.0)
+    b = build_scenario(plan, Scheme.EXCODE, 1, 2, 5.0)
     assert a.topology == b.topology  # same field, different traffic
     free = ExperimentPlan()
-    assert build_scenario(free, Scheme.EXCODE, 0).topology != build_scenario(free, Scheme.EXCODE, 1).topology
+    assert (build_scenario(free, Scheme.EXCODE, 0, 2, 5.0).topology
+            != build_scenario(free, Scheme.EXCODE, 1, 2, 5.0).topology)
 
 
 def test_run_plan_writes_one_row_per_run(tmp_path):
@@ -171,6 +266,17 @@ def test_run_plan_writes_one_row_per_run(tmp_path):
     assert lines[0].startswith("scheme,seed,")
     for metric in ("throughput_kbps", "encoded_frac", "pdr", "mean_delay_s"):
         assert (out / f"{metric}.svg").exists()
+
+
+def test_rates_sweep_charts_one_point_per_rate(tmp_path):
+    plan = load_config(write_config(tmp_path, """
+        flows: {count: 2}
+        duration: 1.0
+        sweep: {rates: [2.0, 5.0, 10.0], seeds: [0, 1], schemes: [excode]}
+        """))
+    run_plan(plan, tmp_path / "out")
+    for metric in ("throughput_kbps", "encoded_frac", "pdr", "mean_delay_s"):
+        assert (tmp_path / "out" / f"{metric}.svg").read_text().count("<circle") == 3
 
 
 def test_run_plan_outputs_are_byte_stable(tmp_path):
@@ -208,9 +314,9 @@ def test_main_figures_only_draws_charts(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr("xorsim.cli.run_plan", lambda plan, out: plans.append((plan, out)) or [])
     assert main(["figures", "--out", str(tmp_path)]) == 0
     [(plan, out)] = plans
-    assert plan.sweep_flows == [2, 4, 6, 8]
-    assert plan.sweep_seeds == [0, 1, 2, 3, 4]
-    assert (plan.duration, plan.rate) == (4.0, 150.0)
+    assert plan.flow_counts == [2, 4, 6, 8]
+    assert plan.seeds == [0, 1, 2, 3, 4]
+    assert (plan.duration, plan.rates) == (4.0, [150.0])
     assert "PASS" not in capsys.readouterr().out
 
 

@@ -9,7 +9,6 @@ def native(flow, seq, route, *, holders=None, hop_index=0, payload=b"\x00" * 4):
     route = tuple(route)
     return NativePacket(
         uid=PacketUid(flow, seq),
-        src=route[0],
         dst=route[-1],
         route=route,
         hop_index=hop_index,

@@ -36,7 +36,6 @@ def native(flow, seq, route, hop_index, holders, payload=b"\xaa" * 6):
     route = tuple(route)
     return NativePacket(
         uid=PacketUid(flow, seq),
-        src=route[0],
         dst=route[-1],
         route=route,
         hop_index=hop_index,

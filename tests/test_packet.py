@@ -22,7 +22,6 @@ from xorsim.packet import (
 def make_native(flow, seq, route, payload, created_at=0.0, hop_index=0):
     return NativePacket(
         uid=PacketUid(flow, seq),
-        src=route[0],
         dst=route[-1],
         route=tuple(route),
         hop_index=hop_index,

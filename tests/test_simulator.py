@@ -75,7 +75,6 @@ def payload_native(size):
 
     return NativePacket(
         uid=PacketUid(0, 0),
-        src=0,
         dst=2,
         route=(0, 1, 2),
         hop_index=0,
