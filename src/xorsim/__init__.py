@@ -4,13 +4,11 @@ from .coding import Scheme, cope_can_code, excode_can_code, find_partner
 from .metrics import CSV_COLUMNS, MetricsReport, csv_header, finalize
 from .node import Node, Transmission
 from .packet import (
-    ConstituentHeader,
     EncodedPacket,
     LengthMismatchError,
     NativePacket,
     NotConstituentError,
     PacketUid,
-    Role,
     SameFlowError,
     annotate_holders,
     xor_decode,
@@ -41,7 +39,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CSV_COLUMNS",
-    "ConstituentHeader",
     "EncodedPacket",
     "FIXTURES",
     "FlowSpec",
@@ -53,7 +50,6 @@ __all__ = [
     "NoRouteError",
     "NotConstituentError",
     "PacketUid",
-    "Role",
     "SameFlowError",
     "Scenario",
     "ScenarioInvalidError",

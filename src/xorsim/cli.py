@@ -19,7 +19,7 @@ import yaml
 
 from .coding import Scheme
 from .metrics import COLUMN_ATTRS, MetricsReport, csv_header, finalize
-from .scenarios import random_flows
+from .scenarios import DEFAULT_NODES, DEFAULT_RANGE, DEFAULT_SIDE, random_flows
 from .simulator import (
     DEFAULT_CHANNEL_RATE,
     DEFAULT_DURATION,
@@ -34,6 +34,8 @@ from .topology import build_topology, random_layout
 # the unit-disk adjacency is built pairwise and can hold nodes**2 entries
 MAX_NODES = 1_000
 MAX_PACKET_SIZE = 65_535  # bytes, the largest IP datagram
+# every packet a cell generates stays in memory until the run ends
+MAX_PACKETS = 1_000_000
 
 # (results.csv column the chart is named after, axis label)
 CHART_METRICS = (
@@ -53,9 +55,9 @@ class ExperimentPlan:
     """The base scenario knobs plus one list per sweep axis; run_plan runs
     every flow count x rate x scheme x seed."""
 
-    nodes: int = 16
-    side: float = 800.0
-    radio_range: float = 200.0
+    nodes: int = DEFAULT_NODES
+    side: float = DEFAULT_SIDE
+    radio_range: float = DEFAULT_RANGE
     topology_seed: Optional[int] = None
     positions: Optional[list[tuple[float, float]]] = None
     packet_size: int = DEFAULT_PACKET_SIZE
@@ -163,6 +165,20 @@ def load_config(path) -> ExperimentPlan:
         if not isinstance(raw["count_header_overhead"], bool):
             raise ValidationError("count_header_overhead must be true or false")
         plan.count_header_overhead = raw["count_header_overhead"]
+
+    if plan.explicit_flows is not None:
+        keys = "the sum of flows.list[i].rate x duration"
+        packets = sum(f.rate * plan.duration for f in plan.explicit_flows)
+    else:
+        count_key = "sweep.flows" if "flows" in sweep else "flows.count"
+        rate_key = "sweep.rates" if "rates" in sweep else "flows.rate"
+        keys = f"{count_key} x {rate_key} x duration"
+        try:
+            packets = max(plan.flow_counts) * max(plan.rates) * plan.duration
+        except OverflowError:  # a flow count too large for a float
+            packets = math.inf
+    if packets > MAX_PACKETS:
+        raise ValidationError(f"{keys} is {packets:.6g} packets in one cell, more than {MAX_PACKETS:,}")
     return plan
 
 
@@ -186,6 +202,9 @@ def _as_list(value, key: str) -> list:
 
 def _num(key: str, value, kind, minimum=None, maximum=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
+        if isinstance(value, str) and _is_float_text(value):
+            raise ValidationError(f"{key} must be a number, but YAML read {value!r} as text: "
+                                  "write it unquoted, with a signed exponent such as 1.0e+12")
         raise ValidationError(f"{key} must be a number")
     if isinstance(value, float) and not math.isfinite(value):
         raise ValidationError(f"{key} must be finite")
@@ -200,6 +219,15 @@ def _num(key: str, value, kind, minimum=None, maximum=None):
     if maximum is not None and value > maximum:
         raise ValidationError(f"{key} must be <= {maximum}")
     return value
+
+
+def _is_float_text(text: str) -> bool:
+    """YAML 1.1 reads an exponent without a sign (1.0e12) as a string."""
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
 
 
 # -- scenario assembly -------------------------------------------------------

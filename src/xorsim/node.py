@@ -1,22 +1,21 @@
 """Per-node protocol state: queues, packet buffer, receive/send behavior.
 
-Received packets are handled one at a time, each through the same branch
-ladder:
+Addressed packets wait in a FIFO input queue until the node's radio is
+idle; that waiting room is where crossing flows meet and become codable.
+They are then handled one at a time, each through the same branch ladder:
 
-1. a uid already handled in the same role (addressed/overheard) is dropped;
-2. overheard packets are stored in the buffer and go no further;
-3. packets destined here are delivered, decoding first when encoded;
-4. anything else is relay traffic: under a coding scheme the node scans the
+1. a key already handled as addressed is dropped;
+2. packets destined here are delivered, decoding first when encoded;
+3. anything else is relay traffic: under a coding scheme the node scans the
    rest of the input queue for a codable partner and, if one exists, XORs the
    pair into a single output-queue entry; otherwise the packet is queued for
    forwarding as-is.
 
-Addressed arrivals wait in a FIFO input queue until the node's radio is
-idle; that waiting room is where crossing flows meet and become codable.
-Overheard arrivals carry no forwarding obligation and are absorbed at
-reception time. The output queue drains one packet per transmission.
-Natives get their holder set extended just before each send; encoded packets
-advance each still-active constituent along its own frozen route.
+Overheard copies carry no forwarding obligation: overhear() stores them in
+the buffer at reception time, dropping a key already overheard. The output
+queue drains one packet per transmission. Natives get their holder set
+extended just before each send; encoded packets advance each still-active
+constituent along its own route.
 """
 
 from __future__ import annotations
@@ -27,11 +26,9 @@ from typing import TYPE_CHECKING, Optional
 
 from .coding import ReceptionReports, Scheme, find_partner
 from .packet import (
-    ConstituentHeader,
     EncodedPacket,
     NativePacket,
     Packet,
-    Role,
     annotate_holders,
     xor_decode,
     xor_encode,
@@ -48,8 +45,7 @@ class Transmission:
 
     sender: NodeId
     packet: Packet
-    addressed: frozenset[NodeId]
-    overhearers: frozenset[NodeId]
+    addressed: frozenset[NodeId]  # every other neighbor overhears
 
 
 @dataclass
@@ -71,19 +67,15 @@ class Node:
     def process_input(self, now: float, sim: Simulation) -> None:
         """Drain the input queue in arrival order."""
         while self.input_queue:
-            self.on_receive(self.input_queue.popleft(), Role.ADDRESSED, now, sim)
+            self.on_receive(self.input_queue.popleft(), now, sim)
 
-    def on_receive(self, packet: Packet, role: Role, now: float, sim: Simulation) -> None:
+    def on_receive(self, packet: Packet, now: float, sim: Simulation) -> None:
+        """Handle one addressed packet: deliver it or relay it."""
         key = packet.key
-        seen = self.seen_overheard if role is Role.OVERHEARD else self.seen_addressed
-        if key in seen:
-            sim.trace(now, self.id, "dup_discard", packet, role.value)
+        if key in self.seen_addressed:
+            sim.trace(now, self.id, "dup_discard", packet, "addressed")
             return
-        seen.add(key)
-
-        if role is Role.OVERHEARD:
-            self._store_overheard(packet, now, sim)
-            return
+        self.seen_addressed.add(key)
 
         if isinstance(packet, NativePacket):
             if packet.dst == self.id:
@@ -111,7 +103,7 @@ class Node:
             self.seen_addressed.add(partner.uid)
             self._buffer_native(packet, sim)
             self._buffer_native(partner, sim)
-            encoded = xor_encode(packet, partner, now)
+            encoded = xor_encode(packet, partner)
             self.buffer[encoded.key] = encoded
             self.seen_addressed.add(encoded.key)
             self.output_queue.append(encoded)
@@ -127,7 +119,7 @@ class Node:
         for header in packet.active_headers():
             if header.custodian != self.id or header.dst != self.id:
                 continue
-            counterpart = packet.counterpart(header)
+            counterpart = packet.counterpart(header.uid)
             known = self.buffer.get(counterpart.uid)
             if known is not None:
                 native = xor_decode(packet, known)
@@ -141,23 +133,26 @@ class Node:
         if any(self._carries(h) for h in packet.active_headers()):
             self.forward_encoded(packet, now, sim)
 
-    def _carries(self, header: ConstituentHeader) -> bool:
+    def _carries(self, header: NativePacket) -> bool:
         """This node is the custodian of the branch and must send it on."""
         return header.custodian == self.id and header.dst != self.id
 
     def forward_encoded(self, packet: EncodedPacket, now: float, sim: Simulation) -> None:
         """Queue an encoded packet onward, keeping active only the branches
         this node carries further. Never re-encodes and never splits the payload."""
-        if not all(self._carries(h) for h in packet.active_headers()):
-            headers = tuple(
-                replace(h, active=False) if h.active and not self._carries(h) else h
-                for h in packet.constituents
-            )
-            packet = replace(packet, constituents=headers)
+        carried = frozenset(h.uid for h in packet.active_headers() if self._carries(h))
+        if carried != packet.active:
+            packet = replace(packet, active=carried)
         self.output_queue.append(packet)
         sim.trace(now, self.id, "forward_encoded", packet)
 
-    def _store_overheard(self, packet: Packet, now: float, sim: Simulation) -> None:
+    def overhear(self, packet: Packet, now: float, sim: Simulation) -> None:
+        """Store an overheard copy in the buffer; it goes no further."""
+        key = packet.key
+        if key in self.seen_overheard:
+            sim.trace(now, self.id, "dup_discard", packet, "overheard")
+            return
+        self.seen_overheard.add(key)
         if isinstance(packet, NativePacket):
             self._buffer_native(packet, sim)
             sim.trace(now, self.id, "overhear", packet)
@@ -180,20 +175,15 @@ class Node:
         if isinstance(packet, NativePacket):
             packet = annotate_holders(packet, self.id, self.neighbors)
             packet = replace(packet, hop_index=packet.hop_index + 1)
-            addressed = frozenset({packet.route[packet.hop_index]})
+            addressed = frozenset({packet.custodian})
         else:
             advanced = tuple(
-                replace(h, hop_index=h.hop_index + 1) if h.active else h
+                replace(h, hop_index=h.hop_index + 1) if h.uid in packet.active else h
                 for h in packet.constituents
             )
             packet = replace(packet, constituents=advanced)
             addressed = frozenset(h.custodian for h in packet.active_headers())
-        return Transmission(
-            sender=self.id,
-            packet=packet,
-            addressed=addressed,
-            overhearers=self.neighbors - addressed,
-        )
+        return Transmission(sender=self.id, packet=packet, addressed=addressed)
 
     def _buffer_native(self, packet: NativePacket, sim: Simulation) -> None:
         if packet.uid in self.buffer:

@@ -4,26 +4,19 @@ Native packets carry a growing set of node ids ("holders") naming every node
 known to hold a copy. Before each transmission the sender appends itself and
 its 1-hop neighbors; since radio links are reliable broadcast, everyone in
 the set really does hold the packet by the time anyone else can read it.
-An encoded packet is the XOR of exactly two natives from different flows,
-with each original's header frozen at encode time.
+An encoded packet is the XOR of exactly two natives from different flows. Its
+header is the two natives' own headers as they were when mixed, each stored
+without its payload.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, replace
 from typing import NamedTuple, Union
 
 from .topology import NodeId
 
 HOLDER_ID_BYTES = 4  # on-air cost of one holder entry
-
-
-class Role(enum.Enum):
-    """How a delivered packet relates to the receiver."""
-
-    ADDRESSED = "addressed"
-    OVERHEARD = "overheard"
 
 
 class SameFlowError(Exception):
@@ -60,40 +53,28 @@ class NativePacket:
     def key(self) -> PacketUid:
         return self.uid
 
+    @property
+    def custodian(self) -> NodeId:
+        return self.route[self.hop_index]
+
     def __str__(self) -> str:
         return str(self.uid)
 
 
 @dataclass(frozen=True)
-class ConstituentHeader:
-    """One original's header, frozen when the encoded packet was built."""
-
-    uid: PacketUid
-    dst: NodeId
-    route: tuple[NodeId, ...]
-    hop_index: int
-    holders: frozenset[NodeId]
-    created_at: float
-    active: bool = True
-
-    @property
-    def custodian(self) -> NodeId:
-        return self.route[self.hop_index]
-
-
-@dataclass(frozen=True)
 class EncodedPacket:
-    constituents: tuple[ConstituentHeader, ConstituentHeader]
+    # the two natives as mixed, sorted by uid, each with payload b""; a
+    # constituent's hop_index advances only while its uid is in active
+    constituents: tuple[NativePacket, NativePacket]
     payload: bytes
-    created_at: float
+    active: frozenset[PacketUid]  # the branches still being carried
 
     @property
     def key(self) -> tuple[PacketUid, PacketUid]:
         a, b = self.constituents
-        return (a.uid, b.uid) if a.uid <= b.uid else (b.uid, a.uid)
+        return (a.uid, b.uid)
 
-    def counterpart(self, which: Union[ConstituentHeader, PacketUid]) -> ConstituentHeader:
-        uid = which.uid if isinstance(which, ConstituentHeader) else which
+    def counterpart(self, uid: PacketUid) -> NativePacket:
         a, b = self.constituents
         if uid == a.uid:
             return b
@@ -101,8 +82,8 @@ class EncodedPacket:
             return a
         raise NotConstituentError(f"{uid} is not a constituent of {self}")
 
-    def active_headers(self) -> tuple[ConstituentHeader, ...]:
-        return tuple(c for c in self.constituents if c.active)
+    def active_headers(self) -> tuple[NativePacket, ...]:
+        return tuple(c for c in self.constituents if c.uid in self.active)
 
     def __str__(self) -> str:
         a, b = self.constituents
@@ -131,42 +112,23 @@ def xor_payloads(a: bytes, b: bytes) -> bytes:
     return (int.from_bytes(a, "big") ^ int.from_bytes(b, "big")).to_bytes(n, "big")
 
 
-def xor_encode(p: NativePacket, q: NativePacket, now: float) -> EncodedPacket:
+def xor_encode(p: NativePacket, q: NativePacket) -> EncodedPacket:
     """XOR two natives from different flows into one encoded packet.
 
-    Both headers are frozen as-is; later transmissions of the encoded packet
-    never touch the embedded holder sets.
+    Both headers are kept as-is; later transmissions of the encoded packet
+    advance each branch's hop but never touch the embedded holder sets.
     """
     if p.uid.flow == q.uid.flow:
         raise SameFlowError(f"cannot encode {p.uid} with {q.uid}: same flow")
     first, second = (p, q) if p.uid <= q.uid else (q, p)
     return EncodedPacket(
-        constituents=(_freeze(first), _freeze(second)),
+        constituents=(replace(first, payload=b""), replace(second, payload=b"")),
         payload=xor_payloads(p.payload, q.payload),
-        created_at=now,
+        active=frozenset((p.uid, q.uid)),
     )
 
 
 def xor_decode(encoded: EncodedPacket, known: NativePacket) -> NativePacket:
     """Recover the other constituent given one of the two originals."""
     other = encoded.counterpart(known.uid)
-    return NativePacket(
-        uid=other.uid,
-        dst=other.dst,
-        route=other.route,
-        hop_index=other.hop_index,
-        holders=other.holders,
-        payload=xor_payloads(encoded.payload, known.payload),
-        created_at=other.created_at,
-    )
-
-
-def _freeze(p: NativePacket) -> ConstituentHeader:
-    return ConstituentHeader(
-        uid=p.uid,
-        dst=p.dst,
-        route=p.route,
-        hop_index=p.hop_index,
-        holders=p.holders,
-        created_at=p.created_at,
-    )
+    return replace(other, payload=xor_payloads(encoded.payload, known.payload))

@@ -32,6 +32,11 @@ from .simulator import (
 )
 from .topology import NoRouteError, Topology, build_topology, random_layout, shortest_path
 
+# the standard field: node count, square side (m) and radio range (m)
+DEFAULT_NODES = 16
+DEFAULT_SIDE = 800.0
+DEFAULT_RANGE = 200.0
+
 
 def tx_time(size_bytes: int = DEFAULT_PACKET_SIZE, rate_bps: float = DEFAULT_CHANNEL_RATE) -> float:
     """Serialization delay of one payload, the fixtures' scheduling unit."""
@@ -120,27 +125,18 @@ def random_scenario(
     n_flows: int,
     rate: float,
     *,
-    n_nodes: int = 16,
-    side: float = 800.0,
-    radio_range: float = 200.0,
     duration: float = DEFAULT_DURATION,
-    packet_size: int = DEFAULT_PACKET_SIZE,
-    channel_rate: float = DEFAULT_CHANNEL_RATE,
-    topology_seed: int | None = None,
-    count_header_overhead: bool = False,
     capture_trace: bool = True,
 ) -> Scenario:
-    """Seeded random field with randomly chosen routable flow endpoints."""
-    tseed = seed if topology_seed is None else topology_seed
-    topo = build_topology(random_layout(n_nodes, side, tseed), radio_range)
+    """The standard field laid out from seed, with seeded random routable
+    flow endpoints."""
+    topo = build_topology(random_layout(DEFAULT_NODES, DEFAULT_SIDE, seed), DEFAULT_RANGE)
     return Scenario(
         topo,
-        random_flows(topo, n_flows, rate, packet_size, seed),
+        random_flows(topo, n_flows, rate, DEFAULT_PACKET_SIZE, seed),
         scheme,
         duration=duration,
-        channel_rate=channel_rate,
         seed=seed,
-        count_header_overhead=count_header_overhead,
         capture_trace=capture_trace,
     )
 

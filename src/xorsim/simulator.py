@@ -1,7 +1,9 @@
 """Deterministic discrete-event simulation of the store-and-forward radio net.
 
 Events sit in a single heap keyed by (time, ordinal); the ordinal is a global
-schedule-order counter, so same-time events always replay identically. The
+schedule-order counter, so same-time events always replay identically. Each
+flow keeps one pending generation, at a fixed negative ordinal, so same-time
+generations run before every other event and in flow order. The
 channel is idealized: every transmission reaches the sender's whole
 neighborhood intact, with no interference, after one serialization delay.
 A node's radio is half-duplex: it transmits one packet at a time and works
@@ -19,13 +21,7 @@ from typing import Optional
 
 from .coding import Scheme
 from .node import Node, Transmission
-from .packet import (
-    EncodedPacket,
-    NativePacket,
-    PacketUid,
-    Role,
-    holder_overhead_bytes,
-)
+from .packet import EncodedPacket, NativePacket, PacketUid, holder_overhead_bytes
 from .topology import NodeId, NoRouteError, Topology, shortest_path
 
 DEFAULT_PACKET_SIZE = 512  # bytes
@@ -127,8 +123,8 @@ class Simulation:
         self.decode_failures = 0
         self.holder_bytes_total = 0
 
-        for flow in scenario.flows:
-            self._schedule_generation(flow)
+        for i in range(len(scenario.flows)):
+            self._schedule_gen(i, 0)
 
     # -- event plumbing ----------------------------------------------------
 
@@ -136,15 +132,15 @@ class Simulation:
         heapq.heappush(self._heap, (time, self._ordinal, kind, data))
         self._ordinal += 1
 
-    def _schedule_generation(self, flow: FlowSpec) -> None:
+    def _schedule_gen(self, i: int, k: int) -> None:
+        """Put packet k of flow i on the heap, at ordinal i - len(flows),
+        unless it falls at or after the flow's stop."""
+        flows = self.scenario.flows
+        flow = flows[i]
         stop = self.scenario.duration if flow.stop is None else min(flow.stop, self.scenario.duration)
-        k = 0
-        while True:
-            t = flow.start + k / flow.rate
-            if t >= stop:
-                break
-            self._schedule(t, PACKET_GEN, (flow, k))
-            k += 1
+        t = flow.start + k / flow.rate
+        if t < stop:
+            heapq.heappush(self._heap, (t, i - len(flows), PACKET_GEN, (i, k)))
 
     def run(self) -> "Simulation":
         end = self.scenario.duration + self.scenario.drain_grace
@@ -160,7 +156,9 @@ class Simulation:
         return self
 
     def _on_gen(self, data, now: float) -> None:
-        flow, seq = data
+        i, seq = data
+        self._schedule_gen(i, seq + 1)
+        flow = self.scenario.flows[i]
         uid = PacketUid(flow.flow, seq)
         packet = NativePacket(
             uid=uid,
@@ -182,8 +180,8 @@ class Simulation:
         self.trace(now, tx.sender, "tx_end", tx.packet)
         # overhearing is pure listening: it lands in the buffer the moment
         # the transmission ends, never competing with the radio's work
-        for receiver in sorted(tx.overhearers):
-            self.nodes[receiver].on_receive(tx.packet, Role.OVERHEARD, now, self)
+        for receiver in sorted(sender.neighbors - tx.addressed):
+            self.nodes[receiver].overhear(tx.packet, now, self)
         for receiver in sorted(tx.addressed):
             self.nodes[receiver].input_queue.append(tx.packet)
             self._schedule(now, NODE_WAKE, receiver)

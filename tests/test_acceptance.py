@@ -185,10 +185,10 @@ def test_criterion_7_codec_property_suite():
                          frozenset({0}), pa, 0.0)
         q = NativePacket(PacketUid(1, trial), 0, (2, 1, 0), 0,
                          frozenset({2}), pb, 0.0)
-        e = xor_encode(p, q, 0.0)
+        e = xor_encode(p, q)
         assert xor_decode(e, q).payload == pa
         assert xor_decode(e, p).payload == pb
-        assert e == xor_encode(q, p, 0.0)  # commutative
+        assert e == xor_encode(q, p)  # commutative
         assert xor_payloads(xor_payloads(pa, pb), pb) == pa  # involution
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0

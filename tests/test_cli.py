@@ -118,6 +118,15 @@ def test_full_config_round_trip(tmp_path):
         pytest.param("topology: {positions: [" + ", ".join(["[0, 0]"] * 1001) + "]}",
                      "topology.positions must have at most 1000 entries", id="positions-over-cap"),
         pytest.param("seed: 1" + "0" * 5000, "config parse error", id="int-over-4300-digits"),
+        # every packet of a cell is held in memory until the run ends
+        ("flows: {count: 1, rate: 1.0e+8}\nduration: 1.0\nscheme: none",
+         "flows.count x flows.rate x duration is 1e+08 packets in one cell, more than 1,000,000"),
+        ("flows: {rate: 100.0}\nsweep: {flows: [1, 2000]}\nduration: 10",
+         "sweep.flows x flows.rate x duration is 2e+06 packets"),
+        ("flows: {list: [{src: 0, dst: 1, rate: 6.0e+5}, {src: 1, dst: 0, rate: 6.0e+5}]}\nduration: 1",
+         "the sum of flows.list[i].rate x duration is 1.2e+06 packets"),
+        # YAML 1.1 reads an exponent without a sign as a string
+        ("flows: {rate: 1.0e12}", "flows.rate must be a number, but YAML read '1.0e12' as text"),
     ],
 )
 def test_config_errors_name_the_key(tmp_path, snippet, needle):

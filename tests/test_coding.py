@@ -115,7 +115,7 @@ def test_scan_returns_first_match():
 
 
 def test_scan_skips_ineligible_entries():
-    encoded = xor_encode(P_AT_RELAY, Q_AT_RELAY, 0.0)
+    encoded = xor_encode(P_AT_RELAY, Q_AT_RELAY)
     to_self = replace(Q_AT_RELAY, dst=2, route=(5, 3, 2), hop_index=2)
     queue = [
         encoded,  # never recode

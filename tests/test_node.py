@@ -3,7 +3,7 @@ from dataclasses import replace
 
 from xorsim.coding import Scheme
 from xorsim.node import Node
-from xorsim.packet import NativePacket, PacketUid, Role, xor_encode
+from xorsim.packet import NativePacket, PacketUid, xor_encode
 
 
 class HookRecorder:
@@ -73,7 +73,7 @@ def test_relay_codes_with_queued_partner():
     [encoded] = node.output_queue
     assert ("encode", 1, str(encoded)) in sim.events
     assert encoded.key == (P_EAST.uid, Q_WEST.uid)
-    assert encoded.payload == xor_encode(P_EAST, Q_WEST, 0.0).payload
+    assert encoded.payload == xor_encode(P_EAST, Q_WEST).payload
     # both originals and the mix are remembered
     assert node.buffer[P_EAST.uid] == P_EAST
     assert node.buffer[Q_WEST.uid] == Q_WEST
@@ -101,10 +101,10 @@ def test_duplicate_addressed_copies_are_dropped():
 
 def test_roles_deduplicate_independently():
     node, sim = relay_node()
-    node.on_receive(P_EAST, Role.ADDRESSED, 0.0, sim)
-    node.on_receive(P_EAST, Role.OVERHEARD, 0.0, sim)
+    node.on_receive(P_EAST, 0.0, sim)
+    node.overhear(P_EAST, 0.0, sim)
     assert dup_discards(sim) == []
-    node.on_receive(P_EAST, Role.OVERHEARD, 0.0, sim)
+    node.overhear(P_EAST, 0.0, sim)
     assert dup_discards(sim) == [("dup_discard", 1, str(P_EAST.uid))]
 
 
@@ -126,7 +126,7 @@ def test_destination_delivers_and_buffers():
 
 def test_overheard_native_is_buffered_never_forwarded():
     node, sim = relay_node()
-    node.on_receive(Q_WEST, Role.OVERHEARD, 0.0, sim)
+    node.overhear(Q_WEST, 0.0, sim)
     assert node.buffer[Q_WEST.uid] == Q_WEST
     assert not node.output_queue
     assert sim.events == [("overhear", 1, str(Q_WEST.uid))]
@@ -134,9 +134,9 @@ def test_overheard_native_is_buffered_never_forwarded():
 
 def test_overheard_mix_decodes_against_known_original():
     node, sim = relay_node()
-    node.on_receive(Q_WEST, Role.OVERHEARD, 0.0, sim)
-    encoded = xor_encode(P_EAST, Q_WEST, 0.5)
-    node.on_receive(encoded, Role.OVERHEARD, 1.0, sim)
+    node.overhear(Q_WEST, 0.0, sim)
+    encoded = xor_encode(P_EAST, Q_WEST)
+    node.overhear(encoded, 1.0, sim)
     recovered = node.buffer[P_EAST.uid]
     assert recovered.payload == P_EAST.payload
     assert P_EAST.uid in node.seen_overheard
@@ -146,8 +146,8 @@ def test_overheard_mix_decodes_against_known_original():
 
 def test_overheard_mix_without_any_original_just_sits():
     node, sim = relay_node()
-    encoded = xor_encode(P_EAST, Q_WEST, 0.5)
-    node.on_receive(encoded, Role.OVERHEARD, 1.0, sim)
+    encoded = xor_encode(P_EAST, Q_WEST)
+    node.overhear(encoded, 1.0, sim)
     assert encoded.key in node.buffer
     assert P_EAST.uid not in node.buffer
     assert Q_WEST.uid not in node.buffer
@@ -157,15 +157,15 @@ def arrived_mix():
     # headers as sent by relay 1: both branches advanced to their custodians
     p = replace(P_EAST, hop_index=2, holders=frozenset({0, 1, 2}))
     q = replace(Q_WEST, hop_index=2, holders=frozenset({0, 1, 2}))
-    return p, q, xor_encode(p, q, 1.0)
+    return p, q, xor_encode(p, q)
 
 
 def test_destination_decodes_addressed_mix():
     p, q, encoded = arrived_mix()
     node = Node(id=2, neighbors=frozenset({1}), scheme=Scheme.EXCODE)
     sim = HookRecorder()
-    node.on_receive(replace(Q_WEST, hop_index=0), Role.OVERHEARD, 0.1, sim)
-    node.on_receive(encoded, Role.ADDRESSED, 1.0, sim)
+    node.overhear(replace(Q_WEST, hop_index=0), 0.1, sim)
+    node.on_receive(encoded, 1.0, sim)
     assert [(n, pkt.uid) for n, pkt in sim.delivered] == [(2, p.uid)]
     assert ("decode_deliver", 2, str(p.uid)) in sim.events
     delivered = sim.delivered[0][1]
@@ -177,7 +177,7 @@ def test_decode_failure_is_counted_not_fatal():
     p, q, encoded = arrived_mix()
     node = Node(id=2, neighbors=frozenset({1}), scheme=Scheme.EXCODE)
     sim = HookRecorder()
-    node.on_receive(encoded, Role.ADDRESSED, 1.0, sim)
+    node.on_receive(encoded, 1.0, sim)
     assert sim.failures == [(2, q.uid)]
     assert ("decode_fail", 2, str(encoded)) in sim.events
     assert not sim.delivered
@@ -187,13 +187,12 @@ def test_forward_keeps_only_own_branches():
     # node 2 is custodian of p's next leg; q's branch belongs to node 0
     p = native(0, 0, (0, 1, 2, 3), 2, {0, 1, 2})
     q = native(1, 0, (2, 1, 0), 2, {2, 1, 0})
-    encoded = xor_encode(p, q, 1.0)
+    encoded = xor_encode(p, q)
     node = Node(id=2, neighbors=frozenset({1, 3}), scheme=Scheme.EXCODE)
     sim = HookRecorder()
-    node.on_receive(encoded, Role.ADDRESSED, 1.0, sim)
+    node.on_receive(encoded, 1.0, sim)
     [out] = node.output_queue
-    states = {h.uid: h.active for h in out.constituents}
-    assert states == {p.uid: True, q.uid: False}
+    assert out.active == {p.uid}
 
 
 def test_send_annotates_then_advances():
@@ -205,7 +204,6 @@ def test_send_annotates_then_advances():
     assert tx.packet.holders == frozenset({0, 1, 5})
     assert tx.packet.hop_index == 1
     assert tx.addressed == frozenset({1})
-    assert tx.overhearers == frozenset({5})
     assert tx.sender == 0
     assert not node.output_queue
 
@@ -213,9 +211,7 @@ def test_send_annotates_then_advances():
 def test_send_encoded_advances_active_branches_only():
     p = native(0, 0, (0, 1, 2), 1, {0, 1})
     q = native(1, 0, (2, 1, 0), 1, {2, 1})
-    encoded = xor_encode(p, q, 0.0)
-    a, b = encoded.constituents  # a carries p: flow 0 sorts first
-    encoded = replace(encoded, constituents=(a, replace(b, active=False)))
+    encoded = replace(xor_encode(p, q), active=frozenset({p.uid}))
     node = Node(id=1, neighbors=frozenset({0, 2}), scheme=Scheme.EXCODE)
     node.output_queue.append(encoded)
     tx = node.on_send(0.0, HookRecorder())
@@ -223,7 +219,6 @@ def test_send_encoded_advances_active_branches_only():
     assert headers[p.uid].hop_index == 2
     assert headers[q.uid].hop_index == 1  # frozen with its branch
     assert tx.addressed == frozenset({2})
-    assert tx.overhearers == frozenset({0})
 
 
 def test_send_with_empty_backlog():
@@ -235,9 +230,9 @@ def test_reception_report_lists_only_natives():
     # the natives a node buffers are what it reports: each one is announced
     # once through native_buffered, the mix itself never
     node, sim = relay_node()
-    encoded = xor_encode(P_EAST, Q_WEST, 0.0)
-    node.on_receive(Q_WEST, Role.OVERHEARD, 0.0, sim)
-    node.on_receive(encoded, Role.OVERHEARD, 0.1, sim)
+    encoded = xor_encode(P_EAST, Q_WEST)
+    node.overhear(Q_WEST, 0.0, sim)
+    node.overhear(encoded, 0.1, sim)
     natives = {k for k, v in node.buffer.items() if isinstance(v, NativePacket)}
     assert natives == {Q_WEST.uid, P_EAST.uid}  # P_EAST recovered early
     assert sim.buffered == [(1, Q_WEST.uid), (1, P_EAST.uid)]
@@ -261,8 +256,8 @@ def test_everything_buffered_was_seen():
                 (flow + 1) % 4, seq, route[::-1], 1, set(route),
                 payload=bytes([seq, flow]) * 3,
             )
-            pkt = xor_encode(pkt, other, 0.0)
-        role = Role.OVERHEARD if rng.random() < 0.5 else Role.ADDRESSED
-        node.on_receive(pkt, role, float(step), sim)
+            pkt = xor_encode(pkt, other)
+        receive = node.overhear if rng.random() < 0.5 else node.on_receive
+        receive(pkt, float(step), sim)
         assert set(node.buffer) <= node.seen_addressed | node.seen_overheard
         node.output_queue.clear()

@@ -44,8 +44,7 @@ def test_xor_payloads_length_mismatch():
 def test_encode_decode_roundtrip_basic():
     p = make_native(0, 0, (0, 1, 2), b"hello world!")
     q = make_native(1, 0, (2, 1, 0), b"HELLO WORLD?")
-    e = xor_encode(p, q, 1.5)
-    assert e.created_at == 1.5
+    e = xor_encode(p, q)
     assert e.payload == xor_payloads(p.payload, q.payload)
     assert xor_decode(e, q) == p
     assert xor_decode(e, p) == q
@@ -54,7 +53,7 @@ def test_encode_decode_roundtrip_basic():
 def test_encode_is_commutative():
     p = make_native(0, 3, (0, 1, 2), bytes(range(16)))
     q = make_native(1, 5, (2, 1, 0), bytes(reversed(range(16))))
-    assert xor_encode(p, q, 0.0) == xor_encode(q, p, 0.0)
+    assert xor_encode(p, q) == xor_encode(q, p)
 
 
 def test_xor_is_involution():
@@ -68,21 +67,21 @@ def test_encode_rejects_same_flow():
     p = make_native(0, 0, (0, 1, 2), b"aaaa")
     q = make_native(0, 1, (0, 1, 2), b"bbbb")
     with pytest.raises(SameFlowError):
-        xor_encode(p, q, 0.0)
+        xor_encode(p, q)
 
 
 def test_encode_rejects_length_mismatch():
     p = make_native(0, 0, (0, 1, 2), b"aaaa")
     q = make_native(1, 0, (2, 1, 0), b"bb")
     with pytest.raises(LengthMismatchError):
-        xor_encode(p, q, 0.0)
+        xor_encode(p, q)
 
 
 def test_decode_requires_a_constituent():
     p = make_native(0, 0, (0, 1, 2), b"aaaa")
     q = make_native(1, 0, (2, 1, 0), b"bbbb")
     r = make_native(2, 0, (0, 1, 2), b"cccc")
-    e = xor_encode(p, q, 0.0)
+    e = xor_encode(p, q)
     with pytest.raises(NotConstituentError):
         xor_decode(e, r)
 
@@ -96,21 +95,32 @@ def test_encoded_header_snapshot_and_counterpart():
         make_native(1, 0, (2, 1, 0), b"y" * 4, hop_index=1),
         holders=frozenset({2, 1}),
     )
-    e = xor_encode(p, q, 3.0)
+    e = xor_encode(p, q)
     by_uid = {h.uid: h for h in e.constituents}
     assert by_uid[p.uid].holders == frozenset({0, 1})
     assert by_uid[p.uid].custodian == 1
-    assert by_uid[p.uid].active
+    assert e.active == {p.uid, q.uid}
     assert e.counterpart(p.uid).uid == q.uid
-    assert e.counterpart(by_uid[q.uid]).uid == p.uid
+    assert e.counterpart(q.uid).uid == p.uid
     with pytest.raises(NotConstituentError):
         e.counterpart(PacketUid(9, 9))
+
+
+def test_constituents_carry_headers_not_payloads():
+    # a mix holds each native's header as mixed; only the XOR carries data,
+    # so decoding cannot skip the XOR
+    p = make_native(0, 0, (0, 1, 2), b"pppp", created_at=0.25, hop_index=1)
+    q = make_native(1, 0, (2, 1, 0), b"qqqq", created_at=0.5, hop_index=1)
+    e = xor_encode(p, q)
+    assert [c.payload for c in e.constituents] == [b"", b""]
+    assert list(e.constituents) == [replace(p, payload=b""), replace(q, payload=b"")]
+    assert e.payload != b""
 
 
 def test_constituents_sorted_by_uid():
     p = make_native(5, 2, (0, 1, 2), b"pppp")
     q = make_native(1, 7, (2, 1, 0), b"qqqq")
-    e = xor_encode(p, q, 0.0)
+    e = xor_encode(p, q)
     assert [h.uid for h in e.constituents] == sorted([p.uid, q.uid])
     assert e.key == (q.uid, p.uid)
 
@@ -137,7 +147,7 @@ def test_holder_overhead_is_four_bytes_per_id():
         make_native(1, 0, (2, 1, 0), b"...."),
         holders=frozenset({2, 1}),
     )
-    assert holder_overhead_bytes(xor_encode(p, q, 0.0)) == 28
+    assert holder_overhead_bytes(xor_encode(p, q)) == 28
 
 
 @settings(max_examples=200, deadline=None)
@@ -149,7 +159,7 @@ def test_roundtrip_property(payload_a, payload_b):
     size = min(len(payload_a), len(payload_b))
     p = make_native(0, 0, (0, 1, 2), payload_a[:size])
     q = make_native(1, 0, (2, 1, 0), payload_b[:size])
-    e = xor_encode(p, q, 0.0)
+    e = xor_encode(p, q)
     assert xor_decode(e, q) == p
     assert xor_decode(e, p) == q
 
@@ -171,6 +181,6 @@ def test_thousand_randomized_roundtrips():
         pb = rng.randbytes(size)
         p = make_native(0, trial, (0, 1, 2), pa)
         q = make_native(1, trial, (2, 1, 0), pb)
-        e = xor_encode(p, q, 0.0)
+        e = xor_encode(p, q)
         assert xor_decode(e, q).payload == pa
         assert xor_decode(e, p).payload == pb

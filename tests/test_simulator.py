@@ -109,6 +109,41 @@ def test_generation_schedule_counts():
     assert len(run(windowed).generated) == 5
 
 
+def test_same_time_generations_run_first_in_flow_order():
+    # at t = TX a tx_end ties with three generations: the second packet of
+    # the first flow and the first packets of two flows listed out of id order
+    topo = build_topology([(0.0, 0.0), (150.0, 0.0), (300.0, 0.0)], 200.0)
+    flows = (
+        FlowSpec(7, 0, 1, rate=1 / TX, stop=1.5 * TX),
+        FlowSpec(2, 2, 1, rate=1.0, start=TX, stop=0.5),
+        FlowSpec(4, 1, 2, rate=1.0, start=TX, stop=0.5),
+    )
+    assert 0.0 + 1 / flows[0].rate == TX
+    sim = run(Scenario(topo, flows, Scheme.NON_CODING, duration=1.0))
+    at_tx = [line.split(",")[2:4] for line in sim.trace_log if float(line.split(",")[0]) == TX]
+    assert at_tx[:4] == [["gen", "7.1"], ["gen", "2.0"], ["gen", "4.0"], ["tx_end", "7.0"]]
+
+
+def test_every_other_neighbor_overhears_a_transmission():
+    sim = run(random_scenario(Scheme.EXCODE, seed=2, n_flows=4, rate=150.0, duration=0.5))
+    lines = [line.split(",") for line in sim.trace_log]
+    addressed = {}
+    mixes = 0
+    for i, (_, node, event, uid, detail) in enumerate(lines):
+        if event == "tx_start":
+            addressed[node] = {int(n) for n in detail.removeprefix("to=").split("|")}
+        elif event == "tx_end":
+            # the overhearers log right after the tx_end, before any wake
+            heard = set()
+            for _, other, kind, _, _ in lines[i + 1:]:
+                if kind not in ("overhear", "early_decode", "dup_discard"):
+                    break
+                heard.add(int(other))
+            assert heard == sim.nodes[int(node)].neighbors - addressed[node], lines[i]
+            mixes += "^" in uid
+    assert mixes > 0
+
+
 def test_zero_flow_run_is_empty_but_valid():
     topo = build_topology([(0.0, 0.0), (150.0, 0.0)], 200.0)
     sim = run(Scenario(topo, (), Scheme.EXCODE, duration=1.0))
