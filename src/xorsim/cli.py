@@ -36,6 +36,7 @@ MAX_NODES = 1_000
 MAX_PACKET_SIZE = 65_535  # bytes, the largest IP datagram
 # every packet a cell generates stays in memory until the run ends
 MAX_PACKETS = 1_000_000
+MAX_FLOWS = 10_000  # each flow costs a route search before its first packet
 
 # (results.csv column the chart is named after, axis label)
 CHART_METRICS = (
@@ -130,7 +131,7 @@ def load_config(path) -> ExperimentPlan:
         raise ValidationError("sweep: give either flows or rates, not both")
     # each axis is its sweep list, else its one-value key as a one-element list
     for name, axis, scalars, scalar_key, parse in (
-        ("flow_counts", "flows", flows, "flows.count", lambda k, v: _num(k, v, int, minimum=0)),
+        ("flow_counts", "flows", flows, "flows.count", lambda k, v: _num(k, v, int, 0, MAX_FLOWS)),
         ("rates", "rates", flows, "flows.rate", lambda k, v: _num(k, v, float, minimum=1e-9)),
         ("schemes", "schemes", raw, "scheme", lambda k, v: parse_scheme(str(v), k)),
         ("seeds", "seeds", raw, "seed", lambda k, v: _num(k, v, int)),
@@ -154,6 +155,8 @@ def load_config(path) -> ExperimentPlan:
                 raise ValidationError(f"sweep.{axis} cannot be combined with flows.list")
         if not isinstance(flows["list"], list):
             raise ValidationError("flows.list must be a list of flow mappings")
+        if len(flows["list"]) > MAX_FLOWS:
+            raise ValidationError(f"flows.list must have at most {MAX_FLOWS} entries")
         plan.explicit_flows = tuple(_flow_from_mapping(i, m, plan) for i, m in enumerate(flows["list"]))
 
     channel = _section(raw, "channel", {"rate_bps"})
@@ -173,10 +176,7 @@ def load_config(path) -> ExperimentPlan:
         count_key = "sweep.flows" if "flows" in sweep else "flows.count"
         rate_key = "sweep.rates" if "rates" in sweep else "flows.rate"
         keys = f"{count_key} x {rate_key} x duration"
-        try:
-            packets = max(plan.flow_counts) * max(plan.rates) * plan.duration
-        except OverflowError:  # a flow count too large for a float
-            packets = math.inf
+        packets = max(plan.flow_counts) * max(plan.rates) * plan.duration
     if packets > MAX_PACKETS:
         raise ValidationError(f"{keys} is {packets:.6g} packets in one cell, more than {MAX_PACKETS:,}")
     return plan

@@ -4,8 +4,8 @@ Two discovery schemes are modeled. The holder-set scheme codes two relay
 packets whenever each packet's final destination already holds a copy of the
 other packet, as witnessed by the holder sets the packets carry. The
 report-based baseline is an idealized two-hop scheme: it codes only when each
-destination is a direct neighbor of the relay and the neighbor's (instantly
-synchronized) reception report lists the other packet. Every report-based
+destination is a direct neighbor of the relay whose reception report (its
+buffer itself, so always in sync) lists the other packet. Every report-based
 opportunity is also a holder-set opportunity, because a neighbor that holds
 a packet was necessarily adjacent to one of its previous senders and is
 therefore in its holder set.
@@ -14,12 +14,12 @@ therefore in its holder set.
 from __future__ import annotations
 
 import enum
-from typing import Optional, Sequence
+from typing import Container, Optional, Sequence
 
 from .packet import NativePacket, PacketUid
 from .topology import NodeId
 
-ReceptionReports = dict[NodeId, set[PacketUid]]
+ReceptionReports = dict[NodeId, Container[PacketUid]]
 
 
 class Scheme(enum.Enum):

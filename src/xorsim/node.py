@@ -11,11 +11,11 @@ They are then handled one at a time, each through the same branch ladder:
    pair into a single output-queue entry; otherwise the packet is queued for
    forwarding as-is.
 
-Overheard copies carry no forwarding obligation: overhear() stores them in
-the buffer at reception time, dropping a key already overheard. The output
-queue drains one packet per transmission. Natives get their holder set
-extended just before each send; encoded packets advance each still-active
-constituent along its own route.
+The buffer holds natives only, by uid. Overheard copies carry no forwarding
+obligation: overhear() buffers a native, or the native an overheard mix
+yields at once; a mix it cannot decode is not kept. The output queue drains
+one packet per transmission. A native takes its route's holder set for the
+sending hop; encoded packets advance each still-active constituent.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ class Transmission:
 
     sender: NodeId
     packet: Packet
-    addressed: frozenset[NodeId]  # every other neighbor overhears
+    addressed: tuple[NodeId, ...]  # sorted; every other neighbor overhears
 
 
 @dataclass
@@ -55,14 +55,11 @@ class Node:
     scheme: Scheme
     input_queue: deque = field(default_factory=deque)  # addressed arrivals
     output_queue: deque = field(default_factory=deque)
-    buffer: dict = field(default_factory=dict)  # key -> packet, natives and encoded
+    buffer: dict = field(default_factory=dict)  # uid -> native
     seen_addressed: set = field(default_factory=set)
     seen_overheard: set = field(default_factory=set)
-    reports: ReceptionReports = field(default_factory=dict)  # neighbor -> native uids
+    reports: ReceptionReports = field(default_factory=dict)  # neighbor -> its buffer
     transmitting: Optional[Transmission] = None  # the broadcast on air
-
-    def __post_init__(self) -> None:
-        self.reports = {nb: set() for nb in self.neighbors}
 
     def process_input(self, now: float, sim: Simulation) -> None:
         """Drain the input queue in arrival order."""
@@ -89,14 +86,8 @@ class Node:
         self._handle_addressed_encoded(packet, now, sim)
 
     def _relay_native(self, packet: NativePacket, now: float, sim: Simulation) -> None:
-        idx = find_partner(
-            packet,
-            self.input_queue,
-            self.scheme,
-            self_id=self.id,
-            neighbors=self.neighbors,
-            reports=self.reports,
-        )
+        idx = find_partner(packet, self.input_queue, self.scheme,
+                           self_id=self.id, neighbors=self.neighbors, reports=self.reports)
         if idx is not None:
             partner = self.input_queue[idx]
             del self.input_queue[idx]
@@ -104,7 +95,6 @@ class Node:
             self._buffer_native(packet, sim)
             self._buffer_native(partner, sim)
             encoded = xor_encode(packet, partner)
-            self.buffer[encoded.key] = encoded
             self.seen_addressed.add(encoded.key)
             self.output_queue.append(encoded)
             sim.encoded_pair(self.id, packet, partner, now)
@@ -115,7 +105,6 @@ class Node:
         sim.trace(now, self.id, "enqueue", packet)
 
     def _handle_addressed_encoded(self, packet: EncodedPacket, now: float, sim: Simulation) -> None:
-        self.buffer[packet.key] = packet
         for header in packet.active_headers():
             if header.custodian != self.id or header.dst != self.id:
                 continue
@@ -147,18 +136,16 @@ class Node:
         sim.trace(now, self.id, "forward_encoded", packet)
 
     def overhear(self, packet: Packet, now: float, sim: Simulation) -> None:
-        """Store an overheard copy in the buffer; it goes no further."""
+        """Buffer an overheard native, or what a mix yields; nothing goes further."""
         key = packet.key
         if key in self.seen_overheard:
             sim.trace(now, self.id, "dup_discard", packet, "overheard")
             return
         self.seen_overheard.add(key)
+        sim.trace(now, self.id, "overhear", packet)
         if isinstance(packet, NativePacket):
             self._buffer_native(packet, sim)
-            sim.trace(now, self.id, "overhear", packet)
             return
-        self.buffer[packet.key] = packet
-        sim.trace(now, self.id, "overhear", packet)
         # holding one original lets the node pull out the other right away
         held = [h.uid for h in packet.constituents if h.uid in self.buffer]
         if len(held) == 1:
@@ -173,16 +160,15 @@ class Node:
             return None
         packet = self.output_queue.popleft()
         if isinstance(packet, NativePacket):
-            packet = annotate_holders(packet, self.id, self.neighbors)
-            packet = replace(packet, hop_index=packet.hop_index + 1)
-            addressed = frozenset({packet.custodian})
+            packet = annotate_holders(packet, sim.holders_at[packet.uid.flow])
+            addressed = (packet.custodian,)
         else:
             advanced = tuple(
                 replace(h, hop_index=h.hop_index + 1) if h.uid in packet.active else h
                 for h in packet.constituents
             )
             packet = replace(packet, constituents=advanced)
-            addressed = frozenset(h.custodian for h in packet.active_headers())
+            addressed = tuple(sorted({h.custodian for h in packet.active_headers()}))
         return Transmission(sender=self.id, packet=packet, addressed=addressed)
 
     def _buffer_native(self, packet: NativePacket, sim: Simulation) -> None:

@@ -1,9 +1,9 @@
 """Packet types, holder-set bookkeeping and the XOR codec.
 
-Native packets carry a growing set of node ids ("holders") naming every node
-known to hold a copy. Before each transmission the sender appends itself and
-its 1-hop neighbors; since radio links are reliable broadcast, everyone in
-the set really does hold the packet by the time anyone else can read it.
+Native packets carry a set of node ids ("holders"): each sender so far and
+its 1-hop neighbors, a function of route and hop that holder_table builds
+once per route. Since radio links are reliable broadcast, everyone in the set
+holds the packet by the time anyone else can read it.
 An encoded packet is the XOR of exactly two natives from different flows. Its
 header is the two natives' own headers as they were when mixed, each stored
 without its payload.
@@ -12,7 +12,8 @@ without its payload.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import NamedTuple, Union
+from itertools import accumulate
+from typing import Callable, NamedTuple, Union
 
 from .topology import NodeId
 
@@ -93,9 +94,16 @@ class EncodedPacket:
 Packet = Union[NativePacket, EncodedPacket]
 
 
-def annotate_holders(packet: NativePacket, node: NodeId, neighbors: frozenset[NodeId]) -> NativePacket:
-    """Holder entries added before a send: the sender plus its 1-hop neighbors."""
-    return replace(packet, holders=packet.holders | {node} | neighbors)
+def holder_table(route: tuple[NodeId, ...], neighbors: Callable) -> tuple[frozenset[NodeId], ...]:
+    """Entry h: the holders of a native sent from route[h], that is every
+    sender so far plus its 1-hop neighbors."""
+    return tuple(accumulate((neighbors(v) | {v} for v in route[:-1]), frozenset.union))
+
+
+def annotate_holders(packet: NativePacket, holders_at: tuple[frozenset[NodeId], ...]) -> NativePacket:
+    """The native as its custodian sends it: holders from the route's table,
+    hop advanced to the next custodian."""
+    return replace(packet, hop_index=packet.hop_index + 1, holders=holders_at[packet.hop_index])
 
 
 def holder_overhead_bytes(packet: Packet) -> int:

@@ -21,7 +21,7 @@ from typing import Optional
 
 from .coding import Scheme
 from .node import Node, Transmission
-from .packet import EncodedPacket, NativePacket, PacketUid, holder_overhead_bytes
+from .packet import EncodedPacket, NativePacket, PacketUid, holder_overhead_bytes, holder_table
 from .topology import NodeId, NoRouteError, Topology, shortest_path
 
 DEFAULT_PACKET_SIZE = 512  # bytes
@@ -110,6 +110,10 @@ class Simulation:
             Node(id=i, neighbors=topo.neighbors(i), scheme=scenario.scheme)
             for i in range(topo.n)
         ]
+        # a cope reception report is the neighbor's buffer itself
+        for node in self.nodes:
+            node.reports = {nb: self.nodes[nb].buffer for nb in node.neighbors}
+        self.holders_at = {flow: holder_table(route, topo.neighbors) for flow, route in self.routes.items()}
         self.trace_log = TraceLog()
         self._heap: list = []
         self._ordinal = 0
@@ -180,9 +184,9 @@ class Simulation:
         self.trace(now, tx.sender, "tx_end", tx.packet)
         # overhearing is pure listening: it lands in the buffer the moment
         # the transmission ends, never competing with the radio's work
-        for receiver in sorted(sender.neighbors - tx.addressed):
+        for receiver in sorted(sender.neighbors.difference(tx.addressed)):
             self.nodes[receiver].overhear(tx.packet, now, self)
-        for receiver in sorted(tx.addressed):
+        for receiver in tx.addressed:
             self.nodes[receiver].input_queue.append(tx.packet)
             self._schedule(now, NODE_WAKE, receiver)
         self._schedule(now, NODE_WAKE, tx.sender)
@@ -202,7 +206,7 @@ class Simulation:
             self.tx_native += 1
         if self.scenario.scheme is Scheme.EXCODE:
             self.holder_bytes_total += holder_overhead_bytes(tx.packet)
-        self.trace(now, node_id, "tx_start", tx.packet, "to=" + "|".join(map(str, sorted(tx.addressed))))
+        self.trace(now, node_id, "tx_start", tx.packet, "to=" + "|".join(map(str, tx.addressed)))
         self._schedule(now + self.tx_duration(tx.packet), TX_END, tx)
 
     def tx_duration(self, packet) -> float:
@@ -225,10 +229,7 @@ class Simulation:
         self.delivered[packet.uid] = (now, packet)
 
     def native_buffered(self, node: NodeId, packet: NativePacket) -> None:
-        if self.scenario.scheme is not Scheme.COPE:
-            return
-        for nb in self.nodes[node].neighbors:
-            self.nodes[nb].reports[node].add(packet.uid)
+        """A node buffered a native; the neighbors' reports already show it."""
 
     def encoded_pair(self, node: NodeId, p: NativePacket, q: NativePacket, now: float) -> None:
         self.per_node_encodes[node] = self.per_node_encodes.get(node, 0) + 1

@@ -1,13 +1,17 @@
+import contextlib
 import copy
 import functools
+import io
 import operator
 import re
 import textwrap
+from unittest import mock
 
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
+from xorsim import cli
 from xorsim.cli import (
     ExperimentPlan,
     ValidationError,
@@ -125,6 +129,12 @@ def test_full_config_round_trip(tmp_path):
          "sweep.flows x flows.rate x duration is 2e+06 packets"),
         ("flows: {list: [{src: 0, dst: 1, rate: 6.0e+5}, {src: 1, dst: 0, rate: 6.0e+5}]}\nduration: 1",
          "the sum of flows.list[i].rate x duration is 1.2e+06 packets"),
+        # each flow costs a route search: a tiny rate must not let the count run away
+        ("flows: {count: 1000000, rate: 1.0e-6}\nduration: 1.0\nscheme: none",
+         "flows.count must be <= 10000"),
+        ("flows: {rate: 1.0e-6}\nsweep: {flows: [2, 10001]}", "sweep.flows must be <= 10000"),
+        pytest.param("flows: {list: [&f {src: 0, dst: 1}" + ", *f" * 10_000 + "]}",
+                     "flows.list must have at most 10000 entries", id="flows-list-over-cap"),
         # YAML 1.1 reads an exponent without a sign as a string
         ("flows: {rate: 1.0e12}", "flows.rate must be a number, but YAML read '1.0e12' as text"),
     ],
@@ -172,10 +182,10 @@ def paths(node, prefix=()):
 
 
 @st.composite
-def edited_configs(draw):
-    """A valid config with one to three entries replaced, deleted or added;
-    an added key may be unknown or belong to another section."""
-    config = copy.deepcopy(draw(st.sampled_from(VALID_CONFIGS)))
+def edited_configs(draw, bases=st.sampled_from(VALID_CONFIGS)):
+    """A valid config drawn from bases with one to three entries replaced,
+    deleted or added; an added key may be unknown or belong to another section."""
+    config = copy.deepcopy(draw(bases))
     for _ in range(draw(st.integers(1, 3))):
         if not config:
             break
@@ -200,6 +210,36 @@ def test_any_config_loads_or_names_a_key(tmp_path_factory, raw):
         assert isinstance(load_config(path), ExperimentPlan)
     except ValidationError as exc:
         assert any(re.search(rf"\b{key}\b", str(exc)) for key in keys_in(raw)), str(exc)
+
+
+# valid configs that run in moments: at most 3 flows, rate <= 50, duration <= 0.2
+small_configs = st.fixed_dictionaries({
+    "topology": st.one_of(
+        st.fixed_dictionaries({"nodes": st.integers(2, 16), "seed": st.integers(0, 9)}),
+        st.just({"positions": [[0, 0], [150, 0], [300, 0]], "range": 200}),
+    ),
+    "flows": st.one_of(
+        st.fixed_dictionaries({"count": st.integers(1, 3), "rate": st.floats(1.0, 50.0)}),
+        st.just({"rate": 20.0, "list": [{"src": 0, "dst": 1}, {"src": 1, "dst": 0, "start": 0.05}]}),
+    ),
+    "duration": st.floats(0.01, 0.2),
+    "scheme": st.sampled_from(["none", "cope", "excode"]),
+    "seed": st.integers(0, 9),
+})
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=edited_configs(small_configs))
+def test_any_config_runs_or_exits_2(tmp_path_factory, raw):
+    base = tmp_path_factory.getbasetemp()
+    path = base / "fuzz-main.yaml"
+    path.write_text(yaml.safe_dump(raw))
+    err = io.StringIO()
+    # an edit may scale a cell up; the lower cap sends it down the exit-2 path
+    with mock.patch.object(cli, "MAX_PACKETS", 2_000), contextlib.redirect_stderr(err):
+        code = main(["run", "--config", str(path), "--out", str(base / "fuzz-main-out")])
+    assert code in (0, 2)
+    assert (code == 2) == err.getvalue().startswith("error: "), err.getvalue()
 
 
 def test_scheme_key_narrows_the_sweep_unless_overridden(tmp_path, capsys):

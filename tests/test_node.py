@@ -3,13 +3,14 @@ from dataclasses import replace
 
 from xorsim.coding import Scheme
 from xorsim.node import Node
-from xorsim.packet import NativePacket, PacketUid, xor_encode
+from xorsim.packet import NativePacket, PacketUid, holder_table, xor_encode
 
 
 class HookRecorder:
     """Stand-in for the simulation side of the node protocol."""
 
-    def __init__(self):
+    def __init__(self, holders_at=None):
+        self.holders_at = holders_at or {}  # flow -> holder table of its route
         self.events = []
         self.delivered = []
         self.buffered = []
@@ -74,10 +75,8 @@ def test_relay_codes_with_queued_partner():
     assert ("encode", 1, str(encoded)) in sim.events
     assert encoded.key == (P_EAST.uid, Q_WEST.uid)
     assert encoded.payload == xor_encode(P_EAST, Q_WEST).payload
-    # both originals and the mix are remembered
-    assert node.buffer[P_EAST.uid] == P_EAST
-    assert node.buffer[Q_WEST.uid] == Q_WEST
-    assert encoded.key in node.buffer
+    # both originals are buffered; the mix is only marked seen
+    assert node.buffer == {P_EAST.uid: P_EAST, Q_WEST.uid: Q_WEST}
     assert {P_EAST.uid, Q_WEST.uid, encoded.key} <= node.seen_addressed
 
 
@@ -144,13 +143,13 @@ def test_overheard_mix_decodes_against_known_original():
     assert ("early_decode", 1, str(P_EAST.uid)) in sim.events
 
 
-def test_overheard_mix_without_any_original_just_sits():
+def test_overheard_mix_without_any_original_is_not_kept():
     node, sim = relay_node()
     encoded = xor_encode(P_EAST, Q_WEST)
     node.overhear(encoded, 1.0, sim)
-    assert encoded.key in node.buffer
-    assert P_EAST.uid not in node.buffer
-    assert Q_WEST.uid not in node.buffer
+    assert node.buffer == {}
+    assert encoded.key in node.seen_overheard  # a repeat is still a duplicate
+    assert sim.events == [("overhear", 1, str(encoded))]
 
 
 def arrived_mix():
@@ -196,14 +195,17 @@ def test_forward_keeps_only_own_branches():
 
 
 def test_send_annotates_then_advances():
-    node = Node(id=0, neighbors=frozenset({1, 5}), scheme=Scheme.EXCODE)
-    sim = HookRecorder()
+    neighbors = {0: frozenset({1, 5}), 1: frozenset({0, 2})}
+    table = holder_table((0, 1, 2), neighbors.__getitem__)
+    node = Node(id=0, neighbors=neighbors[0], scheme=Scheme.EXCODE)
+    sim = HookRecorder({0: table})
     fresh = native(0, 0, (0, 1, 2), 0, set())
     node.output_queue.append(fresh)
     tx = node.on_send(0.0, sim)
     assert tx.packet.holders == frozenset({0, 1, 5})
+    assert tx.packet.holders is table[0]  # looked up, not built
     assert tx.packet.hop_index == 1
-    assert tx.addressed == frozenset({1})
+    assert tx.addressed == (1,)
     assert tx.sender == 0
     assert not node.output_queue
 
@@ -218,7 +220,7 @@ def test_send_encoded_advances_active_branches_only():
     headers = {h.uid: h for h in tx.packet.constituents}
     assert headers[p.uid].hop_index == 2
     assert headers[q.uid].hop_index == 1  # frozen with its branch
-    assert tx.addressed == frozenset({2})
+    assert tx.addressed == (2,)
 
 
 def test_send_with_empty_backlog():
@@ -227,17 +229,16 @@ def test_send_with_empty_backlog():
 
 
 def test_reception_report_lists_only_natives():
-    # the natives a node buffers are what it reports: each one is announced
-    # once through native_buffered, the mix itself never
+    # a node's buffer is what its neighbors read as its reception report:
+    # each native is announced once through native_buffered, the mix never
     node, sim = relay_node()
     encoded = xor_encode(P_EAST, Q_WEST)
     node.overhear(Q_WEST, 0.0, sim)
     node.overhear(encoded, 0.1, sim)
-    natives = {k for k, v in node.buffer.items() if isinstance(v, NativePacket)}
-    assert natives == {Q_WEST.uid, P_EAST.uid}  # P_EAST recovered early
+    assert set(node.buffer) == {Q_WEST.uid, P_EAST.uid}  # P_EAST recovered early
     assert sim.buffered == [(1, Q_WEST.uid), (1, P_EAST.uid)]
-    assert encoded.key in node.buffer
-    assert all(isinstance(uid, PacketUid) for uid in natives)
+    assert all(isinstance(v, NativePacket) for v in node.buffer.values())
+    assert all(isinstance(uid, PacketUid) for uid in node.buffer)
 
 
 def test_everything_buffered_was_seen():

@@ -13,10 +13,12 @@ from xorsim.packet import (
     SameFlowError,
     annotate_holders,
     holder_overhead_bytes,
+    holder_table,
     xor_decode,
     xor_encode,
     xor_payloads,
 )
+from xorsim.topology import build_topology, hop_distances, random_layout, shortest_path
 
 
 def make_native(flow, seq, route, payload, created_at=0.0, hop_index=0):
@@ -126,14 +128,17 @@ def test_constituents_sorted_by_uid():
 
 
 def test_annotate_holders_union_and_monotonicity():
+    neighbors = {0: frozenset({1, 3}), 1: frozenset({0, 2})}
+    table = holder_table((0, 1, 2), neighbors.__getitem__)
+    assert table == (frozenset({0, 1, 3}), frozenset({0, 1, 2, 3}))
     p = make_native(0, 0, (0, 1, 2), b"zzzz")
-    grown = annotate_holders(p, 0, frozenset({1, 3}))
-    assert grown.holders == frozenset({0, 1, 3})
-    again = annotate_holders(grown, 1, frozenset({0, 2}))
-    assert again.holders == frozenset({0, 1, 2, 3})
+    grown = annotate_holders(p, table)
+    assert (grown.holders, grown.hop_index) == (table[0], 1)
+    again = annotate_holders(grown, table)
+    assert (again.holders, again.hop_index) == (table[1], 2)
     assert grown.holders <= again.holders
-    # annotation never touches anything but the holder set
-    assert replace(again, holders=p.holders) == p
+    # annotation touches nothing but the holder set and the hop
+    assert replace(again, holders=p.holders, hop_index=0) == p
 
 
 def test_holder_overhead_is_four_bytes_per_id():
@@ -165,12 +170,24 @@ def test_roundtrip_property(payload_a, payload_b):
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.sets(st.integers(0, 31), max_size=8), st.sets(st.integers(0, 31), max_size=8))
-def test_holder_annotation_only_grows(extra_a, extra_b):
-    p = make_native(0, 0, (0, 1, 2), b"abcd")
-    once = annotate_holders(p, 0, frozenset(extra_a))
-    twice = annotate_holders(once, 1, frozenset(extra_b))
-    assert p.holders <= once.holders <= twice.holders
+@given(n=st.integers(2, 24), seed=st.integers(0, 10**6), data=st.data())
+def test_holder_annotation_only_grows(n, seed, data):
+    # on a random field and route, the table is the union the paper builds
+    # send by send: each sender appends itself and its 1-hop neighbors
+    topo = build_topology(random_layout(n, 800.0, seed), 250.0)
+    src = data.draw(st.integers(0, n - 1))
+    reachable = [v for v, d in enumerate(hop_distances(topo, src)) if d < float("inf")]
+    route = shortest_path(topo, src, data.draw(st.sampled_from(reachable)))
+    table = holder_table(route, topo.neighbors)
+    assert len(table) == len(route) - 1
+    packet = replace(make_native(0, 0, route, b"abcd"), holders=frozenset())
+    holders = frozenset()
+    for h, sender in enumerate(route[:-1]):
+        grown = holders | {sender} | topo.neighbors(sender)
+        assert holders <= grown == table[h]
+        packet = annotate_holders(packet, table)
+        assert (packet.holders, packet.custodian) == (grown, route[h + 1])
+        holders = grown
 
 
 def test_thousand_randomized_roundtrips():

@@ -4,7 +4,7 @@ from dataclasses import replace
 import pytest
 
 from xorsim.coding import Scheme
-from xorsim.packet import NativePacket
+from xorsim.packet import NativePacket, holder_overhead_bytes
 from xorsim.scenarios import (
     FIXTURES,
     chain_scenario,
@@ -352,14 +352,46 @@ def watch_encodes(sim, probe):
 def test_reception_reports_mirror_neighbor_buffers():
     sim = run(random_scenario(Scheme.COPE, seed=5, n_flows=4, rate=40.0, duration=2.0, capture_trace=False))
     for node in sim.nodes:
+        assert set(node.reports) == node.neighbors
         for nb in node.neighbors:
-            natives = {k for k, v in sim.nodes[nb].buffer.items() if isinstance(v, NativePacket)}
-            assert node.reports[nb] == natives
+            assert node.reports[nb] is sim.nodes[nb].buffer
 
 
-def test_reports_stay_empty_outside_the_report_scheme():
-    sim = run(random_scenario(Scheme.EXCODE, seed=5, n_flows=4, rate=40.0, duration=2.0, capture_trace=False))
-    assert all(not uids for node in sim.nodes for uids in node.reports.values())
+@pytest.mark.parametrize("scheme", (Scheme.EXCODE, Scheme.COPE))
+def test_buffers_hold_natives_only(scheme):
+    sim = run(random_scenario(scheme, seed=2, n_flows=6, rate=150.0, duration=0.5, capture_trace=False))
+    assert sim.encode_count
+    for node in sim.nodes:
+        assert all(isinstance(v, NativePacket) and v.uid == k for k, v in node.buffer.items())
+
+
+def test_sends_read_the_route_holder_table():
+    sim = Simulation(random_scenario(Scheme.EXCODE, seed=1, n_flows=6, rate=150.0, duration=0.5,
+                                     capture_trace=False))
+    mix_bytes = {}  # mix key -> holder bytes of each of its sends
+
+    def watch(node):
+        send = node.on_send
+
+        def on_send(now, s):
+            tx = send(now, s)
+            p = tx and tx.packet
+            if isinstance(p, NativePacket):
+                # sent from hop h: one shared set, the table's entry h
+                assert p.route[p.hop_index - 1] == node.id
+                assert p.holders is sim.holders_at[p.uid.flow][p.hop_index - 1]
+            elif p:
+                mix_bytes.setdefault(p.key, []).append(holder_overhead_bytes(p))
+            return tx
+
+        node.on_send = on_send
+
+    for node in sim.nodes:
+        watch(node)
+    sim.run()
+    # a mix's constituents keep the holder sets they had when mixed
+    assert any(len(sends) > 1 for sends in mix_bytes.values())
+    assert all(len(set(sends)) == 1 for sends in mix_bytes.values())
 
 
 def test_long_chain_codes_far_from_destinations():
