@@ -42,7 +42,7 @@ def cope_can_code(
     p: NativePacket,
     q: NativePacket,
     reports: ReceptionReports,
-    neighbors: frozenset[NodeId],
+    neighbors: Container[NodeId],
 ) -> bool:
     """Two-hop report rule: both destinations are direct neighbors that
     reported holding the counterpart packet."""
@@ -59,7 +59,7 @@ def find_partner(
     scheme: Scheme,
     *,
     self_id: NodeId,
-    neighbors: frozenset[NodeId],
+    neighbors: Container[NodeId],
     reports: ReceptionReports,
 ) -> Optional[int]:
     """Index of the first queued packet codable with p, front to back.

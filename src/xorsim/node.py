@@ -20,8 +20,9 @@ sending hop; encoded packets advance each still-active constituent.
 
 from __future__ import annotations
 
+import math
 from collections import deque
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .coding import ReceptionReports, Scheme, find_partner
@@ -46,12 +47,13 @@ class Transmission:
     sender: NodeId
     packet: Packet
     addressed: tuple[NodeId, ...]  # sorted; every other neighbor overhears
+    end: float = math.inf  # when it leaves the air; set as it goes on air
 
 
 @dataclass
 class Node:
     id: NodeId
-    neighbors: frozenset[NodeId]
+    neighbors: tuple[NodeId, ...]  # sorted
     scheme: Scheme
     input_queue: deque = field(default_factory=deque)  # addressed arrivals
     output_queue: deque = field(default_factory=deque)
@@ -131,7 +133,7 @@ class Node:
         this node carries further. Never re-encodes and never splits the payload."""
         carried = frozenset(h.uid for h in packet.active_headers() if self._carries(h))
         if carried != packet.active:
-            packet = replace(packet, active=carried)
+            packet = EncodedPacket(packet.constituents, packet.payload, carried)
         self.output_queue.append(packet)
         sim.trace(now, self.id, "forward_encoded", packet)
 
@@ -163,11 +165,7 @@ class Node:
             packet = annotate_holders(packet, sim.holders_at[packet.uid.flow])
             addressed = (packet.custodian,)
         else:
-            advanced = tuple(
-                replace(h, hop_index=h.hop_index + 1) if h.uid in packet.active else h
-                for h in packet.constituents
-            )
-            packet = replace(packet, constituents=advanced)
+            packet = packet.sent()
             addressed = tuple(sorted({h.custodian for h in packet.active_headers()}))
         return Transmission(sender=self.id, packet=packet, addressed=addressed)
 

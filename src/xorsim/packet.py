@@ -11,7 +11,7 @@ without its payload.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, NamedTuple, Union
 
@@ -86,12 +86,30 @@ class EncodedPacket:
     def active_headers(self) -> tuple[NativePacket, ...]:
         return tuple(c for c in self.constituents if c.uid in self.active)
 
+    def sent(self) -> EncodedPacket:
+        """The mix as its custodians send it: each active branch's hop
+        advanced, the rest frozen where they stopped."""
+        active = self.active
+        return EncodedPacket(
+            tuple(_native_at(c, c.hop_index + 1, c.holders, c.payload) if c.uid in active else c
+                  for c in self.constituents),
+            self.payload,
+            active,
+        )
+
     def __str__(self) -> str:
         a, b = self.constituents
         return f"{a.uid}^{b.uid}"
 
 
 Packet = Union[NativePacket, EncodedPacket]
+
+
+def _native_at(p: NativePacket, hop_index: int, holders: frozenset[NodeId], payload: bytes) -> NativePacket:
+    """p with a new hop, holder set and payload. A direct build: each send,
+    mix and decode makes one, and dataclasses.replace costs several times as
+    much per call."""
+    return NativePacket(p.uid, p.dst, p.route, hop_index, holders, payload, p.created_at)
 
 
 def holder_table(route: tuple[NodeId, ...], neighbors: Callable) -> tuple[frozenset[NodeId], ...]:
@@ -103,7 +121,8 @@ def holder_table(route: tuple[NodeId, ...], neighbors: Callable) -> tuple[frozen
 def annotate_holders(packet: NativePacket, holders_at: tuple[frozenset[NodeId], ...]) -> NativePacket:
     """The native as its custodian sends it: holders from the route's table,
     hop advanced to the next custodian."""
-    return replace(packet, hop_index=packet.hop_index + 1, holders=holders_at[packet.hop_index])
+    hop = packet.hop_index
+    return _native_at(packet, hop + 1, holders_at[hop], packet.payload)
 
 
 def holder_overhead_bytes(packet: Packet) -> int:
@@ -130,7 +149,10 @@ def xor_encode(p: NativePacket, q: NativePacket) -> EncodedPacket:
         raise SameFlowError(f"cannot encode {p.uid} with {q.uid}: same flow")
     first, second = (p, q) if p.uid <= q.uid else (q, p)
     return EncodedPacket(
-        constituents=(replace(first, payload=b""), replace(second, payload=b"")),
+        constituents=(
+            _native_at(first, first.hop_index, first.holders, b""),
+            _native_at(second, second.hop_index, second.holders, b""),
+        ),
         payload=xor_payloads(p.payload, q.payload),
         active=frozenset((p.uid, q.uid)),
     )
@@ -139,4 +161,4 @@ def xor_encode(p: NativePacket, q: NativePacket) -> EncodedPacket:
 def xor_decode(encoded: EncodedPacket, known: NativePacket) -> NativePacket:
     """Recover the other constituent given one of the two originals."""
     other = encoded.counterpart(known.uid)
-    return replace(other, payload=xor_payloads(encoded.payload, known.payload))
+    return _native_at(other, other.hop_index, other.holders, xor_payloads(encoded.payload, known.payload))

@@ -8,6 +8,12 @@ channel is idealized: every transmission reaches the sender's whole
 neighborhood intact, with no interference, after one serialization delay.
 A node's radio is half-duplex: it transmits one packet at a time and works
 through its backlog whenever the radio goes idle.
+
+An arrival wakes its node at once, unless the node's radio stays busy
+strictly past now: that wake would run before the node's own TX_END, find
+the radio busy and do nothing, and the wake that follows the TX_END picks the
+arrival up. The ordinal only grows, so skipping a push leaves the order of
+every other event as it was.
 """
 
 from __future__ import annotations
@@ -15,7 +21,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -95,8 +100,10 @@ class TraceLog:
 
 
 def payload_bytes(seed: int, uid: PacketUid, size: int) -> bytes:
-    """Deterministic pseudo-random payload for packet uid under a run seed."""
-    return random.Random(f"payload:{seed}:{uid.flow}:{uid.seq}").randbytes(size)
+    """Deterministic pseudo-random payload for packet uid under a run seed:
+    the SHAKE-128 digest of a string naming both, so no generator is seeded
+    per packet."""
+    return hashlib.shake_128(f"payload:{seed}:{uid.flow}:{uid.seq}".encode()).digest(size)
 
 
 class Simulation:
@@ -107,7 +114,7 @@ class Simulation:
         self.scenario = scenario
         topo = scenario.topology
         self.nodes: list[Node] = [
-            Node(id=i, neighbors=topo.neighbors(i), scheme=scenario.scheme)
+            Node(id=i, neighbors=tuple(sorted(topo.neighbors(i))), scheme=scenario.scheme)
             for i in range(topo.n)
         ]
         # a cope reception report is the neighbor's buffer itself
@@ -148,15 +155,16 @@ class Simulation:
 
     def run(self) -> "Simulation":
         end = self.scenario.duration + self.scenario.drain_grace
-        heap = self._heap
+        heap, pop = self._heap, heapq.heappop
+        on_wake, on_tx_end, on_gen = self._on_wake, self._on_tx_end, self._on_gen
         while heap and heap[0][0] <= end:
-            time, _, kind, data = heapq.heappop(heap)
+            time, _, kind, data = pop(heap)
             if kind == NODE_WAKE:
-                self._on_wake(data, time)
+                on_wake(data, time)
             elif kind == TX_END:
-                self._on_tx_end(data, time)
+                on_tx_end(data, time)
             else:
-                self._on_gen(data, time)
+                on_gen(data, time)
         return self
 
     def _on_gen(self, data, now: float) -> None:
@@ -175,8 +183,7 @@ class Simulation:
         )
         self.generated[uid] = packet
         self.trace(now, flow.src, "gen", packet)
-        self.nodes[flow.src].input_queue.append(packet)
-        self._schedule(now, NODE_WAKE, flow.src)
+        self._arrive(self.nodes[flow.src], packet, now)
 
     def _on_tx_end(self, tx: Transmission, now: float) -> None:
         sender = self.nodes[tx.sender]
@@ -184,12 +191,22 @@ class Simulation:
         self.trace(now, tx.sender, "tx_end", tx.packet)
         # overhearing is pure listening: it lands in the buffer the moment
         # the transmission ends, never competing with the radio's work
-        for receiver in sorted(sender.neighbors.difference(tx.addressed)):
-            self.nodes[receiver].overhear(tx.packet, now, self)
-        for receiver in tx.addressed:
-            self.nodes[receiver].input_queue.append(tx.packet)
-            self._schedule(now, NODE_WAKE, receiver)
+        nodes, packet, addressed = self.nodes, tx.packet, tx.addressed
+        for receiver in sender.neighbors:
+            if receiver not in addressed:
+                nodes[receiver].overhear(packet, now, self)
+        for receiver in addressed:
+            self._arrive(nodes[receiver], packet, now)
         self._schedule(now, NODE_WAKE, tx.sender)
+
+    def _arrive(self, node: Node, packet, now: float) -> None:
+        """Queue an addressed packet at node and wake it, unless its radio
+        stays busy past now (see the module docstring). A TX_END due at now
+        is already on the heap ahead of the wake, so that node still gets it."""
+        node.input_queue.append(packet)
+        tx = node.transmitting
+        if tx is None or tx.end <= now:
+            self._schedule(now, NODE_WAKE, node.id)
 
     def _on_wake(self, node_id: NodeId, now: float) -> None:
         node = self.nodes[node_id]
@@ -206,8 +223,10 @@ class Simulation:
             self.tx_native += 1
         if self.scenario.scheme is Scheme.EXCODE:
             self.holder_bytes_total += holder_overhead_bytes(tx.packet)
-        self.trace(now, node_id, "tx_start", tx.packet, "to=" + "|".join(map(str, tx.addressed)))
-        self._schedule(now + self.tx_duration(tx.packet), TX_END, tx)
+        if self.scenario.capture_trace:
+            self.trace(now, node_id, "tx_start", tx.packet, "to=" + "|".join(map(str, tx.addressed)))
+        tx.end = now + self.tx_duration(tx.packet)
+        self._schedule(tx.end, TX_END, tx)
 
     def tx_duration(self, packet) -> float:
         """Serialization time; holder bytes ride for free unless counted in."""

@@ -47,7 +47,7 @@ def native(flow, seq, route, hop_index, holders, payload=b"\xaa" * 6):
 
 
 def relay_node(scheme=Scheme.EXCODE):
-    return Node(id=1, neighbors=frozenset({0, 2}), scheme=scheme), HookRecorder()
+    return Node(id=1, neighbors=(0, 2), scheme=scheme), HookRecorder()
 
 
 # packets as they arrive at relay 1 of a three-node line, one from each side
@@ -112,7 +112,7 @@ def dup_discards(sim):
 
 
 def test_destination_delivers_and_buffers():
-    node = Node(id=2, neighbors=frozenset({1}), scheme=Scheme.EXCODE)
+    node = Node(id=2, neighbors=(1,), scheme=Scheme.EXCODE)
     sim = HookRecorder()
     arriving = replace(P_EAST, hop_index=2, holders=frozenset({0, 1, 2}))
     node.input_queue.append(arriving)
@@ -161,7 +161,7 @@ def arrived_mix():
 
 def test_destination_decodes_addressed_mix():
     p, q, encoded = arrived_mix()
-    node = Node(id=2, neighbors=frozenset({1}), scheme=Scheme.EXCODE)
+    node = Node(id=2, neighbors=(1,), scheme=Scheme.EXCODE)
     sim = HookRecorder()
     node.overhear(replace(Q_WEST, hop_index=0), 0.1, sim)
     node.on_receive(encoded, 1.0, sim)
@@ -174,7 +174,7 @@ def test_destination_decodes_addressed_mix():
 
 def test_decode_failure_is_counted_not_fatal():
     p, q, encoded = arrived_mix()
-    node = Node(id=2, neighbors=frozenset({1}), scheme=Scheme.EXCODE)
+    node = Node(id=2, neighbors=(1,), scheme=Scheme.EXCODE)
     sim = HookRecorder()
     node.on_receive(encoded, 1.0, sim)
     assert sim.failures == [(2, q.uid)]
@@ -187,7 +187,7 @@ def test_forward_keeps_only_own_branches():
     p = native(0, 0, (0, 1, 2, 3), 2, {0, 1, 2})
     q = native(1, 0, (2, 1, 0), 2, {2, 1, 0})
     encoded = xor_encode(p, q)
-    node = Node(id=2, neighbors=frozenset({1, 3}), scheme=Scheme.EXCODE)
+    node = Node(id=2, neighbors=(1, 3), scheme=Scheme.EXCODE)
     sim = HookRecorder()
     node.on_receive(encoded, 1.0, sim)
     [out] = node.output_queue
@@ -197,7 +197,7 @@ def test_forward_keeps_only_own_branches():
 def test_send_annotates_then_advances():
     neighbors = {0: frozenset({1, 5}), 1: frozenset({0, 2})}
     table = holder_table((0, 1, 2), neighbors.__getitem__)
-    node = Node(id=0, neighbors=neighbors[0], scheme=Scheme.EXCODE)
+    node = Node(id=0, neighbors=(1, 5), scheme=Scheme.EXCODE)
     sim = HookRecorder({0: table})
     fresh = native(0, 0, (0, 1, 2), 0, set())
     node.output_queue.append(fresh)
@@ -214,7 +214,7 @@ def test_send_encoded_advances_active_branches_only():
     p = native(0, 0, (0, 1, 2), 1, {0, 1})
     q = native(1, 0, (2, 1, 0), 1, {2, 1})
     encoded = replace(xor_encode(p, q), active=frozenset({p.uid}))
-    node = Node(id=1, neighbors=frozenset({0, 2}), scheme=Scheme.EXCODE)
+    node = Node(id=1, neighbors=(0, 2), scheme=Scheme.EXCODE)
     node.output_queue.append(encoded)
     tx = node.on_send(0.0, HookRecorder())
     headers = {h.uid: h for h in tx.packet.constituents}
@@ -245,7 +245,7 @@ def test_everything_buffered_was_seen():
     # a node fed arbitrary interleavings never holds a packet it cannot
     # account for in its seen sets
     rng = random.Random("node-walk")
-    node = Node(id=1, neighbors=frozenset({0, 2}), scheme=Scheme.EXCODE)
+    node = Node(id=1, neighbors=(0, 2), scheme=Scheme.EXCODE)
     sim = HookRecorder()
     for step in range(300):
         flow = rng.randrange(4)

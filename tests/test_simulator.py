@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -6,11 +7,15 @@ import pytest
 from xorsim.coding import Scheme
 from xorsim.packet import NativePacket, holder_overhead_bytes
 from xorsim.scenarios import (
+    DEFAULT_NODES,
+    DEFAULT_RANGE,
+    DEFAULT_SIDE,
     FIXTURES,
     chain_scenario,
     cross_scenario,
     junction_scenario,
     long_chain_scenario,
+    random_flows,
     random_scenario,
 )
 from xorsim.simulator import (
@@ -24,7 +29,7 @@ from xorsim.simulator import (
     run,
     validate_scenario,
 )
-from xorsim.topology import build_topology, hop_distances, random_layout
+from xorsim.topology import NoRouteError, build_topology, hop_distances, random_layout, shortest_path
 
 TX = 0.002048  # seconds to serialize 512 bytes at 2 Mb/s
 
@@ -139,7 +144,7 @@ def test_every_other_neighbor_overhears_a_transmission():
                 if kind not in ("overhear", "early_decode", "dup_discard"):
                     break
                 heard.add(int(other))
-            assert heard == sim.nodes[int(node)].neighbors - addressed[node], lines[i]
+            assert heard == set(sim.nodes[int(node)].neighbors) - addressed[node], lines[i]
             mixes += "^" in uid
     assert mixes > 0
 
@@ -229,7 +234,17 @@ def test_payload_bytes_deterministic_and_seed_sensitive():
     uid = PacketUid(2, 17)
     assert payload_bytes(5, uid, 64) == payload_bytes(5, uid, 64)
     assert payload_bytes(5, uid, 64) != payload_bytes(6, uid, 64)
-    assert len(payload_bytes(5, uid, 512)) == 512
+    for size in (1, 512, 65_535):
+        assert len(payload_bytes(5, uid, size)) == size
+    variants = [
+        payload_bytes(5, uid, 512),
+        payload_bytes(5, PacketUid(3, 17), 512),  # another flow
+        payload_bytes(5, PacketUid(2, 18), 512),  # another seq
+        payload_bytes(6, uid, 512),  # another seed
+        payload_bytes(5, PacketUid(21, 7), 512),  # the separator keeps "21:7" from "2:17"
+    ]
+    assert len(set(variants)) == len(variants)
+    assert payload_bytes(5, uid, 512) == payload_bytes(5, PacketUid(2, 17), 512)
 
 
 def test_trace_is_reproducible_and_seed_sensitive():
@@ -352,7 +367,7 @@ def watch_encodes(sim, probe):
 def test_reception_reports_mirror_neighbor_buffers():
     sim = run(random_scenario(Scheme.COPE, seed=5, n_flows=4, rate=40.0, duration=2.0, capture_trace=False))
     for node in sim.nodes:
-        assert set(node.reports) == node.neighbors
+        assert set(node.reports) == set(node.neighbors)
         for nb in node.neighbors:
             assert node.reports[nb] is sim.nodes[nb].buffer
 
@@ -403,3 +418,97 @@ def test_long_chain_codes_far_from_destinations():
     for _ in range(7):  # event times accumulate hop by hop
         seven_hops += TX
     assert times == [seven_hops, seven_hops]
+
+
+# Trace sha256 of runs that code: the saturated cells (8 flows x 200 pkt/s,
+# 2 s), the busiest traces, where arrivals tie with TX_ENDs, and the
+# fixtures, whose packets meet at a relay in the same instant. A change to
+# the event core must leave every line of these traces as it is.
+SATURATED_TRACES = {
+    (Scheme.EXCODE, 1): "815ac22018afd9a6a628f7672d5aa2f5c40207edcd3151c0433f475014505413",
+    (Scheme.EXCODE, 2): "78e75b3284d8e1db229bcebd9a6ab0644b1e02f9a15cc6ae2ca5487922e4c7b6",
+    (Scheme.EXCODE, 3): "2fcba4dfe7e191134165389d56cee239b2efc2bab5759305db027491dd3a3466",
+    (Scheme.COPE, 1): "8608d380bed192d0108feba879d3fb28ada2a38e67cde595f1f129896cad121a",
+    (Scheme.COPE, 2): "78e75b3284d8e1db229bcebd9a6ab0644b1e02f9a15cc6ae2ca5487922e4c7b6",
+    (Scheme.COPE, 3): "2fcba4dfe7e191134165389d56cee239b2efc2bab5759305db027491dd3a3466",
+    (Scheme.NON_CODING, 1): "0d472944a2200b71ba4381c96d214531ab5d960906af2f2f650dcf87e1556165",
+    (Scheme.NON_CODING, 2): "169074fe988822f7e7ce997048e8583c850fa1bd32220bd9209b9f0765956813",
+    (Scheme.NON_CODING, 3): "2fcba4dfe7e191134165389d56cee239b2efc2bab5759305db027491dd3a3466",
+}
+FIXTURE_TRACES = {
+    ("chain", Scheme.EXCODE): "f0d2d015f2706b3eb4eec2487ea5fdc705e73a78682fbc6acd2c5ae4f064bf7f",
+    ("chain", Scheme.COPE): "f0d2d015f2706b3eb4eec2487ea5fdc705e73a78682fbc6acd2c5ae4f064bf7f",
+    ("chain", Scheme.NON_CODING): "099a4329122dbfebc0af42748cd14847778d532fdf40baa96c6e18ef5fc4564f",
+    ("cross", Scheme.EXCODE): "c953ee455550ee729917b5723e57a79fceff61f0596199ed26709a0ce9abda5f",
+    ("cross", Scheme.COPE): "c953ee455550ee729917b5723e57a79fceff61f0596199ed26709a0ce9abda5f",
+    ("cross", Scheme.NON_CODING): "f06acf1b1dbb3438e6aa87e93c42ddb9bde027a0d3e4cc565395ced8d9e57b99",
+    ("junction", Scheme.EXCODE): "62a3566a25606f36d7eb3bff70f9cf071b2713636759c962a55e32df38780fc1",
+    ("junction", Scheme.COPE): "0f60867b214ba83e462c221c4ff897555ae9c19543ca4eeaf13ae9de5b11902e",
+    ("junction", Scheme.NON_CODING): "0f60867b214ba83e462c221c4ff897555ae9c19543ca4eeaf13ae9de5b11902e",
+    ("long-chain", Scheme.EXCODE): "baa687241b436a18387be72e0807b877df679269af32ca548d4f254f713021b7",
+    ("long-chain", Scheme.COPE): "a187691c52eca719336f2a45acafe78883846283fd2de36fb5622491e8067855",
+    ("long-chain", Scheme.NON_CODING): "a187691c52eca719336f2a45acafe78883846283fd2de36fb5622491e8067855",
+}
+
+
+@pytest.mark.parametrize("scheme, seed", sorted(SATURATED_TRACES, key=str))
+def test_saturated_traces_are_pinned(scheme, seed):
+    sim = run(random_scenario(scheme, seed=seed, n_flows=8, rate=200.0, duration=2.0))
+    assert sim.trace_log.sha256() == SATURATED_TRACES[scheme, seed]
+
+
+@pytest.mark.parametrize("name, scheme", sorted(FIXTURE_TRACES, key=str))
+def test_fixture_traces_are_pinned(name, scheme):
+    assert run(FIXTURES[name](scheme)).trace_log.sha256() == FIXTURE_TRACES[name, scheme]
+
+
+def test_no_wake_is_scheduled_onto_a_busy_radio(monkeypatch):
+    # A wake can still find the radio busy when an earlier wake of the same
+    # instant started the transmission; it must never find one that was
+    # already on air when the wake was scheduled.
+    started = {}  # id(transmission) -> (transmission, time a wake started it)
+    wake = Simulation._on_wake
+
+    def watched(self, node_id, now):
+        node = self.nodes[node_id]
+        tx = node.transmitting
+        if tx is not None:
+            assert tx.end > now
+            assert started[id(tx)][1] == now, f"node {node_id} woken at {now!r}, on air since earlier"
+        wake(self, node_id, now)
+        if tx is None and node.transmitting is not None:
+            started[id(node.transmitting)] = (node.transmitting, now)
+
+    monkeypatch.setattr(Simulation, "_on_wake", watched)
+    sim = run(random_scenario(Scheme.EXCODE, seed=1, n_flows=8, rate=200.0, duration=1.0,
+                              capture_trace=False))
+    assert sim.encode_count and len(started) == sim.total_tx
+
+
+def test_random_flows_match_a_route_search_per_pair():
+    # one BFS per destination must draw the flows that a route search per
+    # sampled pair draws
+    def by_route_search(topo, n_flows, seed):
+        rng = random.Random(f"flows:{seed}")
+        pairs = []
+        for _ in range(n_flows):
+            for _attempt in range(500):
+                src, dst = rng.randrange(topo.n), rng.randrange(topo.n)
+                if src == dst:
+                    continue
+                try:
+                    shortest_path(topo, src, dst)
+                except NoRouteError:
+                    continue
+                pairs.append((src, dst))
+                break
+            else:
+                raise AssertionError("no routable pair")
+        return pairs
+
+    for seed in range(50):
+        topo = build_topology(random_layout(DEFAULT_NODES, DEFAULT_SIDE, seed), DEFAULT_RANGE)
+        for n_flows in range(1, 9):
+            flows = random_flows(topo, n_flows, 10.0, 512, seed)
+            assert [(f.src, f.dst) for f in flows] == by_route_search(topo, n_flows, seed)
+            assert [f.flow for f in flows] == list(range(n_flows))
