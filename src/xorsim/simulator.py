@@ -27,7 +27,7 @@ from typing import Optional
 from .coding import Scheme
 from .node import Node, Transmission
 from .packet import EncodedPacket, NativePacket, PacketUid, holder_overhead_bytes, holder_table
-from .topology import NodeId, NoRouteError, Topology, shortest_path
+from .topology import NodeId, NoRouteError, Topology, hop_distances, shortest_path
 
 DEFAULT_PACKET_SIZE = 512  # bytes
 DEFAULT_CHANNEL_RATE = 2_000_000.0  # bit/s
@@ -69,28 +69,57 @@ PACKET_GEN = "gen"
 TX_END = "tx_end"
 NODE_WAKE = "wake"
 
+TRACE_BLOCK = 4096  # trace lines joined per hash update and file write
+
 
 class TraceLog:
-    """Append-only run log; one CSV-ish line per simulation event."""
+    """Append-only run log; one CSV-ish line per simulation event.
+
+    Each line is f"{time!r},{node},{event},{packet},{detail}". Formatting is
+    the cost of capture, and its two costly pieces repeat: many events share
+    an instant, and each packet shows up on many lines. So add keeps the repr
+    of the last time it formatted, and one label per packet key; the bytes are
+    the ones the f-string gives. sha256 and write hash and write the lines
+    TRACE_BLOCK at a time, joined, never the whole log at once.
+    """
 
     def __init__(self) -> None:
         self.lines: list[str] = []
+        self._time: Optional[float] = None
+        self._time_repr = ""
+        self._labels: dict = {}  # packet key -> str(packet)
 
-    def add(self, time: float, node: NodeId, event: str, uid, detail: str = "") -> None:
-        self.lines.append(f"{time!r},{node},{event},{uid},{detail}")
+    def add(self, time: float, node: NodeId, event: str, packet, detail: str = "") -> None:
+        """Append one line. time is a float, as every simulator clock value
+        is; equal floats print alike, except 0.0 and -0.0, so a zero is always
+        formatted afresh. packet is a native or a mix: its str depends on its
+        key alone, so the label is cached by key, which keeps no packet alive."""
+        if time != self._time or not time:
+            self._time = time
+            self._time_repr = repr(time)
+        key = packet.key
+        label = self._labels.get(key)
+        if label is None:
+            label = self._labels[key] = str(packet)
+        self.lines.append(f"{self._time_repr},{node},{event},{label},{detail}")
+
+    def _blocks(self):
+        """The log's text, TRACE_BLOCK lines at a time, each line ending in a newline."""
+        lines = self.lines
+        for i in range(0, len(lines), TRACE_BLOCK):
+            yield "\n".join(lines[i:i + TRACE_BLOCK]) + "\n"
 
     def sha256(self) -> str:
         digest = hashlib.sha256()
-        for line in self.lines:
-            digest.update(line.encode())
-            digest.update(b"\n")
+        for block in self._blocks():
+            digest.update(block.encode())
         return digest.hexdigest()
 
     def write(self, path) -> None:
         with open(path, "w") as fh:
             fh.write("time,node,event,packet_uid,detail\n")
-            for line in self.lines:
-                fh.write(line + "\n")
+            for block in self._blocks():
+                fh.write(block)
 
     def __iter__(self):
         return iter(self.lines)
@@ -122,6 +151,7 @@ class Simulation:
             node.reports = {nb: self.nodes[nb].buffer for nb in node.neighbors}
         self.holders_at = {flow: holder_table(route, topo.neighbors) for flow, route in self.routes.items()}
         self.trace_log = TraceLog()
+        self._capture_trace = scenario.capture_trace  # read on every event
         self._heap: list = []
         self._ordinal = 0
 
@@ -223,7 +253,7 @@ class Simulation:
             self.tx_native += 1
         if self.scenario.scheme is Scheme.EXCODE:
             self.holder_bytes_total += holder_overhead_bytes(tx.packet)
-        if self.scenario.capture_trace:
+        if self._capture_trace:
             self.trace(now, node_id, "tx_start", tx.packet, "to=" + "|".join(map(str, tx.addressed)))
         tx.end = now + self.tx_duration(tx.packet)
         self._schedule(tx.end, TX_END, tx)
@@ -237,9 +267,9 @@ class Simulation:
 
     # -- hooks called by nodes ---------------------------------------------
 
-    def trace(self, now: float, node: NodeId, event: str, uid, detail: str = "") -> None:
-        if self.scenario.capture_trace:
-            self.trace_log.add(now, node, event, uid, detail)
+    def trace(self, now: float, node: NodeId, event: str, packet, detail: str = "") -> None:
+        if self._capture_trace:
+            self.trace_log.add(now, node, event, packet, detail)
 
     def deliver(self, node: NodeId, packet: NativePacket, now: float) -> None:
         if packet.uid in self.delivered:
@@ -266,7 +296,8 @@ class Simulation:
 
 
 def validate_scenario(scenario: Scenario) -> dict[int, tuple[NodeId, ...]]:
-    """Check the scenario's structure; return each flow's route by flow id."""
+    """Check the scenario's structure; return each flow's route by flow id.
+    One BFS per distinct destination serves every flow routed to it."""
     topo = scenario.topology
     if not 0 < scenario.duration < math.inf:
         raise ScenarioInvalidError("duration must be positive and finite")
@@ -275,6 +306,7 @@ def validate_scenario(scenario: Scenario) -> dict[int, tuple[NodeId, ...]]:
     if not 0 <= scenario.drain_grace < math.inf:
         raise ScenarioInvalidError("drain grace must be >= 0 and finite")
     routes: dict[int, tuple[NodeId, ...]] = {}
+    dist_to: dict[NodeId, list[float]] = {}
     for f in scenario.flows:
         tag = f"flow {f.flow}"
         if f.flow in routes:
@@ -293,8 +325,10 @@ def validate_scenario(scenario: Scenario) -> dict[int, tuple[NodeId, ...]]:
             raise ScenarioInvalidError(f"{tag}: stop must be finite")
         if f.stop is not None and f.stop < f.start:
             raise ScenarioInvalidError(f"{tag}: stop precedes start")
+        if f.dst not in dist_to:
+            dist_to[f.dst] = hop_distances(topo, f.dst)
         try:
-            routes[f.flow] = shortest_path(topo, f.src, f.dst)
+            routes[f.flow] = shortest_path(topo, f.src, f.dst, dist_to[f.dst])
         except NoRouteError:
             raise ScenarioInvalidError(f"{tag}: no route from {f.src} to {f.dst}") from None
     return routes

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import Optional
 
 NodeId = int
 Position = tuple[float, float]
@@ -75,18 +76,23 @@ def hop_distances(topo: Topology, target: NodeId) -> list[float]:
     return dist
 
 
-def shortest_path(topo: Topology, src: NodeId, dst: NodeId) -> tuple[NodeId, ...]:
+def shortest_path(
+    topo: Topology, src: NodeId, dst: NodeId, dist: Optional[list[float]] = None
+) -> tuple[NodeId, ...]:
     """Min-hop route from src to dst as a node-id sequence.
 
     Among equal-length routes the lexicographically smallest id sequence is
     returned, so routing is reproducible. Raises NoRouteError when the
-    endpoints are disconnected.
+    endpoints are disconnected. dist, if given, must be hop_distances(topo,
+    dst); callers routing many flows to one destination pass it to skip the
+    BFS.
     """
     if not (0 <= src < topo.n and 0 <= dst < topo.n):
         raise ValueError(f"node id out of range: src={src} dst={dst}")
     if src == dst:
         return (src,)
-    dist = hop_distances(topo, dst)
+    if dist is None:
+        dist = hop_distances(topo, dst)
     if dist[src] == math.inf:
         raise NoRouteError(f"no route from {src} to {dst}")
     # walk greedily toward dst, always taking the smallest id that still

@@ -1,11 +1,17 @@
+import gc
+import hashlib
 import math
 import random
+import weakref
 from dataclasses import replace
+from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from xorsim import simulator
 from xorsim.coding import Scheme
-from xorsim.packet import NativePacket, holder_overhead_bytes
+from xorsim.packet import NativePacket, PacketUid, holder_overhead_bytes, xor_encode
 from xorsim.scenarios import (
     DEFAULT_NODES,
     DEFAULT_RANGE,
@@ -23,6 +29,7 @@ from xorsim.simulator import (
     Scenario,
     ScenarioInvalidError,
     Simulation,
+    TraceLog,
     audit_conservation,
     fifo_violations,
     payload_bytes,
@@ -270,6 +277,79 @@ def test_trace_file_has_header(tmp_path):
     assert len(lines) == len(sim.trace_log) + 1
 
 
+def native(flow, seq, hop=0):
+    return NativePacket(PacketUid(flow, seq), dst=3, route=(0, 1, 2, 3), hop_index=hop,
+                        holders=frozenset(), payload=bytes(4), created_at=0.0)
+
+
+# natives and mixes that share uids, and copies of one packet at other hops
+TRACE_PACKETS = (
+    native(0, 1), native(0, 1, hop=2), native(1, 0), native(10, 1), native(1, 1),
+    xor_encode(native(0, 1), native(1, 0)), xor_encode(native(1, 0, hop=1), native(0, 1)),
+    xor_encode(native(10, 1), native(1, 1)), xor_encode(native(0, 1), native(1, 1)),
+)
+# equal values must print alike whichever float object holds them; 0.0 and
+# -0.0 are equal but print apart
+TRACE_TIMES = (0.0, -0.0, 0.1 + 0.2, 0.30000000000000004, 0.3, 1e-3, 2.5, 1e300)
+trace_times = st.tuples(st.sampled_from(TRACE_TIMES), st.booleans()).map(
+    lambda t: float(repr(t[0])) if t[1] else t[0]
+)
+trace_adds = st.tuples(
+    trace_times,
+    st.integers(0, 20),
+    st.sampled_from(("gen", "tx_start", "overhear", "encode", "deliver")),
+    st.sampled_from(TRACE_PACKETS),
+    st.one_of(st.just(""), st.text(alphabet="ab|=+^. 0123456789", max_size=10)),
+)
+
+
+def check_trace_log(adds, block, out):
+    """Replay adds into a TraceLog with block-sized chunks; every line, the
+    hash and the file must be what one f-string per line gives."""
+    want = [f"{time!r},{node},{event},{packet},{detail}" for time, node, event, packet, detail in adds]
+    body = "".join(line + "\n" for line in want).encode()
+    with mock.patch.object(simulator, "TRACE_BLOCK", block):
+        log = TraceLog()
+        for add in adds:
+            log.add(*add)
+        assert log.lines == want
+        assert len(log) == len(want)
+        digest = log.sha256()
+        log.write(out)
+    data = out.read_bytes()
+    header = b"time,node,event,packet_uid,detail\n"
+    assert data == header + body
+    assert digest == hashlib.sha256(data[len(header):]).hexdigest()
+
+
+@settings(max_examples=300, deadline=None)
+@given(adds=st.lists(trace_adds, max_size=40), block=st.sampled_from((1, 2, 3, 4096)))
+@example(adds=[(0.0, 1, "gen", TRACE_PACKETS[0], ""), (-0.0, 1, "gen", TRACE_PACKETS[0], "")], block=2)
+@example(adds=[(-0.0, 1, "gen", TRACE_PACKETS[0], ""), (0.0, 1, "gen", TRACE_PACKETS[5], "x")], block=4096)
+@example(adds=[], block=3)
+def test_trace_log_lines_match_plain_formatting(adds, block, tmp_path_factory):
+    check_trace_log(adds, block, tmp_path_factory.mktemp("trace") / "trace.csv")
+
+
+def test_trace_log_hashes_whole_blocks(tmp_path):
+    # the real block size, with the log empty and one and two blocks long
+    adds = [(i / 7, i % 16, "overhear", TRACE_PACKETS[i % len(TRACE_PACKETS)], "") for i in range(2 * simulator.TRACE_BLOCK)]
+    for n in (0, simulator.TRACE_BLOCK, 2 * simulator.TRACE_BLOCK):
+        check_trace_log(adds[:n], simulator.TRACE_BLOCK, tmp_path / f"trace{n}.csv")
+
+
+def test_trace_log_keeps_no_packet_alive():
+    log = TraceLog()
+    single, mix = native(4, 2), xor_encode(native(4, 3), native(5, 0))
+    refs = weakref.ref(single), weakref.ref(mix)
+    log.add(1.0, 0, "gen", single)
+    log.add(1.0, 0, "encode", mix, "4.3+5.0")
+    del single, mix
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+    assert log.lines == ["1.0,0,gen,4.2,", "1.0,0,encode,4.3^5.0,4.3+5.0"]
+
+
 def test_holder_sets_accumulate_closed_neighborhoods():
     topo = build_topology(random_layout(16, 800.0, 7), 220.0)
     dist = hop_distances(topo, 0)
@@ -512,3 +592,32 @@ def test_random_flows_match_a_route_search_per_pair():
             flows = random_flows(topo, n_flows, 10.0, 512, seed)
             assert [(f.src, f.dst) for f in flows] == by_route_search(topo, n_flows, seed)
             assert [f.flow for f in flows] == list(range(n_flows))
+
+
+def test_validated_routes_match_a_route_search_per_pair():
+    # one BFS per destination must give each flow the route, and the first
+    # unroutable flow the "no route" error, that a route search per flow gives
+    routed = unroutable = 0
+    for seed in range(30):
+        rng = random.Random(f"validate:{seed}")
+        topo = build_topology(random_layout(30, 900.0, seed), 200.0)
+        dsts = rng.sample(range(topo.n), 4)
+        flows = []
+        for i in range(12):
+            dst = rng.choice(dsts)
+            flows.append(FlowSpec(i, rng.choice([v for v in range(topo.n) if v != dst]), dst, rate=1.0))
+        want, missing = {}, []
+        for f in flows:
+            try:
+                want[f.flow] = shortest_path(topo, f.src, f.dst)
+            except NoRouteError:
+                missing.append(f)
+        kept = tuple(f for f in flows if f.flow in want)
+        assert validate_scenario(Scenario(topo, kept, Scheme.EXCODE)) == want
+        routed += len(want)
+        if missing:
+            f = missing[0]
+            with pytest.raises(ScenarioInvalidError, match=f"^flow {f.flow}: no route from {f.src} to {f.dst}$"):
+                validate_scenario(Scenario(topo, tuple(flows), Scheme.EXCODE))
+            unroutable += 1
+    assert unroutable >= 5 and routed >= 150
