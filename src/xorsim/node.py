@@ -16,6 +16,11 @@ obligation: overhear() buffers a native, or the native an overheard mix
 yields at once; a mix it cannot decode is not kept. The output queue drains
 one packet per transmission. A native takes its route's holder set for the
 sending hop; encoded packets advance each still-active constituent.
+
+Buffers and seen-sets hold only what is in flight. The node reports each
+copy of a mix it queues or handles (sim.mix_copies), and the simulation
+retires a delivered packet, once no live mix holds it, from every buffer and
+seen-set that can hold it. So a node traces a delivery before it reports it.
 """
 
 from __future__ import annotations
@@ -73,14 +78,16 @@ class Node:
         key = packet.key
         if key in self.seen_addressed:
             sim.trace(now, self.id, "dup_discard", packet, "addressed")
+            if isinstance(packet, EncodedPacket):
+                sim.mix_copies(key, -1)
             return
         self.seen_addressed.add(key)
 
         if isinstance(packet, NativePacket):
             if packet.dst == self.id:
                 self._buffer_native(packet, sim)
-                sim.deliver(self.id, packet, now)
                 sim.trace(now, self.id, "deliver", packet)
+                sim.deliver(self.id, packet, now)
                 return
             self._relay_native(packet, now, sim)
             return
@@ -99,6 +106,7 @@ class Node:
             encoded = xor_encode(packet, partner)
             self.seen_addressed.add(encoded.key)
             self.output_queue.append(encoded)
+            sim.mix_copies(encoded.key, 1)
             sim.encoded_pair(self.id, packet, partner, now)
             sim.trace(now, self.id, "encode", encoded, f"{packet.uid}+{partner.uid}")
             return
@@ -116,13 +124,14 @@ class Node:
                 native = xor_decode(packet, known)
                 self.seen_addressed.add(native.uid)
                 self._buffer_native(native, sim)
-                sim.deliver(self.id, native, now)
                 sim.trace(now, self.id, "decode_deliver", native, f"from {packet}")
+                sim.deliver(self.id, native, now)
             else:
                 sim.decode_failed(self.id, packet, counterpart.uid, now)
                 sim.trace(now, self.id, "decode_fail", packet, f"missing {counterpart.uid}")
         if any(self._carries(h) for h in packet.active_headers()):
             self.forward_encoded(packet, now, sim)
+        sim.mix_copies(packet.key, -1)  # after any forward, so a carried mix never reads dead
 
     def _carries(self, header: NativePacket) -> bool:
         """This node is the custodian of the branch and must send it on."""
@@ -135,6 +144,7 @@ class Node:
         if carried != packet.active:
             packet = EncodedPacket(packet.constituents, packet.payload, carried)
         self.output_queue.append(packet)
+        sim.mix_copies(packet.key, 1)
         sim.trace(now, self.id, "forward_encoded", packet)
 
     def overhear(self, packet: Packet, now: float, sim: Simulation) -> None:

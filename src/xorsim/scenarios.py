@@ -31,7 +31,7 @@ from .simulator import (
     Scenario,
     ScenarioInvalidError,
 )
-from .topology import NodeId, Topology, build_topology, hop_distances, random_layout
+from .topology import Topology, build_topology, random_layout
 from .topology import shortest_path  # noqa: F401  bench/worker.py wraps scenarios.shortest_path
 
 # the standard field: node count, square side (m) and radio range (m)
@@ -147,9 +147,9 @@ def random_flows(
     topo: Topology, n_flows: int, rate: float, packet_size: int, seed: int
 ) -> tuple[FlowSpec, ...]:
     """n_flows constant-rate flows between seeded random routable endpoints.
-    One BFS per distinct destination answers every routability test."""
+    The topology's one BFS table per destination answers every routability
+    test, and routing the flows later reuses it."""
     rng = random.Random(f"flows:{seed}")
-    dist_to: dict[NodeId, list[float]] = {}
     flows = []
     for i in range(n_flows):
         for _attempt in range(500):
@@ -157,9 +157,7 @@ def random_flows(
             dst = rng.randrange(topo.n)
             if src == dst:
                 continue
-            if dst not in dist_to:
-                dist_to[dst] = hop_distances(topo, dst)
-            if dist_to[dst][src] == math.inf:
+            if topo.distances_to(dst)[src] == math.inf:
                 continue
             flows.append(FlowSpec(flow=i, src=src, dst=dst, rate=rate, packet_size=packet_size))
             break

@@ -14,6 +14,18 @@ strictly past now: that wake would run before the node's own TX_END, find
 the radio busy and do nothing, and the wake that follows the TX_END picks the
 arrival up. The ordinal only grows, so skipping a push leaves the order of
 every other event as it was.
+
+State follows the packets in flight, not simulated time. A packet uid is
+retired once it has been delivered and no copy of a mix holding it is still
+queued or on air: it leaves every node's buffer (so every cope report), both
+seen-sets and the trace's label cache. A count of live copies per mix key
+(+1 when a node queues a mix, +len(addressed)-1 when one leaves the air, -1
+when a node handles or discards one) says when a mix and its key die. Only
+the nodes that can hold the uid are visited: its route's last holder set,
+and for a mixed uid also the partner's, since overhearers of the mix sent
+along the partner's route can decode it early. Retiring cannot change a
+trace: any later reference to a uid needs a copy of it in flight, and uids
+are never reused.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ from typing import Optional
 from .coding import Scheme
 from .node import Node, Transmission
 from .packet import EncodedPacket, NativePacket, PacketUid, holder_overhead_bytes, holder_table
-from .topology import NodeId, NoRouteError, Topology, hop_distances, shortest_path
+from .topology import NodeId, NoRouteError, Topology, shortest_path
 
 DEFAULT_PACKET_SIZE = 512  # bytes
 DEFAULT_CHANNEL_RATE = 2_000_000.0  # bit/s
@@ -69,7 +81,7 @@ PACKET_GEN = "gen"
 TX_END = "tx_end"
 NODE_WAKE = "wake"
 
-TRACE_BLOCK = 4096  # trace lines joined per hash update and file write
+TRACE_BLOCK = 4096  # trace lines joined and encoded into one stored block
 
 
 class TraceLog:
@@ -78,13 +90,20 @@ class TraceLog:
     Each line is f"{time!r},{node},{event},{packet},{detail}". Formatting is
     the cost of capture, and its two costly pieces repeat: many events share
     an instant, and each packet shows up on many lines. So add keeps the repr
-    of the last time it formatted, and one label per packet key; the bytes are
-    the ones the f-string gives. sha256 and write hash and write the lines
-    TRACE_BLOCK at a time, joined, never the whole log at once.
+    of the last time it formatted, and one label per live packet key; the
+    simulation drops a key's label when it retires the packet (forget). The
+    bytes are the ones the f-string gives.
+
+    Lines are stored as bytes blocks of TRACE_BLOCK lines: each block is
+    joined and encoded once, as it fills, so a long log holds a few large
+    bytes objects rather than one str per line, and sha256 and write read
+    the blocks as they are. lines, iteration and len are read-only views.
     """
 
     def __init__(self) -> None:
-        self.lines: list[str] = []
+        self._blocks: list[bytes] = []  # full blocks, each line ending in a newline
+        self._pending: list[str] = []  # fewer than TRACE_BLOCK lines
+        self._block = TRACE_BLOCK
         self._time: Optional[float] = None
         self._time_repr = ""
         self._labels: dict = {}  # packet key -> str(packet)
@@ -101,31 +120,48 @@ class TraceLog:
         label = self._labels.get(key)
         if label is None:
             label = self._labels[key] = str(packet)
-        self.lines.append(f"{self._time_repr},{node},{event},{label},{detail}")
+        pending = self._pending
+        pending.append(f"{self._time_repr},{node},{event},{label},{detail}")
+        if len(pending) == self._block:
+            self._blocks.append(_encoded(pending))
+            self._pending = []
 
-    def _blocks(self):
-        """The log's text, TRACE_BLOCK lines at a time, each line ending in a newline."""
-        lines = self.lines
-        for i in range(0, len(lines), TRACE_BLOCK):
-            yield "\n".join(lines[i:i + TRACE_BLOCK]) + "\n"
+    def forget(self, key) -> None:
+        """Drop the cached label of a packet key that no line will name again."""
+        self._labels.pop(key, None)
+
+    @property
+    def lines(self) -> list[str]:
+        """Every line so far, without its newline; a new list on each read."""
+        out = []
+        for block in self._blocks:
+            out += block.decode().split("\n")[:-1]
+        return out + self._pending
 
     def sha256(self) -> str:
         digest = hashlib.sha256()
-        for block in self._blocks():
-            digest.update(block.encode())
+        for block in self._blocks:
+            digest.update(block)
+        digest.update(_encoded(self._pending))
         return digest.hexdigest()
 
     def write(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("time,node,event,packet_uid,detail\n")
-            for block in self._blocks():
+        with open(path, "wb") as fh:
+            fh.write(b"time,node,event,packet_uid,detail\n")
+            for block in self._blocks:
                 fh.write(block)
+            fh.write(_encoded(self._pending))
 
     def __iter__(self):
         return iter(self.lines)
 
     def __len__(self) -> int:
-        return len(self.lines)
+        return len(self._blocks) * self._block + len(self._pending)
+
+
+def _encoded(lines: list[str]) -> bytes:
+    """The lines as file bytes, each ending in a newline."""
+    return ("\n".join(lines) + "\n").encode() if lines else b""
 
 
 def payload_bytes(seed: int, uid: PacketUid, size: int) -> bytes:
@@ -155,6 +191,9 @@ class Simulation:
         self._heap: list = []
         self._ordinal = 0
 
+        # every packet made, payload included: finalize sums the offered
+        # bits, audit_conservation walks the uids, and the benchmark's checks
+        # and the tests compare each delivered payload to generated[uid].payload
         self.generated: dict[PacketUid, NativePacket] = {}
         self.delivered: dict[PacketUid, tuple[float, NativePacket]] = {}  # in delivery order
         self.double_deliveries = 0
@@ -163,6 +202,8 @@ class Simulation:
         self.per_node_encodes: dict[NodeId, int] = {}
         self.decode_failures = 0
         self.holder_bytes_total = 0
+        self._mix_copies: dict[tuple[PacketUid, PacketUid], int] = {}  # live mix key -> copies queued or on air
+        self._mixed_in: dict[PacketUid, tuple[PacketUid, PacketUid]] = {}  # uid -> the live mix holding it
 
         for i in range(len(scenario.flows)):
             self._schedule_gen(i, 0)
@@ -225,6 +266,8 @@ class Simulation:
         for receiver in sender.neighbors:
             if receiver not in addressed:
                 nodes[receiver].overhear(packet, now, self)
+        if len(addressed) > 1:  # only a mix is addressed to more than one node
+            self._mix_copies[packet.key] += len(addressed) - 1
         for receiver in addressed:
             self._arrive(nodes[receiver], packet, now)
         self._schedule(now, NODE_WAKE, tx.sender)
@@ -276,9 +319,47 @@ class Simulation:
             self.double_deliveries += 1
             return
         self.delivered[packet.uid] = (now, packet)
+        if packet.uid not in self._mixed_in:
+            self._retire(packet.uid, self.holders_at[packet.uid.flow][-1])
 
     def native_buffered(self, node: NodeId, packet: NativePacket) -> None:
         """A node buffered a native; the neighbors' reports already show it."""
+
+    def mix_copies(self, key: tuple[PacketUid, PacketUid], delta: int) -> None:
+        """A node queued (+1) or handled (-1) a copy of mix key. When the last
+        copy goes the mix dies: its key leaves the seen-sets and the label
+        cache, and its delivered natives retire."""
+        copies = self._mix_copies
+        left = copies.get(key, 0) + delta
+        if left:
+            if key not in copies:
+                for uid in key:
+                    self._mixed_in[uid] = key
+            copies[key] = left
+            return
+        del copies[key]
+        a, b = key
+        scope = self.holders_at[a.flow][-1] | self.holders_at[b.flow][-1]
+        nodes = self.nodes
+        for n in scope:
+            nodes[n].seen_addressed.discard(key)
+            nodes[n].seen_overheard.discard(key)
+        self.trace_log.forget(key)
+        for uid in key:
+            del self._mixed_in[uid]
+            if uid in self.delivered:
+                self._retire(uid, scope)
+
+    def _retire(self, uid: PacketUid, scope) -> None:
+        """Drop a delivered uid, which no copy in flight holds, from the nodes
+        in scope and from the trace's label cache."""
+        nodes = self.nodes
+        for n in scope:
+            node = nodes[n]
+            node.buffer.pop(uid, None)
+            node.seen_addressed.discard(uid)
+            node.seen_overheard.discard(uid)
+        self.trace_log.forget(uid)
 
     def encoded_pair(self, node: NodeId, p: NativePacket, q: NativePacket, now: float) -> None:
         self.per_node_encodes[node] = self.per_node_encodes.get(node, 0) + 1
@@ -297,7 +378,7 @@ class Simulation:
 
 def validate_scenario(scenario: Scenario) -> dict[int, tuple[NodeId, ...]]:
     """Check the scenario's structure; return each flow's route by flow id.
-    One BFS per distinct destination serves every flow routed to it."""
+    The topology's one BFS table per destination serves every flow routed to it."""
     topo = scenario.topology
     if not 0 < scenario.duration < math.inf:
         raise ScenarioInvalidError("duration must be positive and finite")
@@ -306,7 +387,6 @@ def validate_scenario(scenario: Scenario) -> dict[int, tuple[NodeId, ...]]:
     if not 0 <= scenario.drain_grace < math.inf:
         raise ScenarioInvalidError("drain grace must be >= 0 and finite")
     routes: dict[int, tuple[NodeId, ...]] = {}
-    dist_to: dict[NodeId, list[float]] = {}
     for f in scenario.flows:
         tag = f"flow {f.flow}"
         if f.flow in routes:
@@ -325,10 +405,8 @@ def validate_scenario(scenario: Scenario) -> dict[int, tuple[NodeId, ...]]:
             raise ScenarioInvalidError(f"{tag}: stop must be finite")
         if f.stop is not None and f.stop < f.start:
             raise ScenarioInvalidError(f"{tag}: stop precedes start")
-        if f.dst not in dist_to:
-            dist_to[f.dst] = hop_distances(topo, f.dst)
         try:
-            routes[f.flow] = shortest_path(topo, f.src, f.dst, dist_to[f.dst])
+            routes[f.flow] = shortest_path(topo, f.src, f.dst, topo.distances_to(f.dst))
         except NoRouteError:
             raise ScenarioInvalidError(f"{tag}: no route from {f.src} to {f.dst}") from None
     return routes

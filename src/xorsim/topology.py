@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 NodeId = int
@@ -26,6 +26,8 @@ class Topology:
     positions: tuple[Position, ...]
     radio_range: float
     adjacency: tuple[frozenset[NodeId], ...]
+    # target -> hop_distances(self, target), filled by distances_to
+    _distances: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -33,6 +35,15 @@ class Topology:
 
     def neighbors(self, node: NodeId) -> frozenset[NodeId]:
         return self.adjacency[node]
+
+    def distances_to(self, target: NodeId) -> list[float]:
+        """hop_distances(self, target), computed once per target and kept, so
+        sampling flows and routing them share one BFS per destination.
+        Callers must not change the list."""
+        dist = self._distances.get(target)
+        if dist is None:
+            dist = self._distances[target] = hop_distances(self, target)
+        return dist
 
 
 def build_topology(positions: list[Position] | tuple[Position, ...], radio_range: float) -> Topology:

@@ -16,6 +16,7 @@ class HookRecorder:
         self.buffered = []
         self.pairs = []
         self.failures = []
+        self.mix_deltas = []
 
     def trace(self, now, node, event, uid, detail=""):
         self.events.append((event, node, str(uid)))
@@ -31,6 +32,9 @@ class HookRecorder:
 
     def decode_failed(self, node, encoded, missing, now):
         self.failures.append((node, missing))
+
+    def mix_copies(self, key, delta):
+        self.mix_deltas.append((key, delta))
 
 
 def native(flow, seq, route, hop_index, holders, payload=b"\xaa" * 6):
@@ -78,6 +82,7 @@ def test_relay_codes_with_queued_partner():
     # both originals are buffered; the mix is only marked seen
     assert node.buffer == {P_EAST.uid: P_EAST, Q_WEST.uid: Q_WEST}
     assert {P_EAST.uid, Q_WEST.uid, encoded.key} <= node.seen_addressed
+    assert sim.mix_deltas == [(encoded.key, 1)]  # one queued copy
 
 
 def test_relay_never_codes_under_non_coding():
@@ -96,6 +101,30 @@ def test_duplicate_addressed_copies_are_dropped():
     node.process_input(0.0, sim)
     assert dup_discards(sim) == [("dup_discard", 1, str(P_EAST.uid))]
     assert list(node.output_queue) == [P_EAST]
+
+
+def test_duplicate_mix_copy_is_counted_gone():
+    node, sim = relay_node()
+    encoded = xor_encode(P_EAST, Q_WEST)
+    node.seen_addressed.add(encoded.key)
+    node.on_receive(encoded, 0.0, sim)
+    assert dup_discards(sim) == [("dup_discard", 1, str(encoded))]
+    assert sim.mix_deltas == [(encoded.key, -1)]
+
+
+def test_delivery_is_traced_before_it_is_reported():
+    # the simulation may retire a delivered packet, and forget its trace
+    # label, inside deliver; the trace line must already be written
+    order = []
+    sim = HookRecorder()
+    sim.trace = lambda now, node, event, pkt, detail="": order.append(event)
+    sim.deliver = lambda node, pkt, now: order.append("reported")
+    Node(id=2, neighbors=(1,), scheme=Scheme.EXCODE).on_receive(replace(P_EAST, hop_index=2), 1.0, sim)
+    p, q, encoded = arrived_mix()
+    node = Node(id=2, neighbors=(1,), scheme=Scheme.EXCODE)
+    node.overhear(replace(Q_WEST, hop_index=0), 0.1, sim)
+    node.on_receive(encoded, 2.0, sim)
+    assert order == ["deliver", "reported", "overhear", "decode_deliver", "reported"]
 
 
 def test_roles_deduplicate_independently():
@@ -170,6 +199,7 @@ def test_destination_decodes_addressed_mix():
     delivered = sim.delivered[0][1]
     assert delivered.payload == P_EAST.payload
     assert not node.output_queue  # the other branch is not ours to carry
+    assert sim.mix_deltas == [(encoded.key, -1)]  # the handled copy is gone
 
 
 def test_decode_failure_is_counted_not_fatal():
@@ -192,6 +222,9 @@ def test_forward_keeps_only_own_branches():
     node.on_receive(encoded, 1.0, sim)
     [out] = node.output_queue
     assert out.active == {p.uid}
+    # the forwarded copy is counted before the handled one goes, so the
+    # count never reads zero while the mix is still carried
+    assert sim.mix_deltas == [(encoded.key, 1), (encoded.key, -1)]
 
 
 def test_send_annotates_then_advances():

@@ -3,6 +3,7 @@ import hashlib
 import math
 import random
 import weakref
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from xorsim import simulator
 from xorsim.coding import Scheme
-from xorsim.packet import NativePacket, PacketUid, holder_overhead_bytes, xor_encode
+from xorsim.packet import EncodedPacket, NativePacket, PacketUid, holder_overhead_bytes, xor_encode
 from xorsim.scenarios import (
     DEFAULT_NODES,
     DEFAULT_RANGE,
@@ -338,6 +339,19 @@ def test_trace_log_hashes_whole_blocks(tmp_path):
         check_trace_log(adds[:n], simulator.TRACE_BLOCK, tmp_path / f"trace{n}.csv")
 
 
+def test_trace_log_stores_encoded_blocks():
+    # a full block is joined and encoded as it fills; only the rest is str
+    for block in (1, 3, simulator.TRACE_BLOCK):
+        with mock.patch.object(simulator, "TRACE_BLOCK", block):
+            log = TraceLog()
+        for n in range(3 * block + 2):
+            assert len(log._blocks) <= math.ceil(n / block)
+            assert all(type(b) is bytes for b in log._blocks)
+            assert len(log._pending) < block
+            assert len(log) == n
+            log.add(n / 3, n % 5, "gen", TRACE_PACKETS[n % len(TRACE_PACKETS)])
+
+
 def test_trace_log_keeps_no_packet_alive():
     log = TraceLog()
     single, mix = native(4, 2), xor_encode(native(4, 3), native(5, 0))
@@ -621,3 +635,109 @@ def test_validated_routes_match_a_route_search_per_pair():
                 validate_scenario(Scenario(topo, tuple(flows), Scheme.EXCODE))
             unroutable += 1
     assert unroutable >= 5 and routed >= 150
+
+
+# -- retirement: state follows the packets in flight ---------------------------
+
+
+def in_flight(sim):
+    """Natives and copies of each mix key queued or on air, read off the queues."""
+    natives, mixes = set(), Counter()
+    for node in sim.nodes:
+        for pkt in (*node.input_queue, *node.output_queue, *([node.transmitting.packet] if node.transmitting else [])):
+            if isinstance(pkt, EncodedPacket):
+                mixes[pkt.key] += 1
+            else:
+                natives.add(pkt.uid)
+    return natives, mixes
+
+
+def held_entries(node):
+    return (*node.buffer, *node.seen_addressed, *node.seen_overheard)
+
+
+def watch_retirement(sim):
+    """Record who buffers each uid and each uid's mix partner; return both."""
+    buffered, partner = {}, {}
+    native_buffered, encoded_pair = sim.native_buffered, sim.encoded_pair
+
+    def on_buffered(node, packet):
+        buffered.setdefault(packet.uid, set()).add(node)
+        native_buffered(node, packet)
+
+    def on_pair(node, p, q, now):
+        partner[p.uid], partner[q.uid] = q.uid, p.uid
+        encoded_pair(node, p, q, now)
+
+    sim.native_buffered, sim.encoded_pair = on_buffered, on_pair
+    return buffered, partner
+
+
+def detour_scenario(scheme):
+    """Flow 0 runs 5 -> 1 -> 6 and flow 1 runs 0 -> 1 -> 2 -> 4; they code at
+    relay 1. Node 3 hears 0 and 2 but not 1, an equal-length detour that
+    routing passes over, and lies outside flow 0's holder sets. It overhears
+    packet 1.0 from node 0, then the mix from node 2, and decodes 0.0 early."""
+    positions = [(-160.0, 0.0), (0.0, 110.0), (160.0, 0.0), (0.0, -110.0),
+                 (320.0, 90.0), (175.0, 180.0), (-175.0, 180.0)]
+    flows = (FlowSpec(0, 5, 6, rate=1.0, stop=0.5), FlowSpec(1, 0, 4, rate=1.0, stop=0.5))
+    return Scenario(build_topology(positions, 200.0), flows, scheme, duration=1.0)
+
+
+def retirement_cells(scheme):
+    """Coding-heavy cells; a drain grace of 3 s delivers everything, and so
+    does the detour fixture."""
+    for seed, grace in ((0, 0.0), (1, 0.0), (2, 3.0), (3, 3.0)):
+        scn = random_scenario(scheme, seed=seed, n_flows=6, rate=150.0, duration=1.0)
+        yield replace(scn, drain_grace=grace)
+    yield detour_scenario(scheme)
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_retirement_keeps_only_what_is_in_flight(scheme):
+    outside_own_route = drained = 0
+    for scn in retirement_cells(scheme):
+        sim = Simulation(scn)
+        buffered, partner = watch_retirement(sim)
+        sim.run()
+        assert audit_conservation(sim) == [] and sim.decode_failures == 0
+        natives, mixes = in_flight(sim)
+        # the live-mix counts are the copies really queued or on air
+        assert sim._mix_copies == dict(mixes)
+        live = natives | {uid for key in mixes for uid in key}
+        for node in sim.nodes:
+            for entry in held_entries(node):
+                if isinstance(entry, PacketUid):
+                    assert entry not in sim.delivered or entry in live, (node.id, entry)
+                else:
+                    assert entry in mixes, (node.id, entry)
+        # every node that ever buffered u can be reached by u's retirement:
+        # its route's last holder set, and its partner's when it was mixed
+        for uid, nodes in buffered.items():
+            scope = set(sim.holders_at[uid.flow][-1])
+            if uid in partner:
+                scope |= sim.holders_at[partner[uid].flow][-1]
+            assert nodes <= scope, uid
+            outside_own_route += bool(nodes - sim.holders_at[uid.flow][-1])
+        if not natives and not mixes:
+            drained += 1
+            assert set(sim.delivered) == set(sim.generated)
+            for node in sim.nodes:
+                assert held_entries(node) == (), node.id
+            assert sim._mix_copies == {} and sim._mixed_in == {}
+            assert sim.trace_log._labels == {}
+    assert drained >= 3
+    # the detour fixture codes under excode alone
+    assert bool(outside_own_route) == (scheme is Scheme.EXCODE)
+
+
+@pytest.mark.parametrize("duration", (2.0, 4.0))
+def test_held_entries_per_packet_in_flight_are_bounded(duration):
+    # the benchmark's saturated excode cell: queues grow with time, and
+    # buffers and seen-sets must grow with them, not with what was delivered
+    sim = run(random_scenario(Scheme.EXCODE, seed=1, n_flows=8, rate=200.0, duration=duration,
+                              capture_trace=False))
+    natives, mixes = in_flight(sim)
+    queued_or_on_air = len(natives) + sum(mixes.values())
+    held = sum(len(held_entries(node)) for node in sim.nodes)
+    assert held <= 16 * queued_or_on_air, (held, queued_or_on_air)
