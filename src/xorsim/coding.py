@@ -57,7 +57,6 @@ def find_partner(
     p: NativePacket,
     queue: Sequence,
     scheme: Scheme,
-    *,
     self_id: NodeId,
     neighbors: Container[NodeId],
     reports: ReceptionReports,
@@ -67,17 +66,16 @@ def find_partner(
     The queue is a node's input queue of addressed arrivals. Only natives
     awaiting relay at this node are eligible: packets destined here are
     skipped, as is anything already encoded. Returns None under the
-    non-coding scheme or when nothing matches.
+    non-coding scheme or when nothing matches. Nodes pass every argument
+    positionally; the benchmark's scan sampler reads queue and scheme as the
+    second and third.
     """
     if scheme is Scheme.NON_CODING:
         return None
+    by_holders = scheme is Scheme.EXCODE
     for idx, cand in enumerate(queue):
         if not isinstance(cand, NativePacket) or cand.dst == self_id:
             continue
-        if scheme is Scheme.EXCODE:
-            ok = excode_can_code(p, cand)
-        else:
-            ok = cope_can_code(p, cand, reports, neighbors)
-        if ok:
+        if excode_can_code(p, cand) if by_holders else cope_can_code(p, cand, reports, neighbors):
             return idx
     return None

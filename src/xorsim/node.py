@@ -45,7 +45,7 @@ if TYPE_CHECKING:
     from .simulator import Simulation
 
 
-@dataclass
+@dataclass(slots=True)
 class Transmission:
     """One broadcast: every neighbor of the sender receives it."""
 
@@ -95,8 +95,7 @@ class Node:
         self._handle_addressed_encoded(packet, now, sim)
 
     def _relay_native(self, packet: NativePacket, now: float, sim: Simulation) -> None:
-        idx = find_partner(packet, self.input_queue, self.scheme,
-                           self_id=self.id, neighbors=self.neighbors, reports=self.reports)
+        idx = find_partner(packet, self.input_queue, self.scheme, self.id, self.neighbors, self.reports)
         if idx is not None:
             partner = self.input_queue[idx]
             del self.input_queue[idx]
@@ -177,7 +176,7 @@ class Node:
         else:
             packet = packet.sent()
             addressed = tuple(sorted({h.custodian for h in packet.active_headers()}))
-        return Transmission(sender=self.id, packet=packet, addressed=addressed)
+        return Transmission(self.id, packet, addressed)
 
     def _buffer_native(self, packet: NativePacket, sim: Simulation) -> None:
         if packet.uid in self.buffer:

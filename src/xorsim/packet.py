@@ -7,11 +7,15 @@ holds the packet by the time anyone else can read it.
 An encoded packet is the XOR of exactly two natives from different flows. Its
 header is the two natives' own headers as they were when mixed, each stored
 without its payload.
+
+Both packet types are NamedTuples, so immutable: a hop, mix or decode builds
+a new one rather than changing one in place. Every hop of every packet builds
+one, and a tuple is built in about a third of the time a frozen dataclass
+takes; _replace gives a copy with some fields changed.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, NamedTuple, Union
 
@@ -40,8 +44,7 @@ class PacketUid(NamedTuple):
         return f"{self.flow}.{self.seq}"
 
 
-@dataclass(frozen=True)
-class NativePacket:
+class NativePacket(NamedTuple):
     uid: PacketUid
     dst: NodeId
     route: tuple[NodeId, ...]
@@ -51,10 +54,6 @@ class NativePacket:
     created_at: float
 
     @property
-    def key(self) -> PacketUid:
-        return self.uid
-
-    @property
     def custodian(self) -> NodeId:
         return self.route[self.hop_index]
 
@@ -62,8 +61,11 @@ class NativePacket:
         return str(self.uid)
 
 
-@dataclass(frozen=True)
-class EncodedPacket:
+# a native's key is its uid: the field's own getter, not a property over it
+NativePacket.key = NativePacket.uid
+
+
+class EncodedPacket(NamedTuple):
     # the two natives as mixed, sorted by uid, each with payload b""; a
     # constituent's hop_index advances only while its uid is in active
     constituents: tuple[NativePacket, NativePacket]
@@ -107,8 +109,7 @@ Packet = Union[NativePacket, EncodedPacket]
 
 def _native_at(p: NativePacket, hop_index: int, holders: frozenset[NodeId], payload: bytes) -> NativePacket:
     """p with a new hop, holder set and payload. A direct build: each send,
-    mix and decode makes one, and dataclasses.replace costs several times as
-    much per call."""
+    mix and decode makes one, and _replace costs more per call."""
     return NativePacket(p.uid, p.dst, p.route, hop_index, holders, payload, p.created_at)
 
 
@@ -149,12 +150,12 @@ def xor_encode(p: NativePacket, q: NativePacket) -> EncodedPacket:
         raise SameFlowError(f"cannot encode {p.uid} with {q.uid}: same flow")
     first, second = (p, q) if p.uid <= q.uid else (q, p)
     return EncodedPacket(
-        constituents=(
+        (
             _native_at(first, first.hop_index, first.holders, b""),
             _native_at(second, second.hop_index, second.holders, b""),
         ),
-        payload=xor_payloads(p.payload, q.payload),
-        active=frozenset((p.uid, q.uid)),
+        xor_payloads(p.payload, q.payload),
+        frozenset((p.uid, q.uid)),
     )
 
 

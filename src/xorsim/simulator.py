@@ -3,11 +3,17 @@
 Events sit in a single heap keyed by (time, ordinal); the ordinal is a global
 schedule-order counter, so same-time events always replay identically. Each
 flow keeps one pending generation, at a fixed negative ordinal, so same-time
-generations run before every other event and in flow order. The
-channel is idealized: every transmission reaches the sender's whole
-neighborhood intact, with no interference, after one serialization delay.
+generations run before every other event and in flow order. The channel is
+idealized: every transmission reaches the sender's whole neighborhood intact,
+with no interference, after one serialization delay.
 A node's radio is half-duplex: it transmits one packet at a time and works
 through its backlog whenever the radio goes idle.
+
+A heap entry is (time, ordinal, handler, data), and run calls handler(sim,
+data, time). The handler is the plain function off the class, such as
+Simulation._on_wake, never a bound method: that would hold the simulation
+from its own heap, a reference cycle that keeps a finished run alive until
+the cyclic collector gets to it.
 
 An arrival wakes its node at once, unless the node's radio stays busy
 strictly past now: that wake would run before the node's own TX_END, find
@@ -76,10 +82,7 @@ class Scenario:
     capture_trace: bool = True
 
 
-# event kinds, the third field of a heap entry
-PACKET_GEN = "gen"
-TX_END = "tx_end"
-NODE_WAKE = "wake"
+NO_HOLDERS: frozenset[NodeId] = frozenset()  # a native's holders before its first send
 
 TRACE_BLOCK = 4096  # trace lines joined and encoded into one stored block
 
@@ -188,6 +191,9 @@ class Simulation:
         self.holders_at = {flow: holder_table(route, topo.neighbors) for flow, route in self.routes.items()}
         self.trace_log = TraceLog()
         self._capture_trace = scenario.capture_trace  # read on every event
+        self._excode = scenario.scheme is Scheme.EXCODE
+        self._count_holders = scenario.count_header_overhead and self._excode
+        self._airtimes: dict[int, float] = {}  # on-air bytes -> tx_duration
         self._heap: list = []
         self._ordinal = 0
 
@@ -210,10 +216,6 @@ class Simulation:
 
     # -- event plumbing ----------------------------------------------------
 
-    def _schedule(self, time: float, kind: str, data) -> None:
-        heapq.heappush(self._heap, (time, self._ordinal, kind, data))
-        self._ordinal += 1
-
     def _schedule_gen(self, i: int, k: int) -> None:
         """Put packet k of flow i on the heap, at ordinal i - len(flows),
         unless it falls at or after the flow's stop."""
@@ -222,20 +224,14 @@ class Simulation:
         stop = self.scenario.duration if flow.stop is None else min(flow.stop, self.scenario.duration)
         t = flow.start + k / flow.rate
         if t < stop:
-            heapq.heappush(self._heap, (t, i - len(flows), PACKET_GEN, (i, k)))
+            heapq.heappush(self._heap, (t, i - len(flows), Simulation._on_gen, (i, k)))
 
     def run(self) -> "Simulation":
         end = self.scenario.duration + self.scenario.drain_grace
         heap, pop = self._heap, heapq.heappop
-        on_wake, on_tx_end, on_gen = self._on_wake, self._on_tx_end, self._on_gen
         while heap and heap[0][0] <= end:
-            time, _, kind, data = pop(heap)
-            if kind == NODE_WAKE:
-                on_wake(data, time)
-            elif kind == TX_END:
-                on_tx_end(data, time)
-            else:
-                on_gen(data, time)
+            time, _, handler, data = pop(heap)
+            handler(self, data, time)
         return self
 
     def _on_gen(self, data, now: float) -> None:
@@ -243,15 +239,8 @@ class Simulation:
         self._schedule_gen(i, seq + 1)
         flow = self.scenario.flows[i]
         uid = PacketUid(flow.flow, seq)
-        packet = NativePacket(
-            uid=uid,
-            dst=flow.dst,
-            route=self.routes[flow.flow],
-            hop_index=0,
-            holders=frozenset(),
-            payload=payload_bytes(self.scenario.seed, uid, flow.packet_size),
-            created_at=now,
-        )
+        packet = NativePacket(uid, flow.dst, self.routes[flow.flow], 0, NO_HOLDERS,
+                              payload_bytes(self.scenario.seed, uid, flow.packet_size), now)
         self.generated[uid] = packet
         self.trace(now, flow.src, "gen", packet)
         self._arrive(self.nodes[flow.src], packet, now)
@@ -270,7 +259,8 @@ class Simulation:
             self._mix_copies[packet.key] += len(addressed) - 1
         for receiver in addressed:
             self._arrive(nodes[receiver], packet, now)
-        self._schedule(now, NODE_WAKE, tx.sender)
+        heapq.heappush(self._heap, (now, self._ordinal, Simulation._on_wake, tx.sender))
+        self._ordinal += 1
 
     def _arrive(self, node: Node, packet, now: float) -> None:
         """Queue an addressed packet at node and wake it, unless its radio
@@ -279,7 +269,8 @@ class Simulation:
         node.input_queue.append(packet)
         tx = node.transmitting
         if tx is None or tx.end <= now:
-            self._schedule(now, NODE_WAKE, node.id)
+            heapq.heappush(self._heap, (now, self._ordinal, Simulation._on_wake, node.id))
+            self._ordinal += 1
 
     def _on_wake(self, node_id: NodeId, now: float) -> None:
         node = self.nodes[node_id]
@@ -290,21 +281,30 @@ class Simulation:
         if tx is None:
             return
         node.transmitting = tx
-        if isinstance(tx.packet, EncodedPacket):
+        packet = tx.packet
+        if isinstance(packet, EncodedPacket):
             self.tx_encoded += 1
         else:
             self.tx_native += 1
-        if self.scenario.scheme is Scheme.EXCODE:
-            self.holder_bytes_total += holder_overhead_bytes(tx.packet)
+        size = len(packet.payload)
+        if self._excode:
+            holder_bytes = holder_overhead_bytes(packet)
+            self.holder_bytes_total += holder_bytes
+            if self._count_holders:
+                size += holder_bytes
         if self._capture_trace:
-            self.trace(now, node_id, "tx_start", tx.packet, "to=" + "|".join(map(str, tx.addressed)))
-        tx.end = now + self.tx_duration(tx.packet)
-        self._schedule(tx.end, TX_END, tx)
+            self.trace(now, node_id, "tx_start", packet, "to=" + "|".join(map(str, tx.addressed)))
+        airtime = self._airtimes.get(size)
+        if airtime is None:  # a packet of this on-air size, first time
+            airtime = self._airtimes[size] = self.tx_duration(packet)
+        tx.end = end = now + airtime
+        heapq.heappush(self._heap, (end, self._ordinal, Simulation._on_tx_end, tx))
+        self._ordinal += 1
 
     def tx_duration(self, packet) -> float:
         """Serialization time; holder bytes ride for free unless counted in."""
         size = len(packet.payload)
-        if self.scenario.count_header_overhead and self.scenario.scheme is Scheme.EXCODE:
+        if self._count_holders:
             size += holder_overhead_bytes(packet)
         return 8.0 * size / self.scenario.channel_rate
 

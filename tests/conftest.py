@@ -19,8 +19,8 @@ def watch_scans(monkeypatch):
     def install(probe):
         scan = node.find_partner
 
-        def watched(p, queue, scheme, *, self_id, neighbors, reports):
-            idx = scan(p, queue, scheme, self_id=self_id, neighbors=neighbors, reports=reports)
+        def watched(p, queue, scheme, self_id, neighbors, reports):
+            idx = scan(p, queue, scheme, self_id, neighbors, reports)
             if scheme is not Scheme.NON_CODING:
                 examined = len(queue) if idx is None else idx + 1
                 for q in itertools.islice(queue, examined):

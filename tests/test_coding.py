@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 from xorsim.coding import Scheme, cope_can_code, excode_can_code, find_partner
 from xorsim.packet import NativePacket, PacketUid, xor_encode
@@ -31,14 +30,14 @@ def test_holder_rule_accepts_crossing_pair():
 
 
 def test_holder_rule_needs_both_destinations_covered():
-    q_short = replace(Q_AT_RELAY, holders=frozenset({2, 3, 4, 5}))  # 6 missing
+    q_short = Q_AT_RELAY._replace(holders=frozenset({2, 3, 4, 5}))  # 6 missing
     assert not excode_can_code(P_AT_RELAY, q_short)
-    p_short = replace(P_AT_RELAY, holders=frozenset({0, 2}))  # 1 missing
+    p_short = P_AT_RELAY._replace(holders=frozenset({0, 2}))  # 1 missing
     assert not excode_can_code(p_short, Q_AT_RELAY)
 
 
 def test_holder_rule_rejects_same_flow():
-    twin = replace(Q_AT_RELAY, uid=PacketUid(0, 9))
+    twin = Q_AT_RELAY._replace(uid=PacketUid(0, 9))
     assert not excode_can_code(P_AT_RELAY, twin)
 
 
@@ -105,7 +104,7 @@ def test_scan_disabled_without_coding():
 
 
 def test_scan_returns_first_match():
-    other = replace(Q_AT_RELAY, uid=PacketUid(1, 1))
+    other = Q_AT_RELAY._replace(uid=PacketUid(1, 1))
     queue = [
         native(2, 0, (3, 2, 4), holders={3}),  # no overlap
         Q_AT_RELAY,
@@ -116,7 +115,7 @@ def test_scan_returns_first_match():
 
 def test_scan_skips_ineligible_entries():
     encoded = xor_encode(P_AT_RELAY, Q_AT_RELAY)
-    to_self = replace(Q_AT_RELAY, dst=2, route=(5, 3, 2), hop_index=2)
+    to_self = Q_AT_RELAY._replace(dst=2, route=(5, 3, 2), hop_index=2)
     queue = [
         encoded,  # never recode
         to_self,  # terminates here, nothing to relay

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 from xorsim.coding import Scheme
 from xorsim.node import Node
@@ -119,10 +118,10 @@ def test_delivery_is_traced_before_it_is_reported():
     sim = HookRecorder()
     sim.trace = lambda now, node, event, pkt, detail="": order.append(event)
     sim.deliver = lambda node, pkt, now: order.append("reported")
-    Node(id=2, neighbors=(1,), scheme=Scheme.EXCODE).on_receive(replace(P_EAST, hop_index=2), 1.0, sim)
+    Node(id=2, neighbors=(1,), scheme=Scheme.EXCODE).on_receive(P_EAST._replace(hop_index=2), 1.0, sim)
     p, q, encoded = arrived_mix()
     node = Node(id=2, neighbors=(1,), scheme=Scheme.EXCODE)
-    node.overhear(replace(Q_WEST, hop_index=0), 0.1, sim)
+    node.overhear(Q_WEST._replace(hop_index=0), 0.1, sim)
     node.on_receive(encoded, 2.0, sim)
     assert order == ["deliver", "reported", "overhear", "decode_deliver", "reported"]
 
@@ -143,7 +142,7 @@ def dup_discards(sim):
 def test_destination_delivers_and_buffers():
     node = Node(id=2, neighbors=(1,), scheme=Scheme.EXCODE)
     sim = HookRecorder()
-    arriving = replace(P_EAST, hop_index=2, holders=frozenset({0, 1, 2}))
+    arriving = P_EAST._replace(hop_index=2, holders=frozenset({0, 1, 2}))
     node.input_queue.append(arriving)
     node.process_input(1.0, sim)
     assert sim.delivered == [(2, arriving)]
@@ -183,8 +182,8 @@ def test_overheard_mix_without_any_original_is_not_kept():
 
 def arrived_mix():
     # headers as sent by relay 1: both branches advanced to their custodians
-    p = replace(P_EAST, hop_index=2, holders=frozenset({0, 1, 2}))
-    q = replace(Q_WEST, hop_index=2, holders=frozenset({0, 1, 2}))
+    p = P_EAST._replace(hop_index=2, holders=frozenset({0, 1, 2}))
+    q = Q_WEST._replace(hop_index=2, holders=frozenset({0, 1, 2}))
     return p, q, xor_encode(p, q)
 
 
@@ -192,7 +191,7 @@ def test_destination_decodes_addressed_mix():
     p, q, encoded = arrived_mix()
     node = Node(id=2, neighbors=(1,), scheme=Scheme.EXCODE)
     sim = HookRecorder()
-    node.overhear(replace(Q_WEST, hop_index=0), 0.1, sim)
+    node.overhear(Q_WEST._replace(hop_index=0), 0.1, sim)
     node.on_receive(encoded, 1.0, sim)
     assert [(n, pkt.uid) for n, pkt in sim.delivered] == [(2, p.uid)]
     assert ("decode_deliver", 2, str(p.uid)) in sim.events
@@ -246,7 +245,7 @@ def test_send_annotates_then_advances():
 def test_send_encoded_advances_active_branches_only():
     p = native(0, 0, (0, 1, 2), 1, {0, 1})
     q = native(1, 0, (2, 1, 0), 1, {2, 1})
-    encoded = replace(xor_encode(p, q), active=frozenset({p.uid}))
+    encoded = xor_encode(p, q)._replace(active=frozenset({p.uid}))
     node = Node(id=1, neighbors=(0, 2), scheme=Scheme.EXCODE)
     node.output_queue.append(encoded)
     tx = node.on_send(0.0, HookRecorder())

@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -89,14 +88,8 @@ def test_decode_requires_a_constituent():
 
 
 def test_encoded_header_snapshot_and_counterpart():
-    p = replace(
-        make_native(0, 0, (0, 1, 2), b"x" * 4, hop_index=1),
-        holders=frozenset({0, 1}),
-    )
-    q = replace(
-        make_native(1, 0, (2, 1, 0), b"y" * 4, hop_index=1),
-        holders=frozenset({2, 1}),
-    )
+    p = make_native(0, 0, (0, 1, 2), b"x" * 4, hop_index=1)._replace(holders=frozenset({0, 1}))
+    q = make_native(1, 0, (2, 1, 0), b"y" * 4, hop_index=1)._replace(holders=frozenset({2, 1}))
     e = xor_encode(p, q)
     by_uid = {h.uid: h for h in e.constituents}
     assert by_uid[p.uid].holders == frozenset({0, 1})
@@ -115,8 +108,17 @@ def test_constituents_carry_headers_not_payloads():
     q = make_native(1, 0, (2, 1, 0), b"qqqq", created_at=0.5, hop_index=1)
     e = xor_encode(p, q)
     assert [c.payload for c in e.constituents] == [b"", b""]
-    assert list(e.constituents) == [replace(p, payload=b""), replace(q, payload=b"")]
+    assert list(e.constituents) == [p._replace(payload=b""), q._replace(payload=b"")]
     assert e.payload != b""
+
+
+def test_packets_are_immutable():
+    p = make_native(0, 0, (0, 1, 2), b"pppp")
+    q = make_native(1, 0, (2, 1, 0), b"qqqq")
+    for packet in (p, xor_encode(p, q)):
+        for name in (*type(packet)._fields, "key"):
+            with pytest.raises(AttributeError):
+                setattr(packet, name, getattr(packet, name))
 
 
 def test_constituents_sorted_by_uid():
@@ -138,20 +140,14 @@ def test_annotate_holders_union_and_monotonicity():
     assert (again.holders, again.hop_index) == (table[1], 2)
     assert grown.holders <= again.holders
     # annotation touches nothing but the holder set and the hop
-    assert replace(again, holders=p.holders, hop_index=0) == p
+    assert again._replace(holders=p.holders, hop_index=0) == p
 
 
 def test_holder_overhead_is_four_bytes_per_id():
     assert HOLDER_ID_BYTES == 4
-    p = replace(
-        make_native(0, 0, (0, 1, 2), b"...."),
-        holders=frozenset({0, 1, 2, 3, 4}),
-    )
+    p = make_native(0, 0, (0, 1, 2), b"....")._replace(holders=frozenset({0, 1, 2, 3, 4}))
     assert holder_overhead_bytes(p) == 20
-    q = replace(
-        make_native(1, 0, (2, 1, 0), b"...."),
-        holders=frozenset({2, 1}),
-    )
+    q = make_native(1, 0, (2, 1, 0), b"....")._replace(holders=frozenset({2, 1}))
     assert holder_overhead_bytes(xor_encode(p, q)) == 28
 
 
@@ -180,7 +176,7 @@ def test_holder_annotation_only_grows(n, seed, data):
     route = shortest_path(topo, src, data.draw(st.sampled_from(reachable)))
     table = holder_table(route, topo.neighbors)
     assert len(table) == len(route) - 1
-    packet = replace(make_native(0, 0, route, b"abcd"), holders=frozenset())
+    packet = make_native(0, 0, route, b"abcd")._replace(holders=frozenset())
     holders = frozenset()
     for h, sender in enumerate(route[:-1]):
         grown = holders | {sender} | topo.neighbors(sender)

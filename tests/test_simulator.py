@@ -2,6 +2,7 @@ import gc
 import hashlib
 import math
 import random
+import sys
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -12,6 +13,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from xorsim import simulator
 from xorsim.coding import Scheme
+from xorsim.node import Node
 from xorsim.packet import EncodedPacket, NativePacket, PacketUid, holder_overhead_bytes, xor_encode
 from xorsim.scenarios import (
     DEFAULT_NODES,
@@ -353,14 +355,15 @@ def test_trace_log_stores_encoded_blocks():
 
 
 def test_trace_log_keeps_no_packet_alive():
+    # packets are tuples, which take no weakrefs: adding them leaves the
+    # reference count of each packet and of each of a mix's natives as it was
     log = TraceLog()
     single, mix = native(4, 2), xor_encode(native(4, 3), native(5, 0))
-    refs = weakref.ref(single), weakref.ref(mix)
+    watched = (single, mix, *mix.constituents)
+    before = [sys.getrefcount(p) for p in watched]
     log.add(1.0, 0, "gen", single)
     log.add(1.0, 0, "encode", mix, "4.3+5.0")
-    del single, mix
-    gc.collect()
-    assert [ref() for ref in refs] == [None, None]
+    assert [sys.getrefcount(p) for p in watched] == before
     assert log.lines == ["1.0,0,gen,4.2,", "1.0,0,encode,4.3^5.0,4.3+5.0"]
 
 
@@ -577,6 +580,42 @@ def test_no_wake_is_scheduled_onto_a_busy_radio(monkeypatch):
     sim = run(random_scenario(Scheme.EXCODE, seed=1, n_flows=8, rate=200.0, duration=1.0,
                               capture_trace=False))
     assert sim.encode_count and len(started) == sim.total_tx
+
+
+def test_finished_simulation_is_freed_without_the_cycle_collector():
+    # the heap holds plain functions, never bound methods, so no reference
+    # cycle runs through a simulation: del frees it, pending events and all
+    gc.disable()
+    try:
+        sim = run(random_scenario(Scheme.EXCODE, seed=1, n_flows=8, rate=200.0, duration=0.5,
+                                  capture_trace=False))
+        assert sim._heap
+        ref = weakref.ref(sim)
+        del sim
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("counted", [False, True])
+def test_every_airtime_is_tx_duration(monkeypatch, counted):
+    # airtimes are memoised by on-air size; each must be tx_duration of the
+    # packet sent, whether holder bytes are counted in or not
+    sent = []
+    on_send = Node.on_send
+
+    def watched(self, now, sim):
+        tx = on_send(self, now, sim)
+        if tx is not None:
+            sent.append((now, tx))
+        return tx
+
+    monkeypatch.setattr(Node, "on_send", watched)
+    scn = random_scenario(Scheme.EXCODE, seed=1, n_flows=6, rate=150.0, duration=0.5, capture_trace=False)
+    sim = run(replace(scn, count_header_overhead=counted))
+    assert sim.encode_count and len(sent) == sim.total_tx
+    assert all(tx.end == now + sim.tx_duration(tx.packet) for now, tx in sent)
+    assert (len({sim.tx_duration(tx.packet) for _, tx in sent}) > 1) == counted
 
 
 def test_random_flows_match_a_route_search_per_pair():
