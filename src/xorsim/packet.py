@@ -11,7 +11,9 @@ without its payload.
 Both packet types are NamedTuples, so immutable: a hop, mix or decode builds
 a new one rather than changing one in place. Every hop of every packet builds
 one, and a tuple is built in about a third of the time a frozen dataclass
-takes; _replace gives a copy with some fields changed.
+takes; _replace gives a copy with some fields changed. The hot paths build
+through build_packet, which skips the Python-level __new__ that NamedTuple
+generates.
 """
 
 from __future__ import annotations
@@ -22,6 +24,10 @@ from typing import Callable, NamedTuple, Union
 from .topology import NodeId
 
 HOLDER_ID_BYTES = 4  # on-air cost of one holder entry
+
+# build_packet(NativePacket, (uid, dst, ...)): a packet from all its fields in
+# order, with no Python frame; the caller gives every field
+build_packet = tuple.__new__
 
 
 class SameFlowError(Exception):
@@ -92,12 +98,12 @@ class EncodedPacket(NamedTuple):
         """The mix as its custodians send it: each active branch's hop
         advanced, the rest frozen where they stopped."""
         active = self.active
-        return EncodedPacket(
+        return build_packet(EncodedPacket, (
             tuple(_native_at(c, c.hop_index + 1, c.holders, c.payload) if c.uid in active else c
                   for c in self.constituents),
             self.payload,
             active,
-        )
+        ))
 
     def __str__(self) -> str:
         a, b = self.constituents
@@ -110,7 +116,7 @@ Packet = Union[NativePacket, EncodedPacket]
 def _native_at(p: NativePacket, hop_index: int, holders: frozenset[NodeId], payload: bytes) -> NativePacket:
     """p with a new hop, holder set and payload. A direct build: each send,
     mix and decode makes one, and _replace costs more per call."""
-    return NativePacket(p.uid, p.dst, p.route, hop_index, holders, payload, p.created_at)
+    return build_packet(NativePacket, (p.uid, p.dst, p.route, hop_index, holders, payload, p.created_at))
 
 
 def holder_table(route: tuple[NodeId, ...], neighbors: Callable) -> tuple[frozenset[NodeId], ...]:
@@ -149,14 +155,14 @@ def xor_encode(p: NativePacket, q: NativePacket) -> EncodedPacket:
     if p.uid.flow == q.uid.flow:
         raise SameFlowError(f"cannot encode {p.uid} with {q.uid}: same flow")
     first, second = (p, q) if p.uid <= q.uid else (q, p)
-    return EncodedPacket(
+    return build_packet(EncodedPacket, (
         (
             _native_at(first, first.hop_index, first.holders, b""),
             _native_at(second, second.hop_index, second.holders, b""),
         ),
         xor_payloads(p.payload, q.payload),
         frozenset((p.uid, q.uid)),
-    )
+    ))
 
 
 def xor_decode(encoded: EncodedPacket, known: NativePacket) -> NativePacket:

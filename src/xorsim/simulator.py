@@ -38,13 +38,17 @@ from __future__ import annotations
 
 import hashlib
 import heapq
+import io
 import math
+import os
+import shutil
+import tempfile
 from dataclasses import dataclass
 from typing import Optional
 
 from .coding import Scheme
 from .node import Node, Transmission
-from .packet import EncodedPacket, NativePacket, PacketUid, holder_overhead_bytes, holder_table
+from .packet import EncodedPacket, NativePacket, PacketUid, build_packet, holder_overhead_bytes, holder_table
 from .topology import NodeId, NoRouteError, Topology, shortest_path
 
 DEFAULT_PACKET_SIZE = 512  # bytes
@@ -84,7 +88,7 @@ class Scenario:
 
 NO_HOLDERS: frozenset[NodeId] = frozenset()  # a native's holders before its first send
 
-TRACE_BLOCK = 4096  # trace lines joined and encoded into one stored block
+TRACE_BLOCK = 4096  # trace lines joined, encoded and spilled as one block
 
 
 class TraceLog:
@@ -97,14 +101,19 @@ class TraceLog:
     simulation drops a key's label when it retires the packet (forget). The
     bytes are the ones the f-string gives.
 
-    Lines are stored as bytes blocks of TRACE_BLOCK lines: each block is
-    joined and encoded once, as it fills, so a long log holds a few large
-    bytes objects rather than one str per line, and sha256 and write read
-    the blocks as they are. lines, iteration and len are read-only views.
+    The log streams: as a block of TRACE_BLOCK lines fills, it is joined and
+    encoded once, fed to a running sha256 and appended to an unnamed temp
+    file, so memory holds fewer than TRACE_BLOCK lines however long the run.
+    The file and the hash are made when the first block fills; a log that
+    never fills one (capture off) opens no file and pickles. sha256, write,
+    lines, iteration and len work at any point and leave the log open to
+    more adds. close deletes the file, as dropping the log does.
     """
 
     def __init__(self) -> None:
-        self._blocks: list[bytes] = []  # full blocks, each line ending in a newline
+        self._spill = None  # temp file of the full blocks, each line ending in a newline
+        self._digest = None  # sha256 of the spill's bytes
+        self._spilled = 0  # lines in the spill
         self._pending: list[str] = []  # fewer than TRACE_BLOCK lines
         self._block = TRACE_BLOCK
         self._time: Optional[float] = None
@@ -126,8 +135,30 @@ class TraceLog:
         pending = self._pending
         pending.append(f"{self._time_repr},{node},{event},{label},{detail}")
         if len(pending) == self._block:
-            self._blocks.append(_encoded(pending))
-            self._pending = []
+            self._spill_pending()
+
+    def _spill_pending(self) -> None:
+        """Encode the full block of pending lines, hash it and append it to
+        the spill file."""
+        block = _encoded(self._pending)
+        if self._spill is None:
+            self._spill = tempfile.TemporaryFile()
+            self._digest = hashlib.sha256()
+        self._digest.update(block)
+        self._spill.write(block)
+        self._spilled += len(self._pending)
+        self._pending = []
+
+    def _copy_spill(self, fh) -> None:
+        """Write every spilled byte to fh; later blocks still go to the end."""
+        spill = self._spill
+        if spill is None:
+            return
+        spill.seek(0)
+        try:
+            shutil.copyfileobj(spill, fh)
+        finally:
+            spill.seek(0, os.SEEK_END)
 
     def forget(self, key) -> None:
         """Drop the cached label of a packet key that no line will name again."""
@@ -136,30 +167,34 @@ class TraceLog:
     @property
     def lines(self) -> list[str]:
         """Every line so far, without its newline; a new list on each read."""
-        out = []
-        for block in self._blocks:
-            out += block.decode().split("\n")[:-1]
-        return out + self._pending
+        spilled = io.BytesIO()
+        self._copy_spill(spilled)
+        return spilled.getvalue().decode().split("\n")[:-1] + self._pending
 
     def sha256(self) -> str:
-        digest = hashlib.sha256()
-        for block in self._blocks:
-            digest.update(block)
+        digest = hashlib.sha256() if self._digest is None else self._digest.copy()
         digest.update(_encoded(self._pending))
         return digest.hexdigest()
 
     def write(self, path) -> None:
         with open(path, "wb") as fh:
             fh.write(b"time,node,event,packet_uid,detail\n")
-            for block in self._blocks:
-                fh.write(block)
+            self._copy_spill(fh)
             fh.write(_encoded(self._pending))
+
+    def close(self) -> None:
+        """Delete the spill file. Its lines can no longer be read or written
+        out, but sha256 and len still count them."""
+        if self._spill is not None:
+            self._spill.close()
+
+    __del__ = close
 
     def __iter__(self):
         return iter(self.lines)
 
     def __len__(self) -> int:
-        return len(self._blocks) * self._block + len(self._pending)
+        return self._spilled + len(self._pending)
 
 
 def _encoded(lines: list[str]) -> bytes:
@@ -194,6 +229,7 @@ class Simulation:
         self._excode = scenario.scheme is Scheme.EXCODE
         self._count_holders = scenario.count_header_overhead and self._excode
         self._airtimes: dict[int, float] = {}  # on-air bytes -> tx_duration
+        self._tx_details: dict[tuple[NodeId, ...], str] = {}  # addressed -> tx_start detail
         self._heap: list = []
         self._ordinal = 0
 
@@ -239,8 +275,8 @@ class Simulation:
         self._schedule_gen(i, seq + 1)
         flow = self.scenario.flows[i]
         uid = PacketUid(flow.flow, seq)
-        packet = NativePacket(uid, flow.dst, self.routes[flow.flow], 0, NO_HOLDERS,
-                              payload_bytes(self.scenario.seed, uid, flow.packet_size), now)
+        packet = build_packet(NativePacket, (uid, flow.dst, self.routes[flow.flow], 0, NO_HOLDERS,
+                                             payload_bytes(self.scenario.seed, uid, flow.packet_size), now))
         self.generated[uid] = packet
         self.trace(now, flow.src, "gen", packet)
         self._arrive(self.nodes[flow.src], packet, now)
@@ -293,7 +329,10 @@ class Simulation:
             if self._count_holders:
                 size += holder_bytes
         if self._capture_trace:
-            self.trace(now, node_id, "tx_start", packet, "to=" + "|".join(map(str, tx.addressed)))
+            detail = self._tx_details.get(tx.addressed)
+            if detail is None:
+                detail = self._tx_details[tx.addressed] = "to=" + "|".join(map(str, tx.addressed))
+            self.trace(now, node_id, "tx_start", packet, detail)
         airtime = self._airtimes.get(size)
         if airtime is None:  # a packet of this on-air size, first time
             airtime = self._airtimes[size] = self.tx_duration(packet)

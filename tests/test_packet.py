@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from xorsim.packet import (
     HOLDER_ID_BYTES,
+    EncodedPacket,
     LengthMismatchError,
     NativePacket,
     NotConstituentError,
@@ -119,6 +120,20 @@ def test_packets_are_immutable():
         for name in (*type(packet)._fields, "key"):
             with pytest.raises(AttributeError):
                 setattr(packet, name, getattr(packet, name))
+
+
+def test_fast_builds_are_whole_packets():
+    # build_packet skips the constructor's field count check, so every path
+    # that uses it must give a packet of its own class with every field
+    p = make_native(0, 0, (0, 1, 2), b"pppp")
+    q = make_native(1, 0, (2, 1, 0), b"qqqq")
+    mix = xor_encode(p, q)
+    sent = annotate_holders(p, (frozenset({0, 1}), frozenset({0, 1, 2})))
+    assert sent == p._replace(hop_index=1, holders=frozenset({0, 1}))
+    for packet in (sent, mix, *mix.constituents, mix.sent(), *mix.sent().constituents, xor_decode(mix, p)):
+        assert type(packet) in (NativePacket, EncodedPacket)
+        assert type(packet)._make(packet) == packet  # _make checks the count
+    assert xor_decode(mix, p) == q
 
 
 def test_constituents_sorted_by_uid():

@@ -1,8 +1,11 @@
 import gc
 import hashlib
 import math
+import os
+import pickle
 import random
 import sys
+import warnings
 import weakref
 from collections import Counter
 from dataclasses import replace
@@ -306,23 +309,39 @@ trace_adds = st.tuples(
 )
 
 
-def check_trace_log(adds, block, out):
-    """Replay adds into a TraceLog with block-sized chunks; every line, the
-    hash and the file must be what one f-string per line gives."""
-    want = [f"{time!r},{node},{event},{packet},{detail}" for time, node, event, packet, detail in adds]
+def plain_lines(adds) -> list[str]:
+    """The reference: one f-string per line."""
+    return [f"{time!r},{node},{event},{packet},{detail}" for time, node, event, packet, detail in adds]
+
+
+def check_trace_contents(log, want, out):
+    """Every line, len, the hash and the written file are what one f-string
+    per line gives."""
     body = "".join(line + "\n" for line in want).encode()
+    assert log.lines == want
+    assert list(log) == want
+    assert len(log) == len(want)
+    digest = log.sha256()
+    log.write(out)
+    assert out.read_bytes() == b"time,node,event,packet_uid,detail\n" + body
+    assert digest == hashlib.sha256(body).hexdigest()
+
+
+def check_trace_log(adds, block, out):
+    """Replay adds into a TraceLog with block-sized chunks, reading it back
+    halfway and twice at the end; reading never stops it taking more adds."""
+    want = plain_lines(adds)
+    half = len(adds) // 2
     with mock.patch.object(simulator, "TRACE_BLOCK", block):
         log = TraceLog()
-        for add in adds:
-            log.add(*add)
-        assert log.lines == want
-        assert len(log) == len(want)
-        digest = log.sha256()
-        log.write(out)
-    data = out.read_bytes()
-    header = b"time,node,event,packet_uid,detail\n"
-    assert data == header + body
-    assert digest == hashlib.sha256(data[len(header):]).hexdigest()
+    for add in adds[:half]:
+        log.add(*add)
+    check_trace_contents(log, want[:half], out)
+    for add in adds[half:]:
+        log.add(*add)
+    check_trace_contents(log, want, out)
+    check_trace_contents(log, want, out)
+    log.close()
 
 
 @settings(max_examples=300, deadline=None)
@@ -334,24 +353,105 @@ def test_trace_log_lines_match_plain_formatting(adds, block, tmp_path_factory):
     check_trace_log(adds, block, tmp_path_factory.mktemp("trace") / "trace.csv")
 
 
+# two blocks of lines at the real block size
+BLOCK_ADDS = [(i / 7, i % 16, "overhear", TRACE_PACKETS[i % len(TRACE_PACKETS)], "")
+              for i in range(2 * simulator.TRACE_BLOCK)]
+
+
 def test_trace_log_hashes_whole_blocks(tmp_path):
-    # the real block size, with the log empty and one and two blocks long
-    adds = [(i / 7, i % 16, "overhear", TRACE_PACKETS[i % len(TRACE_PACKETS)], "") for i in range(2 * simulator.TRACE_BLOCK)]
+    # the log empty, and one and two blocks long
     for n in (0, simulator.TRACE_BLOCK, 2 * simulator.TRACE_BLOCK):
-        check_trace_log(adds[:n], simulator.TRACE_BLOCK, tmp_path / f"trace{n}.csv")
+        check_trace_log(BLOCK_ADDS[:n], simulator.TRACE_BLOCK, tmp_path / f"trace{n}.csv")
 
 
-def test_trace_log_stores_encoded_blocks():
-    # a full block is joined and encoded as it fills; only the rest is str
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_trace_write_leaves_the_log_whole(tmp_path):
+    # a write that fails partway through the spilled blocks, as on a full
+    # disk, must not move where the next block goes
+    want = plain_lines(BLOCK_ADDS)
+    split = simulator.TRACE_BLOCK + 5
+    log = TraceLog()
+    for add in BLOCK_ADDS[:split]:
+        log.add(*add)
+    assert sum(len(line) + 1 for line in want[:simulator.TRACE_BLOCK]) > 2**16  # one copy chunk
+    with pytest.raises(OSError):
+        log.write("/dev/full")
+    for add in BLOCK_ADDS[split:]:
+        log.add(*add)
+    check_trace_contents(log, want, tmp_path / "trace.csv")
+    log.close()
+
+
+def lines_in_memory(log) -> int:
+    """How many lines the log's lists hold; they hold str alone, and no
+    attribute, or value of a dict attribute, is bytes."""
+    n = 0
+    for value in vars(log).values():
+        if isinstance(value, dict):
+            assert not {bytes, bytearray} & set(map(type, value.values()))
+        elif isinstance(value, list):
+            assert set(map(type, value)) <= {str}
+            n += len(value)
+        else:
+            assert not isinstance(value, (bytes, bytearray))
+    return n
+
+
+def test_trace_log_memory_is_bounded():
+    # a full block is encoded and spilled as it fills: in memory there are
+    # only the lines of the block being filled, and never any bytes
     for block in (1, 3, simulator.TRACE_BLOCK):
         with mock.patch.object(simulator, "TRACE_BLOCK", block):
             log = TraceLog()
         for n in range(3 * block + 2):
-            assert len(log._blocks) <= math.ceil(n / block)
-            assert all(type(b) is bytes for b in log._blocks)
-            assert len(log._pending) < block
+            assert lines_in_memory(log) < block
             assert len(log) == n
             log.add(n / 3, n % 5, "gen", TRACE_PACKETS[n % len(TRACE_PACKETS)])
+        log.close()
+
+
+def open_fds():
+    """How many file descriptors this process has open, where /proc says."""
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.mark.parametrize("close", (False, True))
+def test_trace_spill_file_is_closed(close):
+    # a traced run of three blocks spills to one temp file; closing the log,
+    # or dropping the simulation, closes it with no unclosed-file warning
+    unraisable = []
+    with warnings.catch_warnings(), mock.patch.object(sys, "unraisablehook", unraisable.append):
+        warnings.simplefilter("error", ResourceWarning)
+        before = open_fds()
+        sim = run(random_scenario(Scheme.EXCODE, seed=1, n_flows=8, rate=20.0, duration=3.5))
+        log = sim.trace_log
+        assert len(log) > 3 * simulator.TRACE_BLOCK
+        if before is not None:
+            assert open_fds() == before + 1
+        if close:
+            digest, n = log.sha256(), len(log)
+            log.close()
+            assert open_fds() == before
+            assert (log.sha256(), len(log)) == (digest, n)
+            with pytest.raises(ValueError):
+                log.lines
+        del sim, log
+        assert open_fds() == before
+    assert unraisable == []
+
+
+def test_untraced_run_opens_no_file_and_pickles():
+    # capture off fills no block, and a short traced run fills none either:
+    # neither opens a file, so both pickle
+    untraced = random_scenario(Scheme.EXCODE, seed=1, n_flows=8, rate=200.0, duration=0.5, capture_trace=False)
+    for scenario in (untraced, chain_scenario(Scheme.EXCODE)):
+        before = open_fds()
+        sim = run(scenario)
+        assert open_fds() == before
+        clone = pickle.loads(pickle.dumps(sim))
+        assert clone.delivered == sim.delivered
+        assert clone.trace_log.lines == sim.trace_log.lines
+        assert clone.trace_log.sha256() == sim.trace_log.sha256()
 
 
 def test_trace_log_keeps_no_packet_alive():
