@@ -1,25 +1,38 @@
 """Deterministic discrete-event simulation of the store-and-forward radio net.
 
-Events sit in a single heap keyed by (time, ordinal); the ordinal is a global
-schedule-order counter, so same-time events always replay identically. Each
-flow keeps one pending generation, at a fixed negative ordinal, so same-time
-generations run before every other event and in flow order. The channel is
-idealized: every transmission reaches the sender's whole neighborhood intact,
-with no interference, after one serialization delay.
-A node's radio is half-duplex: it transmits one packet at a time and works
-through its backlog whenever the radio goes idle.
+The heap holds generations and TX_ENDs, keyed by (time, ordinal); the
+ordinal is a global schedule-order counter, so same-time events always
+replay identically. Each flow keeps one pending generation, at a fixed
+negative ordinal, so same-time generations run before every other event and
+in flow order. The channel is idealized: every transmission reaches the
+sender's whole neighborhood intact, with no interference, after one
+serialization delay. A node's radio is half-duplex: it transmits one packet
+at a time and works through its backlog whenever the radio goes idle.
 
 A heap entry is (time, ordinal, handler, data), and run calls handler(sim,
 data, time). The handler is the plain function off the class, such as
-Simulation._on_wake, never a bound method: that would hold the simulation
+Simulation._on_tx_end, never a bound method: that would hold the simulation
 from its own heap, a reference cycle that keeps a finished run alive until
 the cyclic collector gets to it.
 
-An arrival wakes its node at once, unless the node's radio stays busy
-strictly past now: that wake would run before the node's own TX_END, find
-the radio busy and do nothing, and the wake that follows the TX_END picks the
-arrival up. The ordinal only grows, so skipping a push leaves the order of
-every other event as it was.
+Wakes never go on the heap. An arrival, and the end of a node's own
+transmission, mark the node due at now, in the order first asked; once no
+heap event is left at now, run wakes each due node once, in that order. An
+arrival at a node whose radio stays busy strictly past now marks nothing:
+the end of that transmission will. Every TX_END at now runs before the
+wakes, so no wake finds its radio busy; a wake whose node has both queues
+empty returns before the node's input handling.
+
+This replays the order that pushing each wake onto the heap gave. Airtime
+is always above 0, so a TX_END due at now was pushed when its transmission
+started, before now, and a generation at now has a negative ordinal: both
+preceded every wake asked for during now. Wakes make no arrivals, so a
+node's second wake in one instant always found its radio busy or both its
+queues empty, and did nothing. The one heap event pushed during its own
+instant is a TX_END whose airtime rounds away (now + airtime == now, at
+channel rates near 1e19 b/s and above). A wake pushed it, so it followed
+every wake already asked for, and the wakes it asks for followed it: it
+runs after the batch, and its own wakes make the next batch.
 
 State follows the packets in flight, not simulated time. A packet uid is
 retired once it has been delivered and no copy of a mix holding it is still
@@ -204,9 +217,10 @@ def _encoded(lines: list[str]) -> bytes:
 
 def payload_bytes(seed: int, uid: PacketUid, size: int) -> bytes:
     """Deterministic pseudo-random payload for packet uid under a run seed:
-    the SHAKE-128 digest of a string naming both, so no generator is seeded
-    per packet."""
-    return hashlib.shake_128(f"payload:{seed}:{uid.flow}:{uid.seq}".encode()).digest(size)
+    the 64-byte BLAKE2b digest of a string naming both, repeated and cut to
+    size, so no generator is seeded per packet."""
+    block = hashlib.blake2b(f"payload:{seed}:{uid.flow}:{uid.seq}".encode()).digest()
+    return (block * (size // 64 + 1))[:size]
 
 
 class Simulation:
@@ -230,8 +244,9 @@ class Simulation:
         self._count_holders = scenario.count_header_overhead and self._excode
         self._airtimes: dict[int, float] = {}  # on-air bytes -> tx_duration
         self._tx_details: dict[tuple[NodeId, ...], str] = {}  # addressed -> tx_start detail
-        self._heap: list = []
+        self._heap: list = []  # generations and TX_ENDs
         self._ordinal = 0
+        self._due: dict[NodeId, float] = {}  # node -> instant it was asked to wake, in order asked
 
         # every packet made, payload included: finalize sums the offered
         # bits, audit_conservation walks the uids, and the benchmark's checks
@@ -263,11 +278,18 @@ class Simulation:
             heapq.heappush(self._heap, (t, i - len(flows), Simulation._on_gen, (i, k)))
 
     def run(self) -> "Simulation":
+        """Pop heap events in (time, ordinal) order up to the end. Once no
+        heap event is left at the current instant, wake the nodes due, each
+        once, in the order they were first asked (see the module docstring)."""
         end = self.scenario.duration + self.scenario.drain_grace
-        heap, pop = self._heap, heapq.heappop
+        heap, pop, due, wake = self._heap, heapq.heappop, self._due, self._on_wake
         while heap and heap[0][0] <= end:
             time, _, handler, data = pop(heap)
             handler(self, data, time)
+            if due and (not heap or heap[0][0] > time):
+                for node_id, at in due.items():
+                    wake(node_id, at)
+                due.clear()
         return self
 
     def _on_gen(self, data, now: float) -> None:
@@ -295,22 +317,21 @@ class Simulation:
             self._mix_copies[packet.key] += len(addressed) - 1
         for receiver in addressed:
             self._arrive(nodes[receiver], packet, now)
-        heapq.heappush(self._heap, (now, self._ordinal, Simulation._on_wake, tx.sender))
-        self._ordinal += 1
+        self._due[tx.sender] = now
 
     def _arrive(self, node: Node, packet, now: float) -> None:
-        """Queue an addressed packet at node and wake it, unless its radio
-        stays busy past now (see the module docstring). A TX_END due at now
-        is already on the heap ahead of the wake, so that node still gets it."""
+        """Queue an addressed packet at node and mark it due to wake at now,
+        unless its radio stays busy past now (see the module docstring). A
+        TX_END at now runs before the instant's wakes, so that node still
+        gets its wake. A node already due keeps its place."""
         node.input_queue.append(packet)
         tx = node.transmitting
         if tx is None or tx.end <= now:
-            heapq.heappush(self._heap, (now, self._ordinal, Simulation._on_wake, node.id))
-            self._ordinal += 1
+            self._due[node.id] = now
 
     def _on_wake(self, node_id: NodeId, now: float) -> None:
         node = self.nodes[node_id]
-        if node.transmitting is not None:
+        if node.transmitting is not None or not (node.input_queue or node.output_queue):
             return
         node.process_input(now, self)
         tx = node.on_send(now, self)

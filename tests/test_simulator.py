@@ -247,7 +247,7 @@ def test_payload_bytes_deterministic_and_seed_sensitive():
     uid = PacketUid(2, 17)
     assert payload_bytes(5, uid, 64) == payload_bytes(5, uid, 64)
     assert payload_bytes(5, uid, 64) != payload_bytes(6, uid, 64)
-    for size in (1, 512, 65_535):
+    for size in (1, 63, 64, 65, 512, 65_535):
         assert len(payload_bytes(5, uid, size)) == size
     variants = [
         payload_bytes(5, uid, 512),
@@ -648,6 +648,57 @@ FIXTURE_TRACES = {
 }
 
 
+# Trace sha256 of runs at a channel rate so high (1e30 b/s) that an airtime
+# rounds away: once now is past about 1e-11 s, now + airtime == now, so a
+# TX_END falls in the instant its transmission started. These cells pin the
+# order of such a TX_END against the other work of its instant.
+ZERO_AIRTIME_RATE = 1e30
+ZERO_AIRTIME_TRACES = {
+    ("random-2", Scheme.EXCODE): "e429e5023b7364841716323964c35b0870134f426be71e2b4e174fbd53043ad2",
+    ("random-2", Scheme.COPE): "e429e5023b7364841716323964c35b0870134f426be71e2b4e174fbd53043ad2",
+    ("random-2", Scheme.NON_CODING): "dc3569598585b11c93d2aa7ea8a8c40d7595d9544ab3d18e7313e3cb613efd06",
+    ("random-3", Scheme.EXCODE): "82a7b149d752cdc8c0e48bd1d821e9164b79bb48ef49f6918f079d3a44ef97f8",
+    ("random-3", Scheme.COPE): "82a7b149d752cdc8c0e48bd1d821e9164b79bb48ef49f6918f079d3a44ef97f8",
+    ("random-3", Scheme.NON_CODING): "82a7b149d752cdc8c0e48bd1d821e9164b79bb48ef49f6918f079d3a44ef97f8",
+    ("chain", Scheme.EXCODE): "32fd50b9c2dd45183ea279d13a2a32cc28866e0c1ea06b7370dd53c94dfca89a",
+    ("chain", Scheme.COPE): "32fd50b9c2dd45183ea279d13a2a32cc28866e0c1ea06b7370dd53c94dfca89a",
+    ("chain", Scheme.NON_CODING): "397559e5983547bbbf4ba110536b9f830021bbf0d53b5c7f57766ef2ffdfdbdc",
+    ("cross", Scheme.EXCODE): "c005d51e7a69d32a9e1e215f10584a07875d785a17b645de494c26468c30d3ba",
+    ("cross", Scheme.COPE): "c005d51e7a69d32a9e1e215f10584a07875d785a17b645de494c26468c30d3ba",
+    ("cross", Scheme.NON_CODING): "312a2a49d279a49ae7247f5ecd166aaa4acfaad3e11734830314e198d8d2a762",
+    ("junction", Scheme.EXCODE): "b96ec916fa686de11c5c15715a5b71de0272d43ba27767bbd448444c655d88ec",
+    ("junction", Scheme.COPE): "b96ec916fa686de11c5c15715a5b71de0272d43ba27767bbd448444c655d88ec",
+    ("junction", Scheme.NON_CODING): "b96ec916fa686de11c5c15715a5b71de0272d43ba27767bbd448444c655d88ec",
+    ("long-chain", Scheme.EXCODE): "cede42e92cb5a56e87d59b0d3f44db9cc7bb608ad802c30784a1521c3ce709e8",
+    ("long-chain", Scheme.COPE): "40969bf35f399bbc87c087b485f20499945cc9ef5c30571e8b1084bcbb9860cb",
+    ("long-chain", Scheme.NON_CODING): "40969bf35f399bbc87c087b485f20499945cc9ef5c30571e8b1084bcbb9860cb",
+}
+
+
+def test_zero_airtime_traces_are_pinned():
+    got, encodes, own_instant = {}, 0, 0
+    for cell, scheme in ZERO_AIRTIME_TRACES:
+        if cell.startswith("random-"):
+            scn = random_scenario(scheme, int(cell[len("random-"):]), n_flows=8, rate=200.0, duration=0.3)
+            scn = replace(scn, channel_rate=ZERO_AIRTIME_RATE, drain_grace=0.1)
+        else:
+            scn = replace(FIXTURES[cell](scheme), channel_rate=ZERO_AIRTIME_RATE)
+        sim = run(scn)
+        got[cell, scheme] = sim.trace_log.sha256()
+        encodes += sim.encode_count
+        started = {}  # node -> time of its last tx_start
+        for line in sim.trace_log:
+            time, node, event = line.split(",", 3)[:3]
+            if event == "tx_start":
+                started[node] = time
+            elif event == "tx_end" and started.get(node) == time:
+                own_instant += 1
+    assert got == ZERO_AIRTIME_TRACES
+    # the cells keep covering what they pin: TX_ENDs in their own start
+    # instant, and coding among them
+    assert own_instant and encodes
+
+
 @pytest.mark.parametrize("scheme, seed", sorted(SATURATED_TRACES, key=str))
 def test_saturated_traces_are_pinned(scheme, seed):
     sim = run(random_scenario(scheme, seed=seed, n_flows=8, rate=200.0, duration=2.0))
@@ -660,21 +711,20 @@ def test_fixture_traces_are_pinned(name, scheme):
 
 
 def test_no_wake_is_scheduled_onto_a_busy_radio(monkeypatch):
-    # A wake can still find the radio busy when an earlier wake of the same
-    # instant started the transmission; it must never find one that was
-    # already on air when the wake was scheduled.
-    started = {}  # id(transmission) -> (transmission, time a wake started it)
+    # Each node wakes at most once per instant, and never onto a radio that
+    # is still on air.
+    woken = set()  # (node, instant)
+    started = []  # the transmissions the wakes put on air
     wake = Simulation._on_wake
 
     def watched(self, node_id, now):
         node = self.nodes[node_id]
-        tx = node.transmitting
-        if tx is not None:
-            assert tx.end > now
-            assert started[id(tx)][1] == now, f"node {node_id} woken at {now!r}, on air since earlier"
+        assert node.transmitting is None, f"node {node_id} woken at {now!r} with its radio busy"
+        assert (node_id, now) not in woken, f"node {node_id} woken twice at {now!r}"
+        woken.add((node_id, now))
         wake(self, node_id, now)
-        if tx is None and node.transmitting is not None:
-            started[id(node.transmitting)] = (node.transmitting, now)
+        if node.transmitting is not None:
+            started.append(node.transmitting)
 
     monkeypatch.setattr(Simulation, "_on_wake", watched)
     sim = run(random_scenario(Scheme.EXCODE, seed=1, n_flows=8, rate=200.0, duration=1.0,
