@@ -8,7 +8,8 @@ destination is a direct neighbor of the relay whose reception report (its
 buffer itself, so always in sync) lists the other packet. Every report-based
 opportunity is also a holder-set opportunity, because a neighbor that holds
 a packet was necessarily adjacent to one of its previous senders and is
-therefore in its holder set.
+therefore in its holder set. Neither scheme mixes payloads of different
+lengths: COPE pads the shorter one, and this model does not.
 """
 
 from __future__ import annotations
@@ -32,10 +33,11 @@ class Scheme(enum.Enum):
 
 
 def excode_can_code(p: NativePacket, q: NativePacket) -> bool:
-    """Holder-set rule: each destination must appear in the other's holders."""
+    """Holder-set rule: each destination must appear in the other's holders.
+    Same-flow pairs and payloads of different lengths never code."""
     if p.uid.flow == q.uid.flow:
         return False
-    return p.dst in q.holders and q.dst in p.holders
+    return p.dst in q.holders and q.dst in p.holders and len(p.payload) == len(q.payload)
 
 
 def cope_can_code(
@@ -45,12 +47,14 @@ def cope_can_code(
     neighbors: Container[NodeId],
 ) -> bool:
     """Two-hop report rule: both destinations are direct neighbors that
-    reported holding the counterpart packet."""
+    reported holding the counterpart packet. Same-flow pairs and payloads of
+    different lengths never code."""
     if p.uid.flow == q.uid.flow:
         return False
     if p.dst not in neighbors or q.dst not in neighbors:
         return False
-    return q.uid in reports.get(p.dst, ()) and p.uid in reports.get(q.dst, ())
+    return (q.uid in reports.get(p.dst, ()) and p.uid in reports.get(q.dst, ())
+            and len(p.payload) == len(q.payload))
 
 
 def find_partner(

@@ -57,14 +57,17 @@ def csv_header() -> str:
 
 
 def finalize(sim: Simulation) -> MetricsReport:
-    """Reduce a finished run to its report."""
+    """Reduce a finished run to its report. Reads the stored records, so no
+    payload is rebuilt: a lean record (payload b"") carried its flow's
+    packet_size bytes. Delays are summed in delivery order."""
     scn = sim.scenario
     duration = scn.duration
-    offered_bits = sum(len(p.payload) * 8 for p in sim.generated.values())
+    offered_bits = 8 * sum(n * f.packet_size for f, n in zip(scn.flows, sim.generated.counts))
+    sizes = {f.flow: f.packet_size for f in scn.flows}
     delivered_bits = 0
     delay_sum = 0.0
-    for uid, (at, pkt) in sim.delivered.items():
-        delivered_bits += len(pkt.payload) * 8
+    for at, pkt in sim.delivered.records.values():
+        delivered_bits += 8 * (len(pkt.payload) or sizes[pkt.uid.flow])
         delay_sum += at - pkt.created_at
     n_delivered = len(sim.delivered)
     n_generated = len(sim.generated)

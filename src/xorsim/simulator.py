@@ -34,7 +34,11 @@ channel rates near 1e19 b/s and above). A wake pushed it, so it followed
 every wake already asked for, and the wakes it asks for followed it: it
 runs after the batch, and its own wakes make the next batch.
 
-State follows the packets in flight, not simulated time. A packet uid is
+State follows the packets in flight, not simulated time. A packet keeps its
+payload only while in flight: delivery checks the payload against the one
+sent and keeps a lean record, payload b"", unless they differ. generated and
+delivered are read-only views over those records that rebuild a payload on
+read (see GeneratedView). A packet uid is
 retired once it has been delivered and no copy of a mix holding it is still
 queued or on air: it leaves every node's buffer (so every cope report), both
 seen-sets and the trace's label cache. A count of live copies per mix key
@@ -56,6 +60,7 @@ import math
 import os
 import shutil
 import tempfile
+from collections.abc import Mapping
 from dataclasses import dataclass
 from typing import Optional
 
@@ -223,6 +228,91 @@ def payload_bytes(seed: int, uid: PacketUid, size: int) -> bytes:
     return (block * (size // 64 + 1))[:size]
 
 
+def source_native(flow: FlowSpec, seq: int, route: tuple[NodeId, ...], seed: int) -> NativePacket:
+    """Packet seq of flow as its source makes it: hop 0, no holders yet, the
+    seed's payload, created at flow.start + seq / flow.rate (the float its
+    generation was scheduled at)."""
+    uid = PacketUid(flow.flow, seq)
+    return build_packet(NativePacket, (uid, flow.dst, route, 0, NO_HOLDERS,
+                                       payload_bytes(seed, uid, flow.packet_size), flow.start + seq / flow.rate))
+
+
+class GeneratedView(Mapping):
+    """Simulation.generated: uid -> every packet made so far as its source
+    made it, read-only, iterated flow by flow and each flow in seq order.
+
+    Only a packet in flight is held whole (in_flight); a delivered one is
+    rebuilt from (flow, seq) on read, payload included, since payload_bytes
+    is pure. len, in and iteration rebuild nothing. counts[i] is how many
+    packets flow i (by position in the scenario) has made."""
+
+    def __init__(self, in_flight: dict, delivered: dict, counts: list[int],
+                 flows: tuple[FlowSpec, ...], routes: dict, seed: int) -> None:
+        self._in_flight = in_flight
+        self._delivered = delivered
+        self.counts = counts
+        self._flows = flows
+        self._position = {f.flow: i for i, f in enumerate(flows)}
+        self._routes = routes
+        self._seed = seed
+
+    def __len__(self) -> int:
+        return sum(self.counts)
+
+    def __iter__(self):
+        for flow, count in zip(self._flows, self.counts):
+            for seq in range(count):
+                yield PacketUid(flow.flow, seq)
+
+    def __contains__(self, uid) -> bool:
+        if uid in self._in_flight:
+            return True
+        if uid not in self._delivered:
+            return False
+        flow, seq = uid
+        i = self._position.get(flow)
+        return i is not None and seq < self.counts[i]
+
+    def __getitem__(self, uid) -> NativePacket:
+        packet = self._in_flight.get(uid)
+        if packet is not None:
+            return packet
+        if uid not in self:
+            raise KeyError(uid)
+        flow, seq = uid
+        return source_native(self._flows[self._position[flow]], seq, self._routes[flow], self._seed)
+
+
+class DeliveredView(Mapping):
+    """Simulation.delivered: uid -> (time, packet as delivered), read-only, in
+    delivery order.
+
+    records holds what delivery stored. A payload that matched the one sent
+    is stored as b"" (no real payload is empty: packet_size >= 1) and is
+    rebuilt on read; a payload that differed is stored whole, so every later
+    check sees the bad bytes. len, in and iteration rebuild nothing."""
+
+    def __init__(self, records: dict, flows: tuple[FlowSpec, ...], seed: int) -> None:
+        self.records = records
+        self._sizes = {f.flow: f.packet_size for f in flows}
+        self._seed = seed
+
+    def __len__(self) -> int:
+        return len(self.records)
+
+    def __iter__(self):
+        return iter(self.records)
+
+    def __contains__(self, uid) -> bool:
+        return uid in self.records
+
+    def __getitem__(self, uid) -> tuple[float, NativePacket]:
+        at, packet = self.records[uid]
+        if packet.payload:
+            return at, packet
+        return at, packet._replace(payload=payload_bytes(self._seed, packet.uid, self._sizes[packet.uid.flow]))
+
+
 class Simulation:
     """One run. Build it, call run(), then read counters or finalize metrics."""
 
@@ -248,11 +338,15 @@ class Simulation:
         self._ordinal = 0
         self._due: dict[NodeId, float] = {}  # node -> instant it was asked to wake, in order asked
 
-        # every packet made, payload included: finalize sums the offered
-        # bits, audit_conservation walks the uids, and the benchmark's checks
-        # and the tests compare each delivered payload to generated[uid].payload
-        self.generated: dict[PacketUid, NativePacket] = {}
-        self.delivered: dict[PacketUid, tuple[float, NativePacket]] = {}  # in delivery order
+        # a packet's payload is kept only while it is in flight: the hop-0
+        # native until delivery, which checks the payload against it. The
+        # views hold these records, never the simulation, so no cycle forms
+        self._in_flight: dict[PacketUid, NativePacket] = {}
+        self._delivered: dict[PacketUid, tuple[float, NativePacket]] = {}  # in delivery order
+        self._gen_counts = [0] * len(scenario.flows)  # packets made, by flow position
+        self.generated = GeneratedView(self._in_flight, self._delivered, self._gen_counts,
+                                       scenario.flows, self.routes, scenario.seed)
+        self.delivered = DeliveredView(self._delivered, scenario.flows, scenario.seed)
         self.double_deliveries = 0
         self.tx_native = 0
         self.tx_encoded = 0
@@ -296,17 +390,18 @@ class Simulation:
         i, seq = data
         self._schedule_gen(i, seq + 1)
         flow = self.scenario.flows[i]
-        uid = PacketUid(flow.flow, seq)
-        packet = build_packet(NativePacket, (uid, flow.dst, self.routes[flow.flow], 0, NO_HOLDERS,
-                                             payload_bytes(self.scenario.seed, uid, flow.packet_size), now))
-        self.generated[uid] = packet
-        self.trace(now, flow.src, "gen", packet)
+        packet = source_native(flow, seq, self.routes[flow.flow], self.scenario.seed)
+        self._in_flight[packet.uid] = packet
+        self._gen_counts[i] = seq + 1
+        if self._capture_trace:
+            self.trace(now, flow.src, "gen", packet)
         self._arrive(self.nodes[flow.src], packet, now)
 
     def _on_tx_end(self, tx: Transmission, now: float) -> None:
         sender = self.nodes[tx.sender]
         sender.transmitting = None
-        self.trace(now, tx.sender, "tx_end", tx.packet)
+        if self._capture_trace:
+            self.trace(now, tx.sender, "tx_end", tx.packet)
         # overhearing is pure listening: it lands in the buffer the moment
         # the transmission ends, never competing with the radio's work
         nodes, packet, addressed = self.nodes, tx.packet, tx.addressed
@@ -375,12 +470,22 @@ class Simulation:
             self.trace_log.add(now, node, event, packet, detail)
 
     def deliver(self, node: NodeId, packet: NativePacket, now: float) -> None:
-        if packet.uid in self.delivered:
+        """Record a first delivery and drop the packet's in-flight record.
+        The payload is compared with the one sent: unless the packet was
+        decoded it is the same object, and == returns at once. A match is
+        stored lean, with payload b""; a mismatch is stored whole."""
+        uid = packet.uid
+        delivered = self._delivered
+        if uid in delivered:
             self.double_deliveries += 1
             return
-        self.delivered[packet.uid] = (now, packet)
-        if packet.uid not in self._mixed_in:
-            self._retire(packet.uid, self.holders_at[packet.uid.flow][-1])
+        sent = self._in_flight.pop(uid, None)
+        if sent is not None and packet.payload == sent.payload:
+            packet = build_packet(NativePacket, (uid, packet.dst, packet.route, packet.hop_index,
+                                                 packet.holders, b"", packet.created_at))
+        delivered[uid] = (now, packet)
+        if uid not in self._mixed_in:
+            self._retire(uid, self.holders_at[uid.flow][-1])
 
     def native_buffered(self, node: NodeId, packet: NativePacket) -> None:
         """A node buffered a native; the neighbors' reports already show it."""
@@ -407,7 +512,7 @@ class Simulation:
         self.trace_log.forget(key)
         for uid in key:
             del self._mixed_in[uid]
-            if uid in self.delivered:
+            if uid in self._delivered:
                 self._retire(uid, scope)
 
     def _retire(self, uid: PacketUid, scope) -> None:

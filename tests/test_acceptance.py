@@ -24,6 +24,9 @@ from xorsim.simulator import audit_conservation, fifo_violations, run
 
 AUDITED = {"runs": 0}
 
+# trace sha256 of the criterion-8 cell: the gated determinism result
+CRITERION_8_TRACE = "dbbfbc2ad09c4d683b2fdbf57469d226009830ceacad2ec5188ed6df0c88b525"
+
 
 def audited(sim):
     problems = audit_conservation(sim) + fifo_violations(sim)
@@ -201,7 +204,7 @@ def test_criterion_8_determinism(tmp_path):
     scn = random_scenario(Scheme.EXCODE, seed=11, n_flows=6, rate=100.0, duration=2.0)
     first = audited(run(scn))
     second = audited(run(replace(scn)))
-    assert first.trace_log.sha256() == second.trace_log.sha256()
+    assert first.trace_log.sha256() == second.trace_log.sha256() == CRITERION_8_TRACE
     assert finalize(first) == finalize(second)
 
     plan = ExperimentPlan(duration=2.0, rates=[40.0], flow_counts=[4], seeds=[0, 1])

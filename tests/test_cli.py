@@ -385,3 +385,26 @@ def test_main_reports_scenario_errors(tmp_path, capsys):
     )
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
     assert "no route" in capsys.readouterr().err
+
+
+def test_flows_of_different_packet_sizes_meet_without_coding(tmp_path, capsys):
+    # the two flows cross at relay 1 at a rate that keeps its queue full:
+    # their payloads differ in length, so no scheme may XOR them
+    config = write_config(
+        tmp_path,
+        """
+        topology: {positions: [[0, 0], [100, 0], [200, 0]], range: 150}
+        flows:
+          list:
+            - {src: 0, dst: 2, rate: 400.0, packet_size: 512}
+            - {src: 2, dst: 0, rate: 400.0, packet_size: 256}
+        duration: 2.0
+        """,
+    )
+    out = tmp_path / "results"
+    assert main(["run", "--config", str(config), "--out", str(out)]) == 0
+    assert "wrote 3 runs" in capsys.readouterr().out
+    header, *rows = (out / "results.csv").read_text().splitlines()
+    assert sorted(row.split(",")[0] for row in rows) == ["cope", "excode", "none"]
+    encodes = header.split(",").index("encodes")
+    assert {row.split(",")[encodes] for row in rows} == {"0"}

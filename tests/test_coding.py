@@ -41,6 +41,23 @@ def test_holder_rule_rejects_same_flow():
     assert not excode_can_code(P_AT_RELAY, twin)
 
 
+def test_rules_reject_payloads_of_different_lengths():
+    # XOR needs equal lengths; COPE pads the shorter payload, xorsim does
+    # not code such a pair, under either rule
+    short = Q_AT_RELAY._replace(payload=b"\x00" * 2)
+    assert not excode_can_code(P_AT_RELAY, short)
+    assert not excode_can_code(short, P_AT_RELAY)
+    assert find_partner(P_AT_RELAY, [short, Q_AT_RELAY], Scheme.EXCODE, **scan_args()) == 1
+
+    p = native(0, 0, (0, 1, 2), hop_index=1)
+    q = native(1, 0, (2, 1, 0), hop_index=1)
+    neighbors, reports = frozenset({0, 2}), {0: {p.uid}, 2: {q.uid}}
+    longer = q._replace(payload=b"\x00" * 8)
+    assert cope_can_code(p, q, reports, neighbors)
+    assert not cope_can_code(p, longer, reports, neighbors)
+    assert not cope_can_code(longer, p, reports, neighbors)
+
+
 def test_report_rule_two_hop_exchange():
     # relay 1 between endpoints 0 and 2, each holding the packet it sourced
     p = native(0, 0, (0, 1, 2), hop_index=1)

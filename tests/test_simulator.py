@@ -5,6 +5,7 @@ import os
 import pickle
 import random
 import sys
+import tracemalloc
 import warnings
 import weakref
 from collections import Counter
@@ -14,10 +15,10 @@ from unittest import mock
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from xorsim import simulator
+from xorsim import node as node_module, simulator
 from xorsim.coding import Scheme
 from xorsim.node import Node
-from xorsim.packet import EncodedPacket, NativePacket, PacketUid, holder_overhead_bytes, xor_encode
+from xorsim.packet import EncodedPacket, NativePacket, PacketUid, holder_overhead_bytes, xor_decode, xor_encode
 from xorsim.scenarios import (
     DEFAULT_NODES,
     DEFAULT_RANGE,
@@ -193,6 +194,8 @@ def test_audits_name_planted_faults():
     first, second, *rest = delivered
     assert len(delivered) == len(sim.generated) == 5
 
+    # the views are read-only, so each fault is planted in a dict copy
+    sim.delivered = dict(delivered)
     del sim.delivered[first]
     assert audit_conservation(sim) == [f"{first}: found in nowhere"]
 
@@ -204,6 +207,111 @@ def test_audits_name_planted_faults():
     sim.delivered = {uid: delivered[uid] for uid in (second, first, *rest)}
     assert audit_conservation(sim) == []
     assert fifo_violations(sim) == [f"flow 0: seq {first.seq} delivered after {second.seq}"]
+
+
+def probed_run(scenario, monkeypatch):
+    """Run scenario while a probe on _on_gen and deliver builds what a plain
+    dict of each would hold: every packet as generated, and every first
+    delivery as delivered, payloads whole."""
+    generated, delivered = {}, {}
+    flows = scenario.flows
+    on_gen, deliver = Simulation._on_gen, Simulation.deliver
+
+    def probe_gen(self, data, now):
+        i, seq = data
+        flow = flows[i]
+        uid = PacketUid(flow.flow, seq)
+        generated[uid] = NativePacket(uid, flow.dst, self.routes[flow.flow], 0, frozenset(),
+                                      payload_bytes(scenario.seed, uid, flow.packet_size), now)
+        on_gen(self, data, now)
+
+    def probe_deliver(self, node, packet, now):
+        delivered.setdefault(packet.uid, (now, packet))
+        deliver(self, node, packet, now)
+
+    with monkeypatch.context() as patched:
+        patched.setattr(Simulation, "_on_gen", probe_gen)
+        patched.setattr(Simulation, "deliver", probe_deliver)
+        sim = run(scenario)
+    return sim, generated, delivered
+
+
+def view_cells():
+    for name in sorted(FIXTURES):
+        for scheme in ALL_SCHEMES:
+            yield FIXTURES[name](scheme)
+    for seed in (1, 4):
+        for scheme in ALL_SCHEMES:
+            # cut off mid-run, so packets are left in flight
+            yield random_scenario(scheme, seed=seed, n_flows=6, rate=150.0, duration=0.6, capture_trace=False)
+
+
+def test_generated_and_delivered_views_match_plain_dicts(monkeypatch):
+    in_flight_left = 0
+    for scenario in view_cells():
+        sim, generated, delivered = probed_run(scenario, monkeypatch)
+        position = {f.flow: i for i, f in enumerate(scenario.flows)}
+        sizes = {f.flow: f.packet_size for f in scenario.flows}
+        # generated: flow by flow, each in seq order; delivered: delivery order
+        assert list(sim.generated) == sorted(generated, key=lambda u: (position[u.flow], u.seq))
+        assert list(sim.delivered) == list(delivered)
+        assert len(sim.generated) == len(generated) and len(sim.delivered) == len(delivered)
+        assert sim.generated == generated and sim.delivered == delivered  # items() compared
+        for uid in generated:
+            assert uid in sim.generated and (uid in sim.delivered) == (uid in delivered)
+        # the reference holds the payloads really delivered
+        for uid, (_, packet) in sim.delivered.items():
+            assert packet.payload == payload_bytes(scenario.seed, uid, sizes[uid.flow])
+        # a delivery whose payload checked out keeps no payload
+        assert all(p.payload == b"" for _, p in sim.delivered.records.values())
+        for flow, count in zip(scenario.flows, sim.generated.counts):
+            missing = PacketUid(flow.flow, count)
+            assert missing not in sim.generated and missing not in sim.delivered
+            with pytest.raises(KeyError):
+                sim.generated[missing]
+        assert PacketUid(-1, 0) not in sim.generated
+        in_flight_left += len(generated) - len(delivered)
+    assert in_flight_left
+
+
+def test_delivered_packets_hold_little_memory():
+    # the benchmark's traced-light cell, capture off: nothing codes, and at
+    # the end every packet but those in flight has been delivered. A
+    # delivered packet is a lean record, about 340 B; with its payload and
+    # its generated record it was about 1,016 B
+    scenario = random_scenario(Scheme.EXCODE, seed=1, n_flows=8, rate=20.0, duration=60.0,
+                               capture_trace=False)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        sim = run(scenario)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert len(sim.delivered) > 9000
+    assert held < 512 * len(sim.delivered), held / len(sim.delivered)
+
+
+def test_corrupt_decodes_are_flagged_at_every_delivery(monkeypatch):
+    # every decode yields flipped bytes: each delivery whose payload differs
+    # from the generated one must still read as differing through the views
+    # (bench/worker.check_sim's check), and be stored whole
+    def corrupt_decode(encoded, known):
+        native = xor_decode(encoded, known)
+        return native._replace(payload=bytes([native.payload[0] ^ 0xFF]) + native.payload[1:])
+
+    monkeypatch.setattr(node_module, "xor_decode", corrupt_decode)
+    for seed in (1, 2):
+        scenario = random_scenario(Scheme.EXCODE, seed=seed, n_flows=8, rate=200.0, duration=1.0,
+                                   capture_trace=False)
+        sim, generated, delivered = probed_run(scenario, monkeypatch)
+        bad = {uid for uid, (_, p) in delivered.items() if p.payload != generated[uid].payload}
+        flagged = {uid for uid, (_, p) in sim.delivered.items() if p.payload != sim.generated[uid].payload}
+        assert bad and flagged == bad
+        for uid in bad:
+            assert sim.delivered.records[uid][1].payload == delivered[uid][1].payload
 
 
 def test_validation_messages():
@@ -449,7 +557,7 @@ def test_untraced_run_opens_no_file_and_pickles():
         sim = run(scenario)
         assert open_fds() == before
         clone = pickle.loads(pickle.dumps(sim))
-        assert clone.delivered == sim.delivered
+        assert clone.delivered == sim.delivered and clone.generated == sim.generated
         assert clone.trace_log.lines == sim.trace_log.lines
         assert clone.trace_log.sha256() == sim.trace_log.sha256()
 
