@@ -233,8 +233,8 @@ def _is_float_text(text: str) -> bool:
 # -- scenario assembly -------------------------------------------------------
 
 
-def build_scenario(plan: ExperimentPlan, scheme: Scheme, seed: int, n_flows: int, rate: float,
-                   capture_trace: bool = True) -> Scenario:
+def build_scenario(plan: ExperimentPlan, scheme: Scheme, seed: int, n_flows: int, rate: float) -> Scenario:
+    """One sweep cell's scenario, built without trace capture."""
     if plan.positions is not None:
         positions = plan.positions
     else:
@@ -254,7 +254,7 @@ def build_scenario(plan: ExperimentPlan, scheme: Scheme, seed: int, n_flows: int
         seed=seed,
         count_header_overhead=plan.count_header_overhead,
         drain_grace=plan.drain_grace,
-        capture_trace=capture_trace,
+        capture_trace=False,
     )
 
 
@@ -272,14 +272,19 @@ def _flow_from_mapping(index: int, m, plan: ExperimentPlan) -> FlowSpec:
     def num(key: str, kind, default=None, **bounds):
         return _num(f"{prefix}.{key}", m.get(key, default), kind, **bounds)
 
+    src = num("src", int, minimum=0, maximum=plan.nodes - 1)
+    dst = num("dst", int, minimum=0, maximum=plan.nodes - 1)
+    if src == dst:
+        raise ValidationError(f"{prefix}.dst must differ from {prefix}.src")
+    start = num("start", float, 0.0, minimum=0.0)
     return FlowSpec(
         flow=num("flow", int, index),
-        src=num("src", int),
-        dst=num("dst", int),
-        rate=num("rate", float, plan.rates[0]),
+        src=src,
+        dst=dst,
+        rate=num("rate", float, plan.rates[0], minimum=1e-9),
         packet_size=num("packet_size", int, plan.packet_size, minimum=1, maximum=MAX_PACKET_SIZE),
-        start=num("start", float, 0.0),
-        stop=None if m.get("stop") is None else num("stop", float),
+        start=start,
+        stop=None if m.get("stop") is None else num("stop", float, minimum=start),
     )
 
 
@@ -294,7 +299,7 @@ def run_plan(plan: ExperimentPlan, out_dir) -> list[MetricsReport]:
     for n_flows, rate, scheme, seed in itertools.product(
         plan.flow_counts, plan.rates, plan.schemes, plan.seeds
     ):
-        scenario = build_scenario(plan, scheme, seed, n_flows, rate, capture_trace=False)
+        scenario = build_scenario(plan, scheme, seed, n_flows, rate)
         reports.append(finalize(Simulation(scenario).run()))
 
     csv_path = out / "results.csv"
@@ -427,8 +432,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                        help="run only this scheme, overriding the config")
     run_p.add_argument("--seed", type=int, help="run only this seed, overriding the config")
     run_p.add_argument("--out", default="results", help="output directory")
-    run_p.add_argument("--count-header-overhead", action="store_true",
-                       help="charge holder bytes to airtime")
 
     fig_p = sub.add_parser("figures", help="run a saturating sweep and emit its charts")
     fig_p.add_argument("--out", default="figures", help="output directory")
@@ -441,8 +444,6 @@ def main(argv: Optional[list[str]] = None) -> int:
                 plan.schemes = [parse_scheme(args.scheme)]
             if args.seed is not None:
                 plan.seeds = [args.seed]
-            if args.count_header_overhead:
-                plan.count_header_overhead = True
             reports = run_plan(plan, args.out)
             print(f"wrote {len(reports)} runs to {Path(args.out) / 'results.csv'}")
             return 0

@@ -95,12 +95,12 @@ class Node:
         self._handle_addressed_encoded(packet, now, sim)
 
     def _relay_native(self, packet: NativePacket, now: float, sim: Simulation) -> None:
+        self._buffer_native(packet, sim)  # the scan never reads this node's own buffer
         idx = find_partner(packet, self.input_queue, self.scheme, self.id, self.neighbors, self.reports)
         if idx is not None:
             partner = self.input_queue[idx]
             del self.input_queue[idx]
             self.seen_addressed.add(partner.uid)
-            self._buffer_native(packet, sim)
             self._buffer_native(partner, sim)
             encoded = xor_encode(packet, partner)
             self.seen_addressed.add(encoded.key)
@@ -109,7 +109,6 @@ class Node:
             sim.encoded_pair(self.id, packet, partner, now)
             sim.trace(now, self.id, "encode", encoded, f"{packet.uid}+{partner.uid}")
             return
-        self._buffer_native(packet, sim)
         self.output_queue.append(packet)
         sim.trace(now, self.id, "enqueue", packet)
 
@@ -128,18 +127,17 @@ class Node:
             else:
                 sim.decode_failed(self.id, packet, counterpart.uid, now)
                 sim.trace(now, self.id, "decode_fail", packet, f"missing {counterpart.uid}")
-        if any(self._carries(h) for h in packet.active_headers()):
-            self.forward_encoded(packet, now, sim)
+        self.forward_encoded(packet, now, sim)
         sim.mix_copies(packet.key, -1)  # after any forward, so a carried mix never reads dead
-
-    def _carries(self, header: NativePacket) -> bool:
-        """This node is the custodian of the branch and must send it on."""
-        return header.custodian == self.id and header.dst != self.id
 
     def forward_encoded(self, packet: EncodedPacket, now: float, sim: Simulation) -> None:
         """Queue an encoded packet onward, keeping active only the branches
-        this node carries further. Never re-encodes and never splits the payload."""
-        carried = frozenset(h.uid for h in packet.active_headers() if self._carries(h))
+        this node is custodian of and that end elsewhere; queue nothing when
+        there are none. Never re-encodes and never splits the payload."""
+        carried = frozenset(h.uid for h in packet.active_headers()
+                            if h.custodian == self.id and h.dst != self.id)
+        if not carried:
+            return
         if carried != packet.active:
             packet = EncodedPacket(packet.constituents, packet.payload, carried)
         self.output_queue.append(packet)

@@ -16,23 +16,21 @@ from its own heap, a reference cycle that keeps a finished run alive until
 the cyclic collector gets to it.
 
 Wakes never go on the heap. An arrival, and the end of a node's own
-transmission, mark the node due at now, in the order first asked; once no
-heap event is left at now, run wakes each due node once, in that order. An
-arrival at a node whose radio stays busy strictly past now marks nothing:
-the end of that transmission will. Every TX_END at now runs before the
-wakes, so no wake finds its radio busy; a wake whose node has both queues
-empty returns before the node's input handling.
+transmission, mark the node due, in the order first asked; once no heap
+event is left at now, run wakes each due node once, in that order, at now.
+_arrive alone decides whether an arrival marks its node due: one at a node
+whose radio stays busy strictly past now marks nothing, since the end of
+that transmission will. A wake whose node has both queues empty returns before
+the node's input handling.
 
-This replays the order that pushing each wake onto the heap gave. Airtime
-is always above 0, so a TX_END due at now was pushed when its transmission
-started, before now, and a generation at now has a negative ordinal: both
-preceded every wake asked for during now. Wakes make no arrivals, so a
-node's second wake in one instant always found its radio busy or both its
-queues empty, and did nothing. The one heap event pushed during its own
-instant is a TX_END whose airtime rounds away (now + airtime == now, at
-channel rates near 1e19 b/s and above). A wake pushed it, so it followed
-every wake already asked for, and the wakes it asks for followed it: it
-runs after the batch, and its own wakes make the next batch.
+Three facts make one wake per node and instant, in that order, do all the
+work of the instant. Every TX_END at now runs before the wakes, since they
+wait until the heap is past now, so no wake finds its radio busy. Wakes make
+no arrivals, so once a node is woken nothing at now gives it more to do. And
+a transmission started by a wake ends after now, except where its airtime
+rounds away (now + airtime == now, at channel rates near 1e19 b/s and
+above): that TX_END goes on the heap at now, behind the batch that started
+it, and the wakes it asks for make the next batch.
 
 State follows the packets in flight, not simulated time. A packet keeps its
 payload only while in flight: delivery checks the payload against the one
@@ -265,19 +263,13 @@ class GeneratedView(Mapping):
                 yield PacketUid(flow.flow, seq)
 
     def __contains__(self, uid) -> bool:
-        if uid in self._in_flight:
-            return True
-        if uid not in self._delivered:
-            return False
-        flow, seq = uid
-        i = self._position.get(flow)
-        return i is not None and seq < self.counts[i]
+        return uid in self._in_flight or uid in self._delivered
 
     def __getitem__(self, uid) -> NativePacket:
         packet = self._in_flight.get(uid)
         if packet is not None:
             return packet
-        if uid not in self:
+        if uid not in self._delivered:
             raise KeyError(uid)
         flow, seq = uid
         return source_native(self._flows[self._position[flow]], seq, self._routes[flow], self._seed)
@@ -332,11 +324,11 @@ class Simulation:
         self._capture_trace = scenario.capture_trace  # read on every event
         self._excode = scenario.scheme is Scheme.EXCODE
         self._count_holders = scenario.count_header_overhead and self._excode
-        self._airtimes: dict[int, float] = {}  # on-air bytes -> tx_duration
+        self._airtimes: dict[int, float] = {}  # on-air bytes -> serialization time
         self._tx_details: dict[tuple[NodeId, ...], str] = {}  # addressed -> tx_start detail
         self._heap: list = []  # generations and TX_ENDs
         self._ordinal = 0
-        self._due: dict[NodeId, float] = {}  # node -> instant it was asked to wake, in order asked
+        self._due: dict[NodeId, None] = {}  # nodes to wake at the current instant, in order asked
 
         # a packet's payload is kept only while it is in flight: the hop-0
         # native until delivery, which checks the payload against it. The
@@ -381,8 +373,8 @@ class Simulation:
             time, _, handler, data = pop(heap)
             handler(self, data, time)
             if due and (not heap or heap[0][0] > time):
-                for node_id, at in due.items():
-                    wake(node_id, at)
+                for node_id in due:
+                    wake(node_id, time)
                 due.clear()
         return self
 
@@ -394,14 +386,14 @@ class Simulation:
         self._in_flight[packet.uid] = packet
         self._gen_counts[i] = seq + 1
         if self._capture_trace:
-            self.trace(now, flow.src, "gen", packet)
+            self.trace_log.add(now, flow.src, "gen", packet)
         self._arrive(self.nodes[flow.src], packet, now)
 
     def _on_tx_end(self, tx: Transmission, now: float) -> None:
         sender = self.nodes[tx.sender]
         sender.transmitting = None
         if self._capture_trace:
-            self.trace(now, tx.sender, "tx_end", tx.packet)
+            self.trace_log.add(now, tx.sender, "tx_end", tx.packet)
         # overhearing is pure listening: it lands in the buffer the moment
         # the transmission ends, never competing with the radio's work
         nodes, packet, addressed = self.nodes, tx.packet, tx.addressed
@@ -412,7 +404,7 @@ class Simulation:
             self._mix_copies[packet.key] += len(addressed) - 1
         for receiver in addressed:
             self._arrive(nodes[receiver], packet, now)
-        self._due[tx.sender] = now
+        self._due[tx.sender] = None
 
     def _arrive(self, node: Node, packet, now: float) -> None:
         """Queue an addressed packet at node and mark it due to wake at now,
@@ -422,11 +414,11 @@ class Simulation:
         node.input_queue.append(packet)
         tx = node.transmitting
         if tx is None or tx.end <= now:
-            self._due[node.id] = now
+            self._due[node.id] = None
 
     def _on_wake(self, node_id: NodeId, now: float) -> None:
         node = self.nodes[node_id]
-        if node.transmitting is not None or not (node.input_queue or node.output_queue):
+        if not (node.input_queue or node.output_queue):
             return
         node.process_input(now, self)
         tx = node.on_send(now, self)
@@ -448,20 +440,13 @@ class Simulation:
             detail = self._tx_details.get(tx.addressed)
             if detail is None:
                 detail = self._tx_details[tx.addressed] = "to=" + "|".join(map(str, tx.addressed))
-            self.trace(now, node_id, "tx_start", packet, detail)
+            self.trace_log.add(now, node_id, "tx_start", packet, detail)
         airtime = self._airtimes.get(size)
-        if airtime is None:  # a packet of this on-air size, first time
-            airtime = self._airtimes[size] = self.tx_duration(packet)
+        if airtime is None:  # serialization time, first time at this on-air size
+            airtime = self._airtimes[size] = 8.0 * size / self.scenario.channel_rate
         tx.end = end = now + airtime
         heapq.heappush(self._heap, (end, self._ordinal, Simulation._on_tx_end, tx))
         self._ordinal += 1
-
-    def tx_duration(self, packet) -> float:
-        """Serialization time; holder bytes ride for free unless counted in."""
-        size = len(packet.payload)
-        if self._count_holders:
-            size += holder_overhead_bytes(packet)
-        return 8.0 * size / self.scenario.channel_rate
 
     # -- hooks called by nodes ---------------------------------------------
 

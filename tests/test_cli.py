@@ -9,7 +9,7 @@ from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from xorsim import cli
 from xorsim.cli import (
@@ -97,6 +97,17 @@ def test_full_config_round_trip(tmp_path):
         ("flows: {list: 3}", "flows.list must be a list"),
         ("flows: {list: [{src: abc, dst: 1}]}", "flows.list[0].src must be a number"),
         ("flows: {list: [{src: 0, dst: 1, rate: .nan}]}", "flows.list[0].rate must be finite"),
+        # a bad flows.list entry names its key, not the flow id it sets
+        ("flows: {list: [{src: 0, dst: 1, start: -1}]}", "flows.list[0].start must be >= 0"),
+        ("flows: {list: [{src: 0, dst: 1, rate: -1}]}", "flows.list[0].rate must be >= 1e-09"),
+        ("flows: {list: [{src: 0, dst: 1, rate: 0}]}", "flows.list[0].rate must be >= 1e-09"),
+        ("flows: {list: [{src: 0, dst: 1, start: 2, stop: 1}]}", "flows.list[0].stop must be >= 2.0"),
+        ("flows: {list: [{src: 0, dst: 99}]}", "flows.list[0].dst must be <= 15"),
+        ("flows: {list: [{src: -1, dst: 1}]}", "flows.list[0].src must be >= 0"),
+        ("topology: {positions: [[0, 0], [100, 0]]}\nflows: {list: [{src: 2, dst: 1}]}",
+         "flows.list[0].src must be <= 1"),
+        ("flows: {list: [{src: 3, dst: 3}]}", "flows.list[0].dst must differ from flows.list[0].src"),
+        ("flows: {list: [{flow: 5, src: 0, dst: 1, start: -1}]}", "flows.list[0].start must be >= 0"),
         ("flows: {count: 5, list: [{src: 0, dst: 1}]}",
          "flows.count cannot be combined with flows.list"),
         ("scheme: sideways", "unknown scheme 'sideways'"),
@@ -212,24 +223,38 @@ def test_any_config_loads_or_names_a_key(tmp_path_factory, raw):
         assert any(re.search(rf"\b{key}\b", str(exc)) for key in keys_in(raw)), str(exc)
 
 
-# valid configs that run in moments: at most 3 flows, rate <= 50, duration <= 0.2
+# valid configs that run in moments: at most 3 flows and duration <= 0.2.
+# Random flows run at rate <= 50; the two single-hop flows.list flows at 20.
+# The crossing flows send 0 -> 2 and 2 -> 0 at 400 pkt/s across relay 1 of
+# the 3-node line, which keeps the relay busy, so natives of both flows meet
+# in its queue; each draws its packet size, so coding may pair two lengths.
+LINE = {"positions": [[0, 0], [150, 0], [300, 0]], "range": 200}
+CELL = {"duration": st.floats(0.01, 0.2), "scheme": st.sampled_from(["none", "cope", "excode"]),
+        "seed": st.integers(0, 9)}
 small_configs = st.fixed_dictionaries({
     "topology": st.one_of(
         st.fixed_dictionaries({"nodes": st.integers(2, 16), "seed": st.integers(0, 9)}),
-        st.just({"positions": [[0, 0], [150, 0], [300, 0]], "range": 200}),
+        st.just(LINE),
     ),
     "flows": st.one_of(
         st.fixed_dictionaries({"count": st.integers(1, 3), "rate": st.floats(1.0, 50.0)}),
         st.just({"rate": 20.0, "list": [{"src": 0, "dst": 1}, {"src": 1, "dst": 0, "start": 0.05}]}),
     ),
-    "duration": st.floats(0.01, 0.2),
-    "scheme": st.sampled_from(["none", "cope", "excode"]),
-    "seed": st.integers(0, 9),
+    **CELL,
+}) | st.fixed_dictionaries({
+    "topology": st.just(LINE),
+    "flows": st.builds(lambda a, b: {"rate": 400.0, "list": [{"src": 0, "dst": 2, "packet_size": a},
+                                                             {"src": 2, "dst": 0, "packet_size": b}]},
+                       *[st.sampled_from([256, 512])] * 2),
+    **CELL,
 })
 
 
 @settings(max_examples=100, deadline=None)
 @given(raw=edited_configs(small_configs))
+@example(raw={"topology": LINE, "duration": 0.1, "scheme": "excode", "seed": 0,
+              "flows": {"rate": 400.0, "list": [{"src": 0, "dst": 2, "packet_size": 512},
+                                                {"src": 2, "dst": 0, "packet_size": 256}]}})
 def test_any_config_runs_or_exits_2(tmp_path_factory, raw):
     base = tmp_path_factory.getbasetemp()
     path = base / "fuzz-main.yaml"

@@ -82,16 +82,7 @@ def test_chain_delivery_times_are_exact():
     assert times == [2 * TX, 3 * TX]
 
 
-def test_tx_duration_is_serialization_time():
-    sim = Simulation(chain_scenario(Scheme.EXCODE))
-    native = payload_native(size=512)
-    assert sim.tx_duration(native) == TX
-    assert sim.tx_duration(payload_native(size=1)) == 8.0 / 2_000_000.0
-
-
 def payload_native(size):
-    from xorsim.packet import PacketUid
-
     return NativePacket(
         uid=PacketUid(0, 0),
         dst=2,
@@ -103,16 +94,30 @@ def payload_native(size):
     )
 
 
+def airtime_of(scenario, packet):
+    """The airtime node 0 gives packet, sent on its own at time 0, and the
+    packet as it goes on air."""
+    sim = Simulation(scenario)
+    sim.nodes[0].output_queue.append(packet)
+    sim._on_wake(0, 0.0)
+    tx = sim.nodes[0].transmitting
+    return tx.end, tx.packet
+
+
+def test_tx_duration_is_serialization_time():
+    assert airtime_of(chain_scenario(Scheme.EXCODE), payload_native(size=512))[0] == TX
+    assert airtime_of(chain_scenario(Scheme.EXCODE), payload_native(size=1))[0] == 8.0 / 2_000_000.0
+
+
 def test_holder_bytes_lengthen_transmissions_only_when_counted():
     base = chain_scenario(Scheme.EXCODE)
-    plain = Simulation(base)
-    counted = Simulation(replace(base, count_header_overhead=True))
-    native = payload_native(size=512)  # carries three holder entries
-    assert plain.tx_duration(native) == TX
-    assert counted.tx_duration(native) == 8.0 * (512 + 12) / 2_000_000.0
+    native = payload_native(size=512)
+    assert airtime_of(base, native)[0] == TX
+    counted, sent = airtime_of(replace(base, count_header_overhead=True), native)
+    assert len(sent.holders) == 2 and holder_overhead_bytes(sent) == 8
+    assert counted == 8.0 * (512 + 8) / 2_000_000.0
     # the knob only means something for the scheme that ships holder lists
-    other = Simulation(replace(chain_scenario(Scheme.COPE), count_header_overhead=True))
-    assert other.tx_duration(native) == TX
+    assert airtime_of(replace(chain_scenario(Scheme.COPE), count_header_overhead=True), native)[0] == TX
 
 
 def test_generation_schedule_counts():
@@ -819,25 +824,41 @@ def test_fixture_traces_are_pinned(name, scheme):
 
 
 def test_no_wake_is_scheduled_onto_a_busy_radio(monkeypatch):
-    # Each node wakes at most once per instant, and never onto a radio that
-    # is still on air.
-    woken = set()  # (node, instant)
-    started = []  # the transmissions the wakes put on air
+    # No wake finds its radio still on air (_on_wake does not look), at the
+    # default channel rate and where airtimes round away, so that a TX_END
+    # falls in the instant its transmission started. At the default rate each
+    # node also wakes at most once per instant; where airtimes round away,
+    # such a TX_END's wakes make a second batch in the same instant.
+    woken = Counter()  # (node, instant) -> wakes
+    started = []  # (instant, transmission) for each send a wake puts on air
     wake = Simulation._on_wake
 
     def watched(self, node_id, now):
         node = self.nodes[node_id]
         assert node.transmitting is None, f"node {node_id} woken at {now!r} with its radio busy"
-        assert (node_id, now) not in woken, f"node {node_id} woken twice at {now!r}"
-        woken.add((node_id, now))
+        woken[node_id, now] += 1
         wake(self, node_id, now)
         if node.transmitting is not None:
-            started.append(node.transmitting)
+            started.append((now, node.transmitting))
 
     monkeypatch.setattr(Simulation, "_on_wake", watched)
     sim = run(random_scenario(Scheme.EXCODE, seed=1, n_flows=8, rate=200.0, duration=1.0,
                               capture_trace=False))
     assert sim.encode_count and len(started) == sim.total_tx
+    assert max(woken.values()) == 1
+    assert all(tx.end > now for now, tx in started)
+    for cell, scheme in ZERO_AIRTIME_TRACES:
+        if cell.startswith("random-"):
+            scn = random_scenario(scheme, int(cell[len("random-"):]), n_flows=8, rate=200.0, duration=0.3,
+                                  capture_trace=False)
+            scn = replace(scn, channel_rate=ZERO_AIRTIME_RATE, drain_grace=0.1)
+        else:
+            scn = replace(FIXTURES[cell](scheme), channel_rate=ZERO_AIRTIME_RATE, capture_trace=False)
+        started.clear()
+        sim = run(scn)
+        assert len(started) == sim.total_tx, (cell, scheme)
+        if cell.startswith("random-"):
+            assert any(tx.end == now for now, tx in started), (cell, scheme)
 
 
 def test_finished_simulation_is_freed_without_the_cycle_collector():
@@ -857,8 +878,9 @@ def test_finished_simulation_is_freed_without_the_cycle_collector():
 
 @pytest.mark.parametrize("counted", [False, True])
 def test_every_airtime_is_tx_duration(monkeypatch, counted):
-    # airtimes are memoised by on-air size; each must be tx_duration of the
-    # packet sent, whether holder bytes are counted in or not
+    # airtimes are memoised by on-air size; each must be the serialization
+    # time of the packet sent: its payload, plus 4 bytes per holder id when
+    # holder bytes are counted in, which only excode's holder lists are
     sent = []
     on_send = Node.on_send
 
@@ -869,11 +891,21 @@ def test_every_airtime_is_tx_duration(monkeypatch, counted):
         return tx
 
     monkeypatch.setattr(Node, "on_send", watched)
-    scn = random_scenario(Scheme.EXCODE, seed=1, n_flows=6, rate=150.0, duration=0.5, capture_trace=False)
-    sim = run(replace(scn, count_header_overhead=counted))
-    assert sim.encode_count and len(sent) == sim.total_tx
-    assert all(tx.end == now + sim.tx_duration(tx.packet) for now, tx in sent)
-    assert (len({sim.tx_duration(tx.packet) for _, tx in sent}) > 1) == counted
+    for scheme in (Scheme.EXCODE, Scheme.COPE):
+        charged = counted and scheme is Scheme.EXCODE
+
+        def airtime(packet):
+            natives = [packet] if isinstance(packet, NativePacket) else packet.constituents
+            size = len(packet.payload) + (4 * sum(len(n.holders) for n in natives) if charged else 0)
+            return 8.0 * size / scn.channel_rate
+
+        sent.clear()
+        scn = random_scenario(scheme, seed=1, n_flows=6, rate=150.0, duration=0.5, capture_trace=False)
+        scn = replace(scn, count_header_overhead=counted)
+        sim = run(scn)
+        assert sim.encode_count and len(sent) == sim.total_tx, scheme
+        assert all(tx.end == now + airtime(tx.packet) for now, tx in sent), scheme
+        assert (len({airtime(tx.packet) for _, tx in sent}) > 1) == charged, scheme
 
 
 def test_random_flows_match_a_route_search_per_pair():
