@@ -11,7 +11,7 @@ import argparse
 import itertools
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Optional
 
@@ -158,6 +158,11 @@ def load_config(path) -> ExperimentPlan:
         if len(flows["list"]) > MAX_FLOWS:
             raise ValidationError(f"flows.list must have at most {MAX_FLOWS} entries")
         plan.explicit_flows = tuple(_flow_from_mapping(i, m, plan) for i, m in enumerate(flows["list"]))
+        first_index: dict[int, int] = {}  # flow id -> the first entry that set it
+        for i, f in enumerate(plan.explicit_flows):
+            first = first_index.setdefault(f.flow, i)
+            if first != i:
+                raise ValidationError(f"flows.list[{i}].flow must differ from flows.list[{first}].flow")
 
     channel = _section(raw, "channel", {"rate_bps"})
     plan.channel_rate = _num("channel.rate_bps", channel.get("rate_bps", plan.channel_rate), float, minimum=1e-9)
@@ -234,7 +239,9 @@ def _is_float_text(text: str) -> bool:
 
 
 def build_scenario(plan: ExperimentPlan, scheme: Scheme, seed: int, n_flows: int, rate: float) -> Scenario:
-    """One sweep cell's scenario, built without trace capture."""
+    """One sweep field (node layout, unit-disk topology, flows) as a scenario
+    of the given scheme, built without trace capture. run_plan builds each
+    field once and runs every scheme on it."""
     if plan.positions is not None:
         positions = plan.positions
     else:
@@ -292,15 +299,21 @@ def _flow_from_mapping(index: int, m, plan: ExperimentPlan) -> FlowSpec:
 
 
 def run_plan(plan: ExperimentPlan, out_dir) -> list[MetricsReport]:
-    """Run the whole sweep, write results.csv and one SVG per metric."""
+    """Run the whole sweep, write results.csv and one SVG per metric.
+
+    Each (flow count, rate, seed) field is built once and every scheme runs
+    on it, so the schemes share one layout, its routes and its flows.
+    Reports and rows come in flow count x rate x scheme x seed order."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     reports = []
-    for n_flows, rate, scheme, seed in itertools.product(
-        plan.flow_counts, plan.rates, plan.schemes, plan.seeds
-    ):
-        scenario = build_scenario(plan, scheme, seed, n_flows, rate)
-        reports.append(finalize(Simulation(scenario).run()))
+    for n_flows, rate in itertools.product(plan.flow_counts, plan.rates):
+        by_scheme = [[] for _ in plan.schemes]  # each scheme's reports, in seed order
+        for seed in plan.seeds:
+            scenario = build_scenario(plan, plan.schemes[0], seed, n_flows, rate)
+            for cells, scheme in zip(by_scheme, plan.schemes):
+                cells.append(finalize(Simulation(replace(scenario, scheme=scheme)).run()))
+        reports.extend(itertools.chain.from_iterable(by_scheme))
 
     csv_path = out / "results.csv"
     with open(csv_path, "w") as fh:

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import functools
 import io
+import itertools
 import operator
 import re
 import textwrap
@@ -22,6 +23,8 @@ from xorsim.cli import (
     run_plan,
 )
 from xorsim.coding import Scheme
+from xorsim.metrics import csv_header, finalize
+from xorsim.simulator import run
 
 CHAIN_YAML = """
 topology:
@@ -108,6 +111,8 @@ def test_full_config_round_trip(tmp_path):
          "flows.list[0].src must be <= 1"),
         ("flows: {list: [{src: 3, dst: 3}]}", "flows.list[0].dst must differ from flows.list[0].src"),
         ("flows: {list: [{flow: 5, src: 0, dst: 1, start: -1}]}", "flows.list[0].start must be >= 0"),
+        ("flows: {list: [{flow: 1, src: 0, dst: 1}, {flow: 1, src: 1, dst: 0}]}",
+         "flows.list[1].flow must differ from flows.list[0].flow"),
         ("flows: {count: 5, list: [{src: 0, dst: 1}]}",
          "flows.count cannot be combined with flows.list"),
         ("scheme: sideways", "unknown scheme 'sideways'"),
@@ -360,6 +365,25 @@ def test_run_plan_outputs_are_byte_stable(tmp_path):
     run_plan(plan, second)
     for name in ("results.csv", "throughput_kbps.svg", "mean_delay_s.svg"):
         assert (first / name).read_bytes() == (second / name).read_bytes()
+
+
+@pytest.mark.parametrize("seeds", [[0, 1], [0, 0]])
+def test_run_plan_builds_each_field_once(tmp_path, monkeypatch, seeds):
+    plan = ExperimentPlan(flow_counts=[2, 3], rates=[40.0], seeds=seeds, duration=1.0)
+    builds = []
+    monkeypatch.setattr(cli, "build_scenario", lambda *args: builds.append(args) or build_scenario(*args))
+    cells = list(itertools.product(plan.flow_counts, plan.rates, plan.schemes, plan.seeds))
+    expected = [finalize(run(build_scenario(plan, scheme, seed, n, rate))) for n, rate, scheme, seed in cells]
+
+    assert run_plan(plan, tmp_path / "all") == expected
+    assert len(builds) == 2 * 2  # flow counts x seeds, not x 3 schemes
+    rows = (tmp_path / "all" / "results.csv").read_text().splitlines()
+    assert rows == [csv_header(), *(rep.csv_row() for rep in expected)]
+
+    builds.clear()
+    plan.schemes = [Scheme.COPE]  # as --scheme narrows it
+    assert run_plan(plan, tmp_path / "cope") == [rep for rep in expected if rep.scheme == "cope"]
+    assert len(builds) == 2 * 2
 
 
 def test_main_run_subcommand(tmp_path, capsys):
