@@ -303,13 +303,14 @@ def run_plan(plan: ExperimentPlan, out_dir) -> list[MetricsReport]:
 
     Each (flow count, rate, seed) field is built once and every scheme runs
     on it, so the schemes share one layout, its routes and its flows.
-    Reports and rows come in flow count x rate x scheme x seed order."""
+    Reports and rows come in flow count x rate x scheme x seed order. With
+    no scheme no field is built, and only the csv header is written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     reports = []
     for n_flows, rate in itertools.product(plan.flow_counts, plan.rates):
         by_scheme = [[] for _ in plan.schemes]  # each scheme's reports, in seed order
-        for seed in plan.seeds:
+        for seed in plan.seeds if plan.schemes else ():
             scenario = build_scenario(plan, plan.schemes[0], seed, n_flows, rate)
             for cells, scheme in zip(by_scheme, plan.schemes):
                 cells.append(finalize(Simulation(replace(scenario, scheme=scheme)).run()))

@@ -34,9 +34,9 @@ it, and the wakes it asks for make the next batch.
 
 State follows the packets in flight, not simulated time. A packet keeps its
 payload only while in flight: delivery checks the payload against the one
-sent and keeps a lean record, payload b"", unless they differ. generated and
-delivered are read-only views over those records that rebuild a payload on
-read (see GeneratedView). A packet uid is
+sent and keeps a lean record, payload b"", unless they differ. Neither
+generated (a read-only view, see GeneratedView) nor delivered (the plain
+dict of those records) holds a payload that checked out. A packet uid is
 retired once it has been delivered and no copy of a mix holding it is still
 queued or on air: it leaves every node's buffer (so every cope report), both
 seen-sets and the trace's label cache. A count of live copies per mix key
@@ -226,33 +226,27 @@ def payload_bytes(seed: int, uid: PacketUid, size: int) -> bytes:
     return (block * (size // 64 + 1))[:size]
 
 
-def source_native(flow: FlowSpec, seq: int, route: tuple[NodeId, ...], seed: int) -> NativePacket:
-    """Packet seq of flow as its source makes it: hop 0, no holders yet, the
-    seed's payload, created at flow.start + seq / flow.rate (the float its
-    generation was scheduled at)."""
-    uid = PacketUid(flow.flow, seq)
-    return build_packet(NativePacket, (uid, flow.dst, route, 0, NO_HOLDERS,
-                                       payload_bytes(seed, uid, flow.packet_size), flow.start + seq / flow.rate))
+def source_native(flow: FlowSpec, uid: PacketUid, route: tuple[NodeId, ...], payload: bytes) -> NativePacket:
+    """Packet uid of flow as its source makes it: hop 0, no holders yet,
+    created at flow.start + seq / flow.rate (the float its generation was
+    scheduled at)."""
+    return build_packet(NativePacket, (uid, flow.dst, route, 0, NO_HOLDERS, payload, flow.start + uid.seq / flow.rate))
 
 
 class GeneratedView(Mapping):
     """Simulation.generated: uid -> every packet made so far as its source
     made it, read-only, iterated flow by flow and each flow in seq order.
 
-    Only a packet in flight is held whole (in_flight); a delivered one is
-    rebuilt from (flow, seq) on read, payload included, since payload_bytes
-    is pure. len, in and iteration rebuild nothing. counts[i] is how many
-    packets flow i (by position in the scenario) has made."""
+    It holds no packet: each is built from its flow and seq on read, with
+    payload b"", since delivery already compared every payload with the one
+    sent. counts[i] is how many packets flow i (by position in the scenario)
+    has made, and answers in."""
 
-    def __init__(self, in_flight: dict, delivered: dict, counts: list[int],
-                 flows: tuple[FlowSpec, ...], routes: dict, seed: int) -> None:
-        self._in_flight = in_flight
-        self._delivered = delivered
+    def __init__(self, counts: list[int], flows: tuple[FlowSpec, ...], routes: dict) -> None:
         self.counts = counts
         self._flows = flows
         self._position = {f.flow: i for i, f in enumerate(flows)}
         self._routes = routes
-        self._seed = seed
 
     def __len__(self) -> int:
         return sum(self.counts)
@@ -263,46 +257,17 @@ class GeneratedView(Mapping):
                 yield PacketUid(flow.flow, seq)
 
     def __contains__(self, uid) -> bool:
-        return uid in self._in_flight or uid in self._delivered
+        try:
+            flow, seq = uid
+            return seq in range(self.counts[self._position[flow]])
+        except (TypeError, ValueError, KeyError):  # not a (flow, seq) of this run
+            return False
 
     def __getitem__(self, uid) -> NativePacket:
-        packet = self._in_flight.get(uid)
-        if packet is not None:
-            return packet
-        if uid not in self._delivered:
+        if uid not in self:
             raise KeyError(uid)
         flow, seq = uid
-        return source_native(self._flows[self._position[flow]], seq, self._routes[flow], self._seed)
-
-
-class DeliveredView(Mapping):
-    """Simulation.delivered: uid -> (time, packet as delivered), read-only, in
-    delivery order.
-
-    records holds what delivery stored. A payload that matched the one sent
-    is stored as b"" (no real payload is empty: packet_size >= 1) and is
-    rebuilt on read; a payload that differed is stored whole, so every later
-    check sees the bad bytes. len, in and iteration rebuild nothing."""
-
-    def __init__(self, records: dict, flows: tuple[FlowSpec, ...], seed: int) -> None:
-        self.records = records
-        self._sizes = {f.flow: f.packet_size for f in flows}
-        self._seed = seed
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
-
-    def __contains__(self, uid) -> bool:
-        return uid in self.records
-
-    def __getitem__(self, uid) -> tuple[float, NativePacket]:
-        at, packet = self.records[uid]
-        if packet.payload:
-            return at, packet
-        return at, packet._replace(payload=payload_bytes(self._seed, packet.uid, self._sizes[packet.uid.flow]))
+        return source_native(self._flows[self._position[flow]], PacketUid(flow, seq), self._routes[flow], b"")
 
 
 class Simulation:
@@ -331,14 +296,13 @@ class Simulation:
         self._due: dict[NodeId, None] = {}  # nodes to wake at the current instant, in order asked
 
         # a packet's payload is kept only while it is in flight: the hop-0
-        # native until delivery, which checks the payload against it. The
-        # views hold these records, never the simulation, so no cycle forms
+        # native until delivery, which checks the payload against it
         self._in_flight: dict[PacketUid, NativePacket] = {}
-        self._delivered: dict[PacketUid, tuple[float, NativePacket]] = {}  # in delivery order
         self._gen_counts = [0] * len(scenario.flows)  # packets made, by flow position
-        self.generated = GeneratedView(self._in_flight, self._delivered, self._gen_counts,
-                                       scenario.flows, self.routes, scenario.seed)
-        self.delivered = DeliveredView(self._delivered, scenario.flows, scenario.seed)
+        self.generated = GeneratedView(self._gen_counts, scenario.flows, self.routes)
+        # uid -> (time, packet as delivered), in delivery order; payload b""
+        # when it matched the one sent, the bytes received when it did not
+        self.delivered: dict[PacketUid, tuple[float, NativePacket]] = {}
         self.double_deliveries = 0
         self.tx_native = 0
         self.tx_encoded = 0
@@ -382,8 +346,10 @@ class Simulation:
         i, seq = data
         self._schedule_gen(i, seq + 1)
         flow = self.scenario.flows[i]
-        packet = source_native(flow, seq, self.routes[flow.flow], self.scenario.seed)
-        self._in_flight[packet.uid] = packet
+        uid = PacketUid(flow.flow, seq)
+        payload = payload_bytes(self.scenario.seed, uid, flow.packet_size)
+        packet = source_native(flow, uid, self.routes[flow.flow], payload)
+        self._in_flight[uid] = packet
         self._gen_counts[i] = seq + 1
         if self._capture_trace:
             self.trace_log.add(now, flow.src, "gen", packet)
@@ -460,7 +426,7 @@ class Simulation:
         decoded it is the same object, and == returns at once. A match is
         stored lean, with payload b""; a mismatch is stored whole."""
         uid = packet.uid
-        delivered = self._delivered
+        delivered = self.delivered
         if uid in delivered:
             self.double_deliveries += 1
             return
@@ -497,7 +463,7 @@ class Simulation:
         self.trace_log.forget(key)
         for uid in key:
             del self._mixed_in[uid]
-            if uid in self._delivered:
+            if uid in self.delivered:
                 self._retire(uid, scope)
 
     def _retire(self, uid: PacketUid, scope) -> None:

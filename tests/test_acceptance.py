@@ -8,6 +8,7 @@ FIFO order are rechecked on each run; the final test reports that tally.
 
 import random
 import time
+from collections import Counter
 from dataclasses import replace
 
 from xorsim.cli import ExperimentPlan, run_plan
@@ -20,9 +21,10 @@ from xorsim.scenarios import (
     long_chain_scenario,
     random_scenario,
 )
-from xorsim.simulator import audit_conservation, fifo_violations, run
+from xorsim.simulator import Simulation, audit_conservation, fifo_violations, run
 
 AUDITED = {"runs": 0}
+CRITERION_5 = {}  # criterion 5's sweep, run once for criteria 5 and 11
 
 # trace sha256 of the criterion-8 cell: the gated determinism result
 CRITERION_8_TRACE = "dbbfbc2ad09c4d683b2fdbf57469d226009830ceacad2ec5188ed6df0c88b525"
@@ -61,8 +63,8 @@ def test_criterion_2_junction_codes_beyond_two_hops():
     assert ex.per_node_encodes == {2: 1}  # exactly one mix, at the shared relay
     assert ex.decode_failures == 0
     assert set(ex.delivered) == set(ex.generated)
-    for uid, (_, pkt) in ex.delivered.items():
-        assert pkt.payload == ex.generated[uid].payload
+    # deliver compared every byte: a payload that differed would be stored whole
+    assert not any(pkt.payload for _, pkt in ex.delivered.values())
     cope = audited(run(junction_scenario(Scheme.COPE)))
     assert cope.encode_count == 0
     assert set(cope.delivered) == set(cope.generated)
@@ -79,8 +81,8 @@ def test_criterion_3_long_chain_codes_mid_route():
     assert route_hops == {7}  # well past the two-hop regime
     assert ex.per_node_encodes == {4: 1}  # interior relay, 3 hops from either end
     assert ex.decode_failures == 0
-    for uid, (_, pkt) in ex.delivered.items():
-        assert pkt.payload == ex.generated[uid].payload
+    # deliver compared every byte: a payload that differed would be stored whole
+    assert not any(pkt.payload for _, pkt in ex.delivered.values())
     cope = audited(run(long_chain_scenario(Scheme.COPE)))
     assert cope.encode_count == 0
     elapsed = time.perf_counter() - started
@@ -116,25 +118,52 @@ def test_criterion_4_no_decode_failures_across_random_fields():
                 f"({encodes} encodes exercised)", started)
 
 
-def test_criterion_5_coding_opportunity_superset(watch_scans):
-    started = time.perf_counter()
+def criterion_5_sweep(watch_scans):
+    """Run criterion 5's cells once, under a scan probe, for criteria 5 and
+    11. Besides each cell's reports it keeps every scanned pair that was
+    report-codable but not holder-codable, and, at every excode scan, the
+    ground truth of each pair: each destination buffers the other packet and
+    the payloads are the same length. Pairs whose holder rule disagrees with
+    it are kept as (relay, p, q)."""
+    if CRITERION_5:
+        return CRITERION_5
+    sweep = {"cells": {}, "cope_only": [], "truth": Counter(), "wrong": []}
+    running = []  # the simulation being run, so the probe can see its buffers
 
     def probe(node, p, q, cope_ok, excode_ok):
-        assert not (cope_ok and not excode_ok), (node, p.uid, q.uid)
+        if cope_ok and not excode_ok:
+            sweep["cope_only"].append((node, p.uid, q.uid))
+        sim = running[-1]
+        if sim.scenario.scheme is Scheme.EXCODE:
+            buffers = sim.nodes
+            truth = (q.uid in buffers[p.dst].buffer and p.uid in buffers[q.dst].buffer
+                     and len(p.payload) == len(q.payload))
+            sweep["truth"][truth] += 1
+            if excode_ok != truth:
+                sweep["wrong"].append((node, p.uid, q.uid))
 
-    watch_scans(probe)  # no pair is report-codable but not holder-codable
-
-    cells = {}
+    watch_scans(probe)
     for flows in (2, 4, 6, 8):
         for seed in range(5):
             counts = {}
             for scheme in (Scheme.EXCODE, Scheme.COPE):
-                scn = random_scenario(scheme, seed=seed, n_flows=flows,
-                                      rate=150.0, duration=4.0, capture_trace=False)
-                counts[scheme] = finalize(audited(run(scn)))
-            assert counts[Scheme.EXCODE].encode_count >= counts[Scheme.COPE].encode_count, \
-                (flows, seed)
-            cells[(flows, seed)] = counts
+                sim = Simulation(random_scenario(scheme, seed=seed, n_flows=flows,
+                                                 rate=150.0, duration=4.0, capture_trace=False))
+                running[:] = [sim]
+                counts[scheme] = finalize(audited(sim.run()))
+            sweep["cells"][(flows, seed)] = counts
+    CRITERION_5.update(sweep)
+    return CRITERION_5
+
+
+def test_criterion_5_coding_opportunity_superset(watch_scans):
+    started = time.perf_counter()
+    sweep = criterion_5_sweep(watch_scans)
+    # no pair is report-codable but not holder-codable
+    assert sweep["cope_only"] == [], sweep["cope_only"][:5]
+    cells = sweep["cells"]
+    for cell, counts in cells.items():
+        assert counts[Scheme.EXCODE].encode_count >= counts[Scheme.COPE].encode_count, cell
     busy = [c for (flows, _), c in cells.items() if flows >= 4]
     gap = sum(
         c[Scheme.EXCODE].encoded_fraction - c[Scheme.COPE].encoded_fraction for c in busy
@@ -217,6 +246,18 @@ def test_criterion_8_determinism(tmp_path):
     assert elapsed < 60.0
     announce(8, f"trace sha256 {first.trace_log.sha256()[:12]}... reproduced; "
                 f"results.csv byte-identical ({len(csv_a)} bytes)", started)
+
+
+def test_criterion_11_holder_sets_are_exact(watch_scans):
+    # on this ideal channel the holder rule codes exactly the pairs whose
+    # destinations hold each other's packet, no more and no fewer
+    started = time.perf_counter()
+    sweep = criterion_5_sweep(watch_scans)
+    wrong, truth = sweep["wrong"], sweep["truth"]
+    assert not wrong, f"{len(wrong)} scanned pairs disagree with the buffers, first (relay, p, q) = {wrong[0]}"
+    assert truth[True] and truth[False]
+    announce(11, f"holder rule equals the buffers on all {truth.total()} excode scan checks "
+                 f"({truth[True]} codable, {truth[False]} not) over criterion 5's cells", started)
 
 
 def test_criterion_9_invariants_held_everywhere():

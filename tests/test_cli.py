@@ -386,6 +386,21 @@ def test_run_plan_builds_each_field_once(tmp_path, monkeypatch, seeds):
     assert len(builds) == 2 * 2
 
 
+def test_run_plan_without_schemes_writes_only_the_header(tmp_path, monkeypatch):
+    # no scheme runs nothing, as no seed does: a header-only results.csv and
+    # empty charts, and no field is built
+    monkeypatch.setattr(cli, "build_scenario", mock.Mock(side_effect=AssertionError("field built")))
+    for axis in ("seeds", "schemes"):
+        out = tmp_path / axis
+        assert run_plan(ExperimentPlan(duration=1.0, **{axis: []}), out) == []
+        assert (out / "results.csv").read_text() == csv_header() + "\n"
+    files = sorted(path.name for path in (tmp_path / "seeds").iterdir())
+    assert files == sorted(["results.csv", *(f"{column}.svg" for column, _ in cli.CHART_METRICS)])
+    for name in files:
+        assert (tmp_path / "schemes" / name).read_bytes() == (tmp_path / "seeds" / name).read_bytes()
+        assert b"<circle" not in (tmp_path / "schemes" / name).read_bytes()
+
+
 def test_main_run_subcommand(tmp_path, capsys):
     config = write_config(tmp_path, CHAIN_YAML)
     out = tmp_path / "results"
