@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -303,18 +304,62 @@ def run_plan(plan: ExperimentPlan, out_dir) -> list[MetricsReport]:
 
     Each (flow count, rate, seed) field is built once and every scheme runs
     on it, so the schemes share one layout, its routes and its flows.
-    Reports and rows come in flow count x rate x scheme x seed order. With
-    no scheme no field is built, and only the csv header is written."""
+    Fields run on W processes, W the smaller of the CPUs in the affinity set
+    and the number of fields: field i runs in the parent when i % W == 0,
+    else in one of W - 1 pool workers, which build and run it and send back
+    its finished simulations. The parent submits the workers' fields first,
+    then runs its own, finalizing the workers' results as they come in; it
+    finalizes every cell. With one CPU, one field or a daemonic caller (a
+    multiprocessing.Pool worker cannot have children) every field runs in
+    the parent and no pool is made. A ScenarioInvalidError is that of the
+    first failing field, as in one process. Reports and rows come in flow
+    count x rate x scheme x seed order. With no scheme no field is built,
+    and only the csv header is written."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    reports = []
-    for n_flows, rate in itertools.product(plan.flow_counts, plan.rates):
-        by_scheme = [[] for _ in plan.schemes]  # each scheme's reports, in seed order
-        for seed in plan.seeds if plan.schemes else ():
-            scenario = build_scenario(plan, plan.schemes[0], seed, n_flows, rate)
-            for cells, scheme in zip(by_scheme, plan.schemes):
-                cells.append(finalize(Simulation(replace(scenario, scheme=scheme)).run()))
-        reports.extend(itertools.chain.from_iterable(by_scheme))
+    fields = list(itertools.product(plan.flow_counts, plan.rates, plan.seeds)) if plan.schemes else []
+    procs = _process_count(len(fields))
+    by_field: list[Optional[list[MetricsReport]]] = [None] * len(fields)  # one report per scheme
+    failed: dict[int, ScenarioInvalidError] = {}  # field index -> what it raised
+    queued = {}  # worker future -> its field index
+
+    def settle(i, simulations) -> None:
+        if failed and i > min(failed):
+            return  # a one-process run stops at the first failing field
+        try:
+            by_field[i] = [finalize(sim) for sim in simulations()]
+        except ScenarioInvalidError as exc:
+            failed[i] = exc
+            for fut, j in queued.items():
+                if j > i:
+                    fut.cancel()
+
+    pool = None
+    if procs > 1:
+        from concurrent.futures import ProcessPoolExecutor, as_completed
+
+        pool = ProcessPoolExecutor(procs - 1)
+    try:
+        for i in range(len(fields)):
+            if i % procs:
+                queued[pool.submit(_run_field, plan, *fields[i])] = i
+        for i in range(0, len(fields), procs):
+            settle(i, lambda: _field_simulations(plan, *fields[i]))
+            for fut in [fut for fut in queued if fut.done()]:
+                settle(queued.pop(fut), fut.result)
+        if queued:  # only with a pool
+            for fut in as_completed(list(queued)):
+                settle(queued.pop(fut), fut.result)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
+    if failed:
+        raise failed[min(failed)]
+
+    cells = range(len(plan.flow_counts) * len(plan.rates))  # fields are cell-major, seed-minor
+    n_seeds = len(plan.seeds)
+    reports = [by_field[cell * n_seeds + k][s]
+               for cell, s, k in itertools.product(cells, range(len(plan.schemes)), range(n_seeds))]
 
     csv_path = out / "results.csv"
     with open(csv_path, "w") as fh:
@@ -323,6 +368,34 @@ def run_plan(plan: ExperimentPlan, out_dir) -> list[MetricsReport]:
             fh.write(rep.csv_row() + "\n")
     write_charts(reports, out)
     return reports
+
+
+def _process_count(fields: int) -> int:
+    """Processes for a sweep of this many fields, the parent included."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    procs = min(cpus, fields)
+    if procs > 1:
+        import multiprocessing
+
+        if multiprocessing.current_process().daemon:
+            return 1
+    return max(procs, 1)
+
+
+def _field_simulations(plan: ExperimentPlan, n_flows: int, rate: float, seed: int):
+    """Build one field and yield each scheme's finished run on it, in the
+    plan's scheme order."""
+    scenario = build_scenario(plan, plan.schemes[0], seed, n_flows, rate)
+    for scheme in plan.schemes:
+        yield Simulation(replace(scenario, scheme=scheme)).run()
+
+
+def _run_field(plan: ExperimentPlan, n_flows: int, rate: float, seed: int) -> list[Simulation]:
+    """A pool worker's task: one field's finished runs, capture off, so they pickle."""
+    return list(_field_simulations(plan, n_flows, rate, seed))
 
 
 def write_charts(reports: list[MetricsReport], out: Path) -> None:

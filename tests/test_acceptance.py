@@ -2,13 +2,17 @@
 
 Each test covers one numbered claim about the system, prints a single
 [PASS] line with the measured values, and fails loudly otherwise. Every
-simulation here flows through audited(), so packet conservation and per-flow
-FIFO order are rechecked on each run; the final test reports that tally.
+simulation here flows through audited(), or through audited_cell() in a
+worker process for the large sweeps of criteria 4 and 6, so packet
+conservation and per-flow FIFO order are rechecked on each run; the final
+test reports that tally.
 """
 
+import os
 import random
 import time
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 from xorsim.cli import ExperimentPlan, run_plan
@@ -91,27 +95,38 @@ def test_criterion_3_long_chain_codes_mid_route():
                 f"cope={cope.encode_count}), payloads bit-exact", started)
 
 
+def audited_cell(cell):
+    """Run one random_scenario cell, with capture off, and audit it: its
+    report, its invariant problems and its encode count. Runs in a pool
+    worker, so it returns no Simulation."""
+    sim = run(random_scenario(**cell, capture_trace=False))
+    problems = audit_conservation(sim) + fifo_violations(sim)
+    if sim.decode_failures:
+        problems.append(f"{sim.decode_failures} decode failures")
+    return finalize(sim), problems, sim.encode_count
+
+
+def audited_cells(cells):
+    """audited_cell over cells on one worker process per CPU, in order. Each
+    cell must come back clean, and each counts as an audited run."""
+    with ProcessPoolExecutor(len(os.sched_getaffinity(0))) as pool:
+        results = list(pool.map(audited_cell, cells))
+    for cell, (_, problems, _) in zip(cells, results):
+        assert problems == [], (cell, problems)
+        AUDITED["runs"] += 1
+    return results
+
+
 def test_criterion_4_no_decode_failures_across_random_fields():
     started = time.perf_counter()
-    encodes = 0
-    scenarios = 0
     # standard 16-node fields at the default duration
-    for seed in range(100):
-        for scheme in Scheme:
-            sim = audited(run(random_scenario(
-                scheme, seed=seed, n_flows=3, rate=2.0, capture_trace=False)))
-            assert sim.decode_failures == 0, (seed, scheme)
-            encodes += sim.encode_count
-        scenarios += 1
+    cells = [dict(scheme=scheme, seed=seed, n_flows=3, rate=2.0)
+             for seed in range(100) for scheme in Scheme]
     # extra saturated fields, where relays queue up and mix constantly
-    for seed in range(25):
-        for scheme in Scheme:
-            sim = audited(run(random_scenario(
-                scheme, seed=seed, n_flows=8, rate=150.0, duration=3.0,
-                capture_trace=False)))
-            assert sim.decode_failures == 0, ("saturated", seed, scheme)
-            encodes += sim.encode_count
-        scenarios += 1
+    cells += [dict(scheme=scheme, seed=seed, n_flows=8, rate=150.0, duration=3.0)
+              for seed in range(25) for scheme in Scheme]
+    encodes = sum(count for _, _, count in audited_cells(cells))
+    scenarios = len(cells) // len(Scheme)
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0
     announce(4, f"{scenarios} random scenarios x 3 schemes, 0 decode failures "
@@ -179,13 +194,11 @@ def test_criterion_6_throughput_and_delay_ordering():
     started = time.perf_counter()
     tol = 0.01
     means = {}
+    cells = [dict(scheme=scheme, seed=seed, n_flows=8, rate=200.0, duration=4.0)
+             for scheme in Scheme for seed in range(20)]
+    results = audited_cells(cells)
     for scheme in Scheme:
-        reports = [
-            finalize(audited(run(random_scenario(
-                scheme, seed=seed, n_flows=8, rate=200.0, duration=4.0,
-                capture_trace=False))))
-            for seed in range(20)
-        ]
+        reports = [report for cell, (report, _, _) in zip(cells, results) if cell["scheme"] is scheme]
         means[scheme] = (
             sum(r.throughput_kbps for r in reports) / len(reports),
             sum(r.mean_delay_s for r in reports) / len(reports),

@@ -3,9 +3,14 @@ import copy
 import functools
 import io
 import itertools
+import multiprocessing
 import operator
+import os
 import re
+import subprocess
+import sys
 import textwrap
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -367,23 +372,95 @@ def test_run_plan_outputs_are_byte_stable(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched build_scenario reaches pool workers only when they are forked")
 @pytest.mark.parametrize("seeds", [[0, 1], [0, 0]])
 def test_run_plan_builds_each_field_once(tmp_path, monkeypatch, seeds):
+    # two processes, whatever the host: the pool's worker is forked with the
+    # patch in place, so every process appends its builds to one file
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
     plan = ExperimentPlan(flow_counts=[2, 3], rates=[40.0], seeds=seeds, duration=1.0)
-    builds = []
-    monkeypatch.setattr(cli, "build_scenario", lambda *args: builds.append(args) or build_scenario(*args))
+    log = tmp_path / "builds"
+
+    def counted(*args):
+        with open(log, "a") as fh:
+            fh.write(f"{args[2:]}\n")
+        return build_scenario(*args)
+
+    monkeypatch.setattr(cli, "build_scenario", counted)
     cells = list(itertools.product(plan.flow_counts, plan.rates, plan.schemes, plan.seeds))
     expected = [finalize(run(build_scenario(plan, scheme, seed, n, rate))) for n, rate, scheme, seed in cells]
 
     assert run_plan(plan, tmp_path / "all") == expected
-    assert len(builds) == 2 * 2  # flow counts x seeds, not x 3 schemes
+    assert len(log.read_text().splitlines()) == 2 * 2  # flow counts x seeds, not x 3 schemes
     rows = (tmp_path / "all" / "results.csv").read_text().splitlines()
     assert rows == [csv_header(), *(rep.csv_row() for rep in expected)]
 
-    builds.clear()
+    log.unlink()
     plan.schemes = [Scheme.COPE]  # as --scheme narrows it
     assert run_plan(plan, tmp_path / "cope") == [rep for rep in expected if rep.scheme == "cope"]
-    assert len(builds) == 2 * 2
+    assert len(log.read_text().splitlines()) == 2 * 2
+
+
+def sweep_outputs(out) -> dict[str, bytes]:
+    return {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+
+
+@pytest.mark.parametrize("cpus", [{0, 1}, {0, 1, 2}])
+def test_run_plan_gives_the_same_outputs_on_any_process_count(tmp_path, monkeypatch, cpus):
+    # 6 fields, seed 1 twice; the process count is the affinity set's size
+    plan = ExperimentPlan(flow_counts=[2, 3], rates=[40.0], seeds=[0, 1, 1], duration=1.0)
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0})
+    alone = run_plan(plan, tmp_path / "one")
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: cpus)
+    assert run_plan(plan, tmp_path / "many") == alone
+    assert len(alone) == 2 * 3 * 3
+    assert sweep_outputs(tmp_path / "many") == sweep_outputs(tmp_path / "one")
+    assert multiprocessing.active_children() == []
+
+
+def run_plan_in_pool_worker(plan, out):
+    return run_plan(plan, out), multiprocessing.active_children()
+
+
+def test_run_plan_in_a_daemonic_process_runs_every_field_itself(tmp_path):
+    # a multiprocessing.Pool worker cannot have children
+    plan = ExperimentPlan(flow_counts=[2], rates=[40.0], seeds=[0, 1, 2], duration=1.0)
+    with multiprocessing.Pool(1) as pool:
+        reports, children = pool.apply_async(run_plan_in_pool_worker, (plan, tmp_path / "daemon")).get(60)
+    assert children == []
+    assert reports == run_plan(plan, tmp_path / "here")
+    assert sweep_outputs(tmp_path / "daemon") == sweep_outputs(tmp_path / "here")
+
+
+def test_run_plan_makes_no_pool_for_one_process(tmp_path):
+    # one CPU, one field and a daemonic caller all run in the parent: no
+    # child process, and concurrent.futures is never imported
+    script = textwrap.dedent("""
+        import multiprocessing, os, sys
+        from xorsim.cli import ExperimentPlan, run_plan
+
+        def no_pool(plan, out):
+            run_plan(plan, out)
+            return "concurrent.futures" in sys.modules, multiprocessing.active_children()
+
+        if __name__ == "__main__":
+            out = sys.argv[1]
+            two_fields = ExperimentPlan(flow_counts=[2], rates=[40.0], seeds=[0, 1], duration=0.5)
+            one_field = ExperimentPlan(flow_counts=[2], rates=[40.0], seeds=[0], duration=0.5)
+            with multiprocessing.Pool(1) as pool:
+                print(pool.apply_async(no_pool, (two_fields, out + "/daemon")).get(60))
+            print(no_pool(one_field, out + "/one-field"))
+            os.sched_getaffinity = lambda pid: {0}
+            print(no_pool(two_fields, out + "/one-cpu"))
+        """)
+    (tmp_path / "no_pool.py").write_text(script)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, str(tmp_path / "no_pool.py"), str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["(False, [])"] * 3
 
 
 def test_run_plan_without_schemes_writes_only_the_header(tmp_path, monkeypatch):
@@ -449,6 +526,29 @@ def test_main_reports_scenario_errors(tmp_path, capsys):
     )
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
     assert "no route" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cpus", [{0, 1}, {0, 1, 2}])
+def test_main_reports_a_worker_field_error_as_one_process_does(tmp_path, capsys, monkeypatch, cpus):
+    # seed 0 runs; seed 1's layout cuts flow 0, seed 5's flow 1. The first
+    # failing field (seed 1) runs in a worker, and its message is the one a
+    # one-process run gives, even though seed 5 may fail first
+    config = write_config(
+        tmp_path,
+        """
+        topology: {nodes: 6, side: 500}
+        flows: {list: [{src: 0, dst: 1}, {src: 2, dst: 3}]}
+        duration: 0.5
+        sweep: {seeds: [0, 1, 5]}
+        """,
+    )
+    errors = []
+    for affinity in ({0}, cpus):
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: affinity)
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
+        errors.append(capsys.readouterr().err)
+        assert multiprocessing.active_children() == []
+    assert errors == ["error: flow 0: no route from 0 to 1\n"] * 2
 
 
 def test_flows_of_different_packet_sizes_meet_without_coding(tmp_path, capsys):
