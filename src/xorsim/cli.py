@@ -305,54 +305,64 @@ def run_plan(plan: ExperimentPlan, out_dir) -> list[MetricsReport]:
     Each (flow count, rate, seed) field is built once and every scheme runs
     on it, so the schemes share one layout, its routes and its flows.
     Fields run on W processes, W the smaller of the CPUs in the affinity set
-    and the number of fields: field i runs in the parent when i % W == 0,
-    else in one of W - 1 pool workers, which build and run it and send back
-    its finished simulations. The parent submits the workers' fields first,
-    then runs its own, finalizing the workers' results as they come in; it
-    finalizes every cell. With one CPU, one field or a daemonic caller (a
-    multiprocessing.Pool worker cannot have children) every field runs in
-    the parent and no pool is made. A ScenarioInvalidError is that of the
-    first failing field, as in one process. Reports and rows come in flow
-    count x rate x scheme x seed order. With no scheme no field is built,
-    and only the csv header is written."""
+    and the number of fields: field i runs in process i % W, the parent
+    being process 0. Each of the W - 1 workers runs its fields in order and
+    puts each one's finished runs on one queue; the parent, on its own
+    thread, takes what is there after each of its own fields, waits for the
+    rest at the end, and finalizes every cell. With one CPU, one field or a
+    daemonic caller (a multiprocessing.Pool worker cannot have children)
+    every field runs in the parent and no process or queue is made. A
+    ScenarioInvalidError is the first failing field's, as in one process; a
+    worker that exits with fields unreturned (any other error ends it)
+    raises RuntimeError, and none outlives the call. Reports and rows come
+    in flow count x rate x scheme x seed order. No scheme builds no field
+    and writes only the csv header."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     fields = list(itertools.product(plan.flow_counts, plan.rates, plan.seeds)) if plan.schemes else []
     procs = _process_count(len(fields))
     by_field: list[Optional[list[MetricsReport]]] = [None] * len(fields)  # one report per scheme
     failed: dict[int, ScenarioInvalidError] = {}  # field index -> what it raised
-    queued = {}  # worker future -> its field index
+    waiting = {i for i in range(len(fields)) if i % procs}  # worker fields not yet returned
 
     def settle(i, simulations) -> None:
-        if failed and i > min(failed):
-            return  # a one-process run stops at the first failing field
-        try:
-            by_field[i] = [finalize(sim) for sim in simulations()]
-        except ScenarioInvalidError as exc:
-            failed[i] = exc
-            for fut, j in queued.items():
-                if j > i:
-                    fut.cancel()
+        waiting.discard(i)
+        if isinstance(simulations, ScenarioInvalidError):  # a worker's first failure: it stops there
+            failed[i] = simulations
+        elif not failed or i < min(failed):  # a one-process run stops at the first failing field
+            try:
+                by_field[i] = [finalize(sim) for sim in simulations]
+            except ScenarioInvalidError as exc:
+                failed[i] = exc
 
-    pool = None
+    workers = []  # those started, worker k at k - 1
     if procs > 1:
-        from concurrent.futures import ProcessPoolExecutor, as_completed
+        import multiprocessing
+        import queue
 
-        pool = ProcessPoolExecutor(procs - 1)
+        results = multiprocessing.Queue()
     try:
-        for i in range(len(fields)):
-            if i % procs:
-                queued[pool.submit(_run_field, plan, *fields[i])] = i
+        for k in range(1, procs):
+            worker = multiprocessing.Process(target=_run_share, args=(plan, fields, k, procs, results), daemon=True)
+            worker.start()
+            workers.append(worker)
         for i in range(0, len(fields), procs):
-            settle(i, lambda: _field_simulations(plan, *fields[i]))
-            for fut in [fut for fut in queued if fut.done()]:
-                settle(queued.pop(fut), fut.result)
-        if queued:  # only with a pool
-            for fut in as_completed(list(queued)):
-                settle(queued.pop(fut), fut.result)
+            settle(i, _field_simulations(plan, *fields[i]))
+            while waiting and not results.empty():  # only with workers: take what is there
+                settle(*results.get())
+        while missing := sorted(i for i in waiting if i < min(failed, default=len(fields))):
+            try:
+                settle(*results.get(timeout=0.1))
+            except queue.Empty:
+                codes = {i: workers[i % procs - 1].exitcode for i in missing}  # before the queue is polled again
+                lost = [i for i in missing if codes[i] is not None]
+                if lost and results.empty():  # all a worker put before it exited is on the queue
+                    raise RuntimeError(f"sweep worker {lost[0] % procs} exited with code {codes[lost[0]]} before "
+                                       f"returning field {lost[0]}, (flows, rate, seed) = {fields[lost[0]]}") from None
     finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
+        for worker in workers:
+            worker.terminate()  # no effect on one that has exited
+            worker.join()
     if failed:
         raise failed[min(failed)]
 
@@ -393,9 +403,15 @@ def _field_simulations(plan: ExperimentPlan, n_flows: int, rate: float, seed: in
         yield Simulation(replace(scenario, scheme=scheme)).run()
 
 
-def _run_field(plan: ExperimentPlan, n_flows: int, rate: float, seed: int) -> list[Simulation]:
-    """A pool worker's task: one field's finished runs, capture off, so they pickle."""
-    return list(_field_simulations(plan, n_flows, rate, seed))
+def _run_share(plan: ExperimentPlan, fields: list, k: int, procs: int, results) -> None:
+    """Sweep worker k of procs: put (i, finished runs) on results for fields
+    i = k, k + procs, ... in turn; at a ScenarioInvalidError put (i, it), stop."""
+    for i in range(k, len(fields), procs):
+        try:
+            results.put((i, list(_field_simulations(plan, *fields[i]))))
+        except ScenarioInvalidError as exc:
+            results.put((i, exc))
+            return
 
 
 def write_charts(reports: list[MetricsReport], out: Path) -> None:

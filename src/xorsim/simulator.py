@@ -60,6 +60,7 @@ import shutil
 import tempfile
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Optional
 
 from .coding import Scheme
@@ -314,6 +315,19 @@ class Simulation:
 
         for i in range(len(scenario.flows)):
             self._schedule_gen(i, 0)
+
+    def __getstate__(self) -> dict:
+        """Pickle delivered as columns (times, flows, seqs, the packets' other
+        fields; a key is its packet's uid): no Python call per record."""
+        times, packets = zip(*self.delivered.values()) if self.delivered else ((), ())
+        flows, seqs = zip(*self.delivered) if self.delivered else ((), ())
+        return {**self.__dict__, "delivered": (times, flows, seqs, *list(zip(*packets))[1:])}
+
+    def __setstate__(self, state: dict) -> None:
+        times, flows, seqs, *rest = state["delivered"]
+        uids = list(map(tuple.__new__, repeat(PacketUid), zip(flows, seqs)))
+        packets = map(tuple.__new__, repeat(NativePacket), zip(uids, *rest))
+        self.__dict__.update(state, delivered=dict(zip(uids, zip(times, packets))))
 
     # -- event plumbing ----------------------------------------------------
 

@@ -7,9 +7,11 @@ import multiprocessing
 import operator
 import os
 import re
+import signal
 import subprocess
 import sys
 import textwrap
+import threading
 from pathlib import Path
 from unittest import mock
 
@@ -435,14 +437,17 @@ def test_run_plan_in_a_daemonic_process_runs_every_field_itself(tmp_path):
 
 def test_run_plan_makes_no_pool_for_one_process(tmp_path):
     # one CPU, one field and a daemonic caller all run in the parent: no
-    # child process, and concurrent.futures is never imported
+    # process is started, no queue is made and no child is left
     script = textwrap.dedent("""
         import multiprocessing, os, sys
         from xorsim.cli import ExperimentPlan, run_plan
 
         def no_pool(plan, out):
+            made = []
+            multiprocessing.Process = lambda *args, **kwargs: made.append("process")
+            multiprocessing.Queue = lambda *args, **kwargs: made.append("queue")
             run_plan(plan, out)
-            return "concurrent.futures" in sys.modules, multiprocessing.active_children()
+            return made, multiprocessing.active_children()
 
         if __name__ == "__main__":
             out = sys.argv[1]
@@ -460,7 +465,58 @@ def test_run_plan_makes_no_pool_for_one_process(tmp_path):
     proc = subprocess.run([sys.executable, str(tmp_path / "no_pool.py"), str(tmp_path)],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["(False, [])"] * 3
+    assert proc.stdout.splitlines() == ["([], [])"] * 3
+
+
+def test_run_plan_starts_no_thread_in_the_parent(tmp_path, monkeypatch):
+    # the parent takes the worker's fields off the queue on its own thread,
+    # between its own fields: no helper thread competes with it for the GIL
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    started, threads = [], []
+    start = multiprocessing.process.BaseProcess.start
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start",
+                        lambda self: started.append(self) or start(self))
+
+    def counted(sim):
+        threads.append(threading.active_count())
+        return finalize(sim)
+
+    monkeypatch.setattr(cli, "finalize", counted)
+    plan = ExperimentPlan(flow_counts=[2, 3], rates=[40.0], seeds=[0, 1], duration=1.0)
+    reports = run_plan(plan, tmp_path / "out")
+    assert len(started) == 1  # one worker beside the parent
+    assert threads == [1] * len(reports) == [1] * 2 * 2 * 3
+    assert multiprocessing.active_children() == []
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched _field_simulations reaches the worker only when it is forked")
+def test_run_plan_raises_when_a_worker_dies(tmp_path, monkeypatch):
+    # the worker exits on its first field without reporting: run_plan names
+    # the field and the exit code within 30 s, and leaves no child
+    monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    parent, field_simulations = os.getpid(), cli._field_simulations
+
+    def dying(plan, *field):
+        if os.getpid() != parent:
+            os._exit(3)
+        return field_simulations(plan, *field)
+
+    monkeypatch.setattr(cli, "_field_simulations", dying)
+    plan = ExperimentPlan(flow_counts=[2], rates=[40.0], seeds=[0, 1, 2, 3], duration=1.0)
+
+    def hung(signum, frame):
+        raise TimeoutError("run_plan still waits for the dead worker after 30 s")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    try:
+        with pytest.raises(RuntimeError, match=re.escape("exited with code 3 before returning field 1,")):
+            run_plan(plan, tmp_path / "out")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert multiprocessing.active_children() == []
 
 
 def test_run_plan_without_schemes_writes_only_the_header(tmp_path, monkeypatch):

@@ -17,6 +17,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from xorsim import node as node_module, simulator
 from xorsim.coding import Scheme
+from xorsim.metrics import finalize
 from xorsim.node import Node
 from xorsim.packet import EncodedPacket, NativePacket, PacketUid, holder_overhead_bytes, xor_decode, xor_encode
 from xorsim.scenarios import (
@@ -569,6 +570,40 @@ def test_untraced_run_opens_no_file_and_pickles():
         assert clone.delivered == sim.delivered and clone.generated == sim.generated
         assert clone.trace_log.lines == sim.trace_log.lines
         assert clone.trace_log.sha256() == sim.trace_log.sha256()
+
+
+@pytest.mark.parametrize("cell", ["decoded", "corrupt", "empty"])
+def test_pickled_simulation_rebuilds_delivered_exactly(cell, monkeypatch):
+    # delivered pickles as columns: the copy rebuilds the same plain dict, in
+    # delivery order, of PacketUid -> (time, NativePacket), for decoded
+    # natives, for records stored whole after a payload mismatch, and empty
+    real_decode, decodes = xor_decode, []
+
+    def counted_decode(encoded, known):
+        native = real_decode(encoded, known)
+        decodes.append(native.uid)
+        if cell == "corrupt":  # flipped bytes: stored whole at delivery
+            return native._replace(payload=bytes([native.payload[0] ^ 0xFF]) + native.payload[1:])
+        return native
+
+    monkeypatch.setattr(node_module, "xor_decode", counted_decode)
+    duration = 1e-4 if cell == "empty" else 1.0  # ends before the first packet's airtime
+    sim = run(random_scenario(Scheme.EXCODE, seed=1, n_flows=8, rate=200.0, duration=duration,
+                              capture_trace=False))
+    stored_whole = [uid for uid, (_, p) in sim.delivered.items() if p.payload]
+    if cell == "empty":
+        assert not sim.delivered and len(sim.generated)
+    else:
+        assert set(decodes) & set(sim.delivered)
+        assert bool(stored_whole) == (cell == "corrupt")
+    clone = pickle.loads(pickle.dumps(sim))
+    assert type(clone.delivered) is dict
+    assert list(clone.delivered.items()) == list(sim.delivered.items())
+    for uid, record in clone.delivered.items():
+        assert type(uid) is PacketUid and type(record) is tuple and type(record[1]) is NativePacket
+        assert record[1].uid == uid
+    assert [uid for uid, (_, p) in clone.delivered.items() if p.payload] == stored_whole
+    assert finalize(clone) == finalize(sim)
 
 
 def test_trace_log_keeps_no_packet_alive():
