@@ -58,17 +58,16 @@ def csv_header() -> str:
 
 def finalize(sim: Simulation) -> MetricsReport:
     """Reduce a finished run to its report from the delivery records and
-    the per-flow counts; neither holds a payload that checked out, so a lean
-    record (payload b"") carried its flow's packet_size bytes. Delays are
-    summed in delivery order."""
+    the per-flow counts. Every packet delivered, a corrupt one included,
+    carried its flow's packet_size bytes. Delays are summed in delivery
+    order."""
     scn = sim.scenario
     duration = scn.duration
     offered_bits = 8 * sum(n * f.packet_size for f, n in zip(scn.flows, sim.generated.counts))
     sizes = {f.flow: f.packet_size for f in scn.flows}
-    delivered_bits = 0
+    delivered_bits = 8 * sum(sizes[flow] for flow, _ in sim.delivered)
     delay_sum = 0.0
     for at, pkt in sim.delivered.values():
-        delivered_bits += 8 * (len(pkt.payload) or sizes[pkt.uid.flow])
         delay_sum += at - pkt.created_at
     n_delivered = len(sim.delivered)
     n_generated = len(sim.generated)

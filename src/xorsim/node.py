@@ -106,7 +106,7 @@ class Node:
             self.seen_addressed.add(encoded.key)
             self.output_queue.append(encoded)
             sim.mix_copies(encoded.key, 1)
-            sim.encoded_pair(self.id, packet, partner, now)
+            sim.per_node_encodes[self.id] += 1
             sim.trace(now, self.id, "encode", encoded, f"{packet.uid}+{partner.uid}")
             return
         self.output_queue.append(packet)
@@ -125,7 +125,7 @@ class Node:
                 sim.trace(now, self.id, "decode_deliver", native, f"from {packet}")
                 sim.deliver(self.id, native, now)
             else:
-                sim.decode_failed(self.id, packet, counterpart.uid, now)
+                sim.decode_failures += 1
                 sim.trace(now, self.id, "decode_fail", packet, f"missing {counterpart.uid}")
         self.forward_encoded(packet, now, sim)
         sim.mix_copies(packet.key, -1)  # after any forward, so a carried mix never reads dead

@@ -58,6 +58,7 @@ import math
 import os
 import shutil
 import tempfile
+from collections import Counter
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import repeat
@@ -290,7 +291,6 @@ class Simulation:
         self._capture_trace = scenario.capture_trace  # read on every event
         self._excode = scenario.scheme is Scheme.EXCODE
         self._count_holders = scenario.count_header_overhead and self._excode
-        self._airtimes: dict[int, float] = {}  # on-air bytes -> serialization time
         self._tx_details: dict[tuple[NodeId, ...], str] = {}  # addressed -> tx_start detail
         self._heap: list = []  # generations and TX_ENDs
         self._ordinal = 0
@@ -307,7 +307,7 @@ class Simulation:
         self.double_deliveries = 0
         self.tx_native = 0
         self.tx_encoded = 0
-        self.per_node_encodes: dict[NodeId, int] = {}
+        self.per_node_encodes: Counter[NodeId] = Counter()
         self.decode_failures = 0
         self.holder_bytes_total = 0
         self._mix_copies: dict[tuple[PacketUid, PacketUid], int] = {}  # live mix key -> copies queued or on air
@@ -421,10 +421,7 @@ class Simulation:
             if detail is None:
                 detail = self._tx_details[tx.addressed] = "to=" + "|".join(map(str, tx.addressed))
             self.trace_log.add(now, node_id, "tx_start", packet, detail)
-        airtime = self._airtimes.get(size)
-        if airtime is None:  # serialization time, first time at this on-air size
-            airtime = self._airtimes[size] = 8.0 * size / self.scenario.channel_rate
-        tx.end = end = now + airtime
+        tx.end = end = now + 8.0 * size / self.scenario.channel_rate
         heapq.heappush(self._heap, (end, self._ordinal, Simulation._on_tx_end, tx))
         self._ordinal += 1
 
@@ -490,12 +487,6 @@ class Simulation:
             node.seen_addressed.discard(uid)
             node.seen_overheard.discard(uid)
         self.trace_log.forget(uid)
-
-    def encoded_pair(self, node: NodeId, p: NativePacket, q: NativePacket, now: float) -> None:
-        self.per_node_encodes[node] = self.per_node_encodes.get(node, 0) + 1
-
-    def decode_failed(self, node: NodeId, encoded: EncodedPacket, missing: PacketUid, now: float) -> None:
-        self.decode_failures += 1
 
     @property
     def total_tx(self) -> int:

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 from xorsim.coding import Scheme
 from xorsim.node import Node
@@ -11,26 +12,23 @@ class HookRecorder:
     def __init__(self, holders_at=None):
         self.holders_at = holders_at or {}  # flow -> holder table of its route
         self.events = []
+        self.details = []  # (event, node, detail) of each trace line with a detail
         self.delivered = []
         self.buffered = []
-        self.pairs = []
-        self.failures = []
+        self.per_node_encodes = Counter()
+        self.decode_failures = 0
         self.mix_deltas = []
 
     def trace(self, now, node, event, uid, detail=""):
         self.events.append((event, node, str(uid)))
+        if detail:
+            self.details.append((event, node, detail))
 
     def deliver(self, node, packet, now):
         self.delivered.append((node, packet))
 
     def native_buffered(self, node, packet):
         self.buffered.append((node, packet.uid))
-
-    def encoded_pair(self, node, p, q, now):
-        self.pairs.append((node, p.uid, q.uid))
-
-    def decode_failed(self, node, encoded, missing, now):
-        self.failures.append((node, missing))
 
     def mix_copies(self, key, delta):
         self.mix_deltas.append((key, delta))
@@ -64,7 +62,7 @@ def test_relay_forwards_without_partner():
     node.process_input(0.0, sim)
     assert list(node.output_queue) == [P_EAST]
     assert node.buffer[P_EAST.uid] == P_EAST
-    assert sim.pairs == []
+    assert sim.per_node_encodes == {}
 
 
 def test_relay_codes_with_queued_partner():
@@ -72,7 +70,8 @@ def test_relay_codes_with_queued_partner():
     node.input_queue.append(Q_WEST)
     node.input_queue.append(P_EAST)
     node.process_input(0.0, sim)
-    assert sim.pairs == [(1, Q_WEST.uid, P_EAST.uid)]
+    assert sim.per_node_encodes == {1: 1}
+    assert sim.details == [("encode", 1, f"{Q_WEST.uid}+{P_EAST.uid}")]
     assert not node.input_queue
     [encoded] = node.output_queue
     assert ("encode", 1, str(encoded)) in sim.events
@@ -89,7 +88,7 @@ def test_relay_never_codes_under_non_coding():
     node.input_queue.append(Q_WEST)
     node.input_queue.append(P_EAST)
     node.process_input(0.0, sim)
-    assert sim.pairs == []
+    assert sim.per_node_encodes == {} and sim.details == []
     assert list(node.output_queue) == [Q_WEST, P_EAST]
 
 
@@ -206,7 +205,8 @@ def test_decode_failure_is_counted_not_fatal():
     node = Node(id=2, neighbors=(1,), scheme=Scheme.EXCODE)
     sim = HookRecorder()
     node.on_receive(encoded, 1.0, sim)
-    assert sim.failures == [(2, q.uid)]
+    assert sim.decode_failures == 1
+    assert sim.details == [("decode_fail", 2, f"missing {q.uid}")]
     assert ("decode_fail", 2, str(encoded)) in sim.events
     assert not sim.delivered
 

@@ -1,5 +1,3 @@
-import random
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -199,16 +197,3 @@ def test_holder_annotation_only_grows(n, seed, data):
         packet = annotate_holders(packet, table)
         assert (packet.holders, packet.custodian) == (grown, route[h + 1])
         holders = grown
-
-
-def test_thousand_randomized_roundtrips():
-    rng = random.Random("roundtrips")
-    for trial in range(1000):
-        size = rng.randrange(1, 513)
-        pa = rng.randbytes(size)
-        pb = rng.randbytes(size)
-        p = make_native(0, trial, (0, 1, 2), pa)
-        q = make_native(1, trial, (2, 1, 0), pb)
-        e = xor_encode(p, q)
-        assert xor_decode(e, q).payload == pa
-        assert xor_decode(e, p).payload == pb

@@ -680,37 +680,40 @@ def test_report_rule_never_fires_where_holder_rule_would_not(watch_scans):
     assert hits  # the two-hop fixtures really were exercised
 
 
-def test_encode_fires_only_when_both_sides_can_already_decode():
+def test_encode_fires_only_when_both_sides_can_already_decode(monkeypatch):
     calls = []
+    running = []  # the simulation being run, so the probe can see its buffers
 
-    def probe(sim, node, p, q):
-        calls.append(node)
+    def probe(p, q):
+        sim = running[-1]
+        calls.append((p.uid, q.uid))
         assert q.uid in sim.nodes[p.dst].buffer
         assert p.uid in sim.nodes[q.dst].buffer
 
+    watch_encodes(monkeypatch, probe)
     for seed in range(4):
         scn = random_scenario(
             Scheme.EXCODE, seed=seed, n_flows=4, rate=120.0, duration=1.0, capture_trace=False
         )
-        sim = watch_encodes(Simulation(scn), probe)
-        sim.run()
-        assert sim.decode_failures == 0
-    junction = watch_encodes(Simulation(junction_scenario(Scheme.EXCODE)), probe)
+        sim = Simulation(scn)
+        running[:] = [sim]
+        assert sim.run().decode_failures == 0
+    junction = Simulation(junction_scenario(Scheme.EXCODE))
+    running[:] = [junction]
     junction.run()
     assert junction.per_node_encodes == {2: 1}
     assert calls
 
 
-def watch_encodes(sim, probe):
-    """Call probe(sim, node, p, q) on every encode, ahead of the sim's own hook."""
-    hook = sim.encoded_pair
+def watch_encodes(monkeypatch, probe):
+    """Call probe(p, q) on every encode a node makes, ahead of the encode."""
+    encode = node_module.xor_encode
 
-    def encoded_pair(node, p, q, now):
-        probe(sim, node, p, q)
-        hook(node, p, q, now)
+    def watched(p, q):
+        probe(p, q)
+        return encode(p, q)
 
-    sim.encoded_pair = encoded_pair
-    return sim
+    monkeypatch.setattr(node_module, "xor_encode", watched)
 
 
 def test_reception_reports_mirror_neighbor_buffers():
@@ -827,16 +830,40 @@ ZERO_AIRTIME_TRACES = {
 }
 
 
-def test_zero_airtime_traces_are_pinned():
-    got, encodes, own_instant = {}, 0, 0
+def zero_airtime_cells(capture_trace):
+    """Yield ((cell, scheme), scenario) for each cell of ZERO_AIRTIME_TRACES."""
     for cell, scheme in ZERO_AIRTIME_TRACES:
         if cell.startswith("random-"):
             scn = random_scenario(scheme, int(cell[len("random-"):]), n_flows=8, rate=200.0, duration=0.3)
-            scn = replace(scn, channel_rate=ZERO_AIRTIME_RATE, drain_grace=0.1)
+            scn = replace(scn, drain_grace=0.1)
         else:
-            scn = replace(FIXTURES[cell](scheme), channel_rate=ZERO_AIRTIME_RATE)
+            scn = FIXTURES[cell](scheme)
+        yield (cell, scheme), replace(scn, channel_rate=ZERO_AIRTIME_RATE, capture_trace=capture_trace)
+
+
+def check_counters_against_trace(sim):
+    """The run's counters equal the events its trace logged: encodes per
+    node, decode failures, transmissions and the mixed ones among them."""
+    events, encodes, mixed_tx = Counter(), Counter(), 0
+    for line in sim.trace_log:
+        _, node, event, label = line.split(",", 4)[:4]
+        events[event] += 1
+        if event == "encode":
+            encodes[int(node)] += 1
+        elif event == "tx_start" and "^" in label:
+            mixed_tx += 1
+    assert sim.per_node_encodes == encodes
+    assert sim.decode_failures == events["decode_fail"]
+    assert sim.total_tx == events["tx_start"]
+    assert sim.tx_encoded == mixed_tx
+
+
+def test_zero_airtime_traces_are_pinned():
+    got, encodes, own_instant = {}, 0, 0
+    for key, scn in zero_airtime_cells(capture_trace=True):
         sim = run(scn)
-        got[cell, scheme] = sim.trace_log.sha256()
+        got[key] = sim.trace_log.sha256()
+        check_counters_against_trace(sim)
         encodes += sim.encode_count
         started = {}  # node -> time of its last tx_start
         for line in sim.trace_log:
@@ -855,11 +882,14 @@ def test_zero_airtime_traces_are_pinned():
 def test_saturated_traces_are_pinned(scheme, seed):
     sim = run(random_scenario(scheme, seed=seed, n_flows=8, rate=200.0, duration=2.0))
     assert sim.trace_log.sha256() == SATURATED_TRACES[scheme, seed]
+    check_counters_against_trace(sim)
 
 
 @pytest.mark.parametrize("name, scheme", sorted(FIXTURE_TRACES, key=str))
 def test_fixture_traces_are_pinned(name, scheme):
-    assert run(FIXTURES[name](scheme)).trace_log.sha256() == FIXTURE_TRACES[name, scheme]
+    sim = run(FIXTURES[name](scheme))
+    assert sim.trace_log.sha256() == FIXTURE_TRACES[name, scheme]
+    check_counters_against_trace(sim)
 
 
 def test_no_wake_is_scheduled_onto_a_busy_radio(monkeypatch):
@@ -886,13 +916,7 @@ def test_no_wake_is_scheduled_onto_a_busy_radio(monkeypatch):
     assert sim.encode_count and len(started) == sim.total_tx
     assert max(woken.values()) == 1
     assert all(tx.end > now for now, tx in started)
-    for cell, scheme in ZERO_AIRTIME_TRACES:
-        if cell.startswith("random-"):
-            scn = random_scenario(scheme, int(cell[len("random-"):]), n_flows=8, rate=200.0, duration=0.3,
-                                  capture_trace=False)
-            scn = replace(scn, channel_rate=ZERO_AIRTIME_RATE, drain_grace=0.1)
-        else:
-            scn = replace(FIXTURES[cell](scheme), channel_rate=ZERO_AIRTIME_RATE, capture_trace=False)
+    for (cell, scheme), scn in zero_airtime_cells(capture_trace=False):
         started.clear()
         sim = run(scn)
         assert len(started) == sim.total_tx, (cell, scheme)
@@ -917,9 +941,9 @@ def test_finished_simulation_is_freed_without_the_cycle_collector():
 
 @pytest.mark.parametrize("counted", [False, True])
 def test_every_airtime_is_tx_duration(monkeypatch, counted):
-    # airtimes are memoised by on-air size; each must be the serialization
-    # time of the packet sent: its payload, plus 4 bytes per holder id when
-    # holder bytes are counted in, which only excode's holder lists are
+    # each airtime must be the serialization time of the packet sent: its
+    # payload, plus 4 bytes per holder id when holder bytes are counted in,
+    # which only excode's holder lists are
     sent = []
     on_send = Node.on_send
 
@@ -1024,21 +1048,17 @@ def held_entries(node):
     return (*node.buffer, *node.seen_addressed, *node.seen_overheard)
 
 
-def watch_retirement(sim):
-    """Record who buffers each uid and each uid's mix partner; return both."""
-    buffered, partner = {}, {}
-    native_buffered, encoded_pair = sim.native_buffered, sim.encoded_pair
+def watch_buffering(sim):
+    """Record who buffers each uid; return uid -> nodes."""
+    buffered = {}
+    native_buffered = sim.native_buffered
 
     def on_buffered(node, packet):
         buffered.setdefault(packet.uid, set()).add(node)
         native_buffered(node, packet)
 
-    def on_pair(node, p, q, now):
-        partner[p.uid], partner[q.uid] = q.uid, p.uid
-        encoded_pair(node, p, q, now)
-
-    sim.native_buffered, sim.encoded_pair = on_buffered, on_pair
-    return buffered, partner
+    sim.native_buffered = on_buffered
+    return buffered
 
 
 def detour_scenario(scheme):
@@ -1062,11 +1082,18 @@ def retirement_cells(scheme):
 
 
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-def test_retirement_keeps_only_what_is_in_flight(scheme):
+def test_retirement_keeps_only_what_is_in_flight(scheme, monkeypatch):
     outside_own_route = drained = 0
+    partner = {}  # uid -> its mix partner, in the cell being run
+
+    def on_encode(p, q):
+        partner[p.uid], partner[q.uid] = q.uid, p.uid
+
+    watch_encodes(monkeypatch, on_encode)
     for scn in retirement_cells(scheme):
+        partner.clear()
         sim = Simulation(scn)
-        buffered, partner = watch_retirement(sim)
+        buffered = watch_buffering(sim)
         sim.run()
         assert audit_conservation(sim) == [] and sim.decode_failures == 0
         natives, mixes = in_flight(sim)
