@@ -12,7 +12,7 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -52,26 +52,77 @@ class ValidationError(Exception):
     """Bad config file: message names the offending key."""
 
 
+def _position(key: str, index: int, p, plan: ExperimentPlan) -> tuple[float, float]:
+    if not isinstance(p, list) or len(p) != 2:
+        raise ValidationError(f"{key} must be an [x, y] pair")
+    return tuple(_num(key, v, float) for v in p)
+
+
+def _flow_from_mapping(key: str, index: int, m, plan: ExperimentPlan) -> FlowSpec:
+    """A flows.list entry. Its rate and packet_size default to the plan's
+    flows.rate and flows.packet_size, and take their kind and bounds."""
+    if not isinstance(m, dict):
+        raise ValidationError(f"{key} must be a mapping")
+    for name in m:
+        if name not in FLOW_KEYS:
+            raise ValidationError(f"unknown config key: {key}.{name}")
+    for name in ("src", "dst"):
+        if name not in m:
+            raise ValidationError(f"{key} missing key '{name}'")
+    start = _num(f"{key}.start", m.get("start", 0.0), float, 0.0)  # 0 <= start <= stop
+    return FlowSpec(
+        flow=_num(f"{key}.flow", m.get("flow", index), int),
+        src=_num(f"{key}.src", m["src"], int),
+        dst=_num(f"{key}.dst", m["dst"], int),
+        rate=_read(f"{key}.rate", m.get("rate", plan.rates[0]), KEYS["flows.rate"].metadata, plan),
+        packet_size=_read(f"{key}.packet_size", m.get("packet_size", plan.packet_size),
+                          KEYS["flows.packet_size"].metadata, plan),
+        start=start,
+        stop=None if m.get("stop") is None else _num(f"{key}.stop", m["stop"], float, start),
+    )
+
+
+def _key(default, key: str, kind, minimum=None, maximum=None, sweep: Optional[str] = None):
+    """An ExperimentPlan field with the one statement of the config key that
+    sets it: the key, the kind of its value and the bounds on that value. A
+    list kind is a reader, called as kind(entry key, index, entry, plan) on
+    each entry, and its bounds are on the list's length. A sweep axis holds a
+    list: key gives its one value, and each entry of the sweep list takes the
+    kind and bounds of key."""
+    meta = {"key": key, "kind": kind, "bounds": (minimum, maximum), "sweep": sweep}
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata=meta)
+    return field(default=default, metadata=meta)
+
+
 @dataclass
 class ExperimentPlan:
     """The base scenario knobs plus one list per sweep axis; run_plan runs
-    every flow count x rate x scheme x seed."""
+    every flow count x rate x scheme x seed. load_config sets the fields in
+    this order, so a flows.list entry finds its defaults already read."""
 
-    nodes: int = DEFAULT_NODES
-    side: float = DEFAULT_SIDE
-    radio_range: float = DEFAULT_RANGE
-    topology_seed: Optional[int] = None
-    positions: Optional[list[tuple[float, float]]] = None
-    packet_size: int = DEFAULT_PACKET_SIZE
-    explicit_flows: Optional[tuple[FlowSpec, ...]] = None
-    channel_rate: float = DEFAULT_CHANNEL_RATE
-    duration: float = DEFAULT_DURATION
-    count_header_overhead: bool = False
-    drain_grace: float = 0.0
-    flow_counts: list[int] = field(default_factory=lambda: [2])
-    rates: list[float] = field(default_factory=lambda: [5.0])
-    schemes: list[Scheme] = field(default_factory=lambda: list(Scheme))
-    seeds: list[int] = field(default_factory=lambda: [0])
+    nodes: int = _key(DEFAULT_NODES, "topology.nodes", int, 1, MAX_NODES)
+    side: float = _key(DEFAULT_SIDE, "topology.side", float, 1e-9)
+    radio_range: float = _key(DEFAULT_RANGE, "topology.range", float, 1e-9)
+    topology_seed: Optional[int] = _key(None, "topology.seed", int)
+    positions: Optional[tuple[tuple[float, float], ...]] = _key(None, "topology.positions", _position, 1, MAX_NODES)
+    packet_size: int = _key(DEFAULT_PACKET_SIZE, "flows.packet_size", int, 1, MAX_PACKET_SIZE)
+    channel_rate: float = _key(DEFAULT_CHANNEL_RATE, "channel.rate_bps", float, 1e-9)
+    duration: float = _key(DEFAULT_DURATION, "duration", float, 1e-9)
+    count_header_overhead: bool = _key(False, "count_header_overhead", bool)
+    drain_grace: float = _key(0.0, "drain_grace", float, 0.0)
+    flow_counts: list[int] = _key([2], "flows.count", int, 0, MAX_FLOWS, sweep="sweep.flows")
+    rates: list[float] = _key([5.0], "flows.rate", float, 1e-9, sweep="sweep.rates")
+    schemes: list[Scheme] = _key(list(Scheme), "scheme", Scheme, sweep="sweep.schemes")
+    seeds: list[int] = _key([0], "seed", int, sweep="sweep.seeds")
+    explicit_flows: Optional[tuple[FlowSpec, ...]] = _key(None, "flows.list", _flow_from_mapping, maximum=MAX_FLOWS)
+
+
+PLAN_FIELDS = fields(ExperimentPlan)
+# every config key ("section.name", or "name" at the root) -> the field it sets
+KEYS = {k: f for f in PLAN_FIELDS for k in (f.metadata["key"], f.metadata["sweep"]) if k}
+SECTIONS = {key.partition(".")[0] for key in KEYS if "." in key}
+FLOW_KEYS = {f.name for f in fields(FlowSpec)}  # the keys of a flows.list entry
 
 
 def parse_scheme(name: str, key: str = "scheme") -> Scheme:
@@ -97,90 +148,60 @@ def load_config(path) -> ExperimentPlan:
     if not isinstance(raw, dict):
         raise ValidationError("config root must be a mapping")
 
-    plan = ExperimentPlan()
-    known = {"topology", "flows", "channel", "sweep", "scheme", "seed", "duration",
-             "count_header_overhead", "drain_grace"}
-    for key in raw:
-        if key not in known:
+    given = {}  # each key the config sets, spelt as in KEYS -> its value
+    for key, value in raw.items():
+        if key in SECTIONS:
+            if value is None:
+                value = {}
+            if not isinstance(value, dict):
+                raise ValidationError(f"{key} must be a mapping")
+            given.update((f"{key}.{name}", v) for name, v in value.items())
+        elif key in KEYS and "." not in key:
+            given[key] = value
+        else:
             raise ValidationError(f"unknown config key: {key}")
-
-    topo = _section(raw, "topology", {"nodes", "side", "range", "seed", "positions"})
-    plan.nodes = _num("topology.nodes", topo.get("nodes", plan.nodes), int, minimum=1, maximum=MAX_NODES)
-    plan.side = _num("topology.side", topo.get("side", plan.side), float, minimum=1e-9)
-    plan.radio_range = _num("topology.range", topo.get("range", plan.radio_range), float, minimum=1e-9)
-    if "seed" in topo:
-        plan.topology_seed = _num("topology.seed", topo["seed"], int)
-    if "positions" in topo:
-        for key in ("nodes", "side", "seed"):
-            if key in topo:
-                raise ValidationError(f"topology.{key} cannot be combined with topology.positions")
-        pos = topo["positions"]
-        if not isinstance(pos, list) or not all(
-            isinstance(p, (list, tuple)) and len(p) == 2 for p in pos
-        ):
-            raise ValidationError("topology.positions must be a list of [x, y] pairs")
-        if len(pos) > MAX_NODES:
-            raise ValidationError(f"topology.positions must have at most {MAX_NODES} entries")
-        plan.positions = [
-            tuple(_num(f"topology.positions[{i}]", v, float) for v in p) for i, p in enumerate(pos)
-        ]
-        plan.nodes = len(plan.positions)
-
-    flows = _section(raw, "flows", {"count", "rate", "packet_size", "list"})
-    sweep = _section(raw, "sweep", {"flows", "rates", "schemes", "seeds"})
-    if "flows" in sweep and "rates" in sweep:
+    for key in given:
+        if key not in KEYS:
+            raise ValidationError(f"unknown config key: {key}")
+    if "sweep.flows" in given and "sweep.rates" in given:
         raise ValidationError("sweep: give either flows or rates, not both")
-    # each axis is its sweep list, else its one-value key as a one-element list
-    for name, axis, scalars, scalar_key, parse in (
-        ("flow_counts", "flows", flows, "flows.count", lambda k, v: _num(k, v, int, 0, MAX_FLOWS)),
-        ("rates", "rates", flows, "flows.rate", lambda k, v: _num(k, v, float, minimum=1e-9)),
-        ("schemes", "schemes", raw, "scheme", lambda k, v: parse_scheme(str(v), k)),
-        ("seeds", "seeds", raw, "seed", lambda k, v: _num(k, v, int)),
-    ):
-        key = scalar_key.rpartition(".")[2]
-        if axis in sweep:
-            if key in scalars:
-                raise ValidationError(f"{scalar_key} cannot be combined with sweep.{axis}")
-            values = _as_list(sweep[axis], f"sweep.{axis}")
-            setattr(plan, name, [parse(f"sweep.{axis}", v) for v in values])
-        elif key in scalars:
-            setattr(plan, name, [parse(scalar_key, scalars[key])])
 
-    plan.packet_size = _num("flows.packet_size", flows.get("packet_size", plan.packet_size), int,
-                            minimum=1, maximum=MAX_PACKET_SIZE)
-    if "list" in flows:
-        if "count" in flows:
-            raise ValidationError("flows.count cannot be combined with flows.list")
-        for axis in ("flows", "rates"):
-            if axis in sweep:
-                raise ValidationError(f"sweep.{axis} cannot be combined with flows.list")
-        if not isinstance(flows["list"], list):
-            raise ValidationError("flows.list must be a list of flow mappings")
-        if len(flows["list"]) > MAX_FLOWS:
-            raise ValidationError(f"flows.list must have at most {MAX_FLOWS} entries")
-        plan.explicit_flows = tuple(_flow_from_mapping(i, m, plan) for i, m in enumerate(flows["list"]))
-        first_index: dict[int, int] = {}  # flow id -> the first entry that set it
-        for i, f in enumerate(plan.explicit_flows):
-            first = first_index.setdefault(f.flow, i)
-            if first != i:
-                raise ValidationError(f"flows.list[{i}].flow must differ from flows.list[{first}].flow")
+    plan = ExperimentPlan()
+    for f in PLAN_FIELDS:
+        key, sweep = f.metadata["key"], f.metadata["sweep"]
+        if sweep in given:  # each axis is its sweep list, else its one-value key
+            if key in given:
+                raise ValidationError(f"{key} cannot be combined with {sweep}")
+            setattr(plan, f.name, [_read(sweep, v, f.metadata, plan) for v in _entries(sweep, given[sweep], 1)])
+        elif key in given:
+            value = _read(key, given[key], f.metadata, plan)
+            setattr(plan, f.name, [value] if sweep else value)
 
-    channel = _section(raw, "channel", {"rate_bps"})
-    plan.channel_rate = _num("channel.rate_bps", channel.get("rate_bps", plan.channel_rate), float, minimum=1e-9)
-
-    plan.duration = _num("duration", raw.get("duration", plan.duration), float, minimum=1e-9)
-    plan.drain_grace = _num("drain_grace", raw.get("drain_grace", plan.drain_grace), float, minimum=0.0)
-    if "count_header_overhead" in raw:
-        if not isinstance(raw["count_header_overhead"], bool):
-            raise ValidationError("count_header_overhead must be true or false")
-        plan.count_header_overhead = raw["count_header_overhead"]
-
+    # the rules that tie one key to another
+    if plan.positions is not None:
+        for key in ("topology.nodes", "topology.side", "topology.seed"):
+            if key in given:
+                raise ValidationError(f"{key} cannot be combined with topology.positions")
+        plan.nodes = len(plan.positions)
     if plan.explicit_flows is not None:
+        for key in ("flows.count", "sweep.flows", "sweep.rates"):
+            if key in given:
+                raise ValidationError(f"{key} cannot be combined with flows.list")
+        first_index: dict[int, int] = {}  # flow id -> the first entry that set it
+        for i, flow in enumerate(plan.explicit_flows):
+            entry = f"flows.list[{i}]"
+            for end in ("src", "dst"):
+                _num(f"{entry}.{end}", getattr(flow, end), int, 0, plan.nodes - 1)
+            if flow.src == flow.dst:
+                raise ValidationError(f"{entry}.dst must differ from {entry}.src")
+            first = first_index.setdefault(flow.flow, i)
+            if first != i:
+                raise ValidationError(f"{entry}.flow must differ from flows.list[{first}].flow")
         keys = "the sum of flows.list[i].rate x duration"
         packets = sum(f.rate * plan.duration for f in plan.explicit_flows)
     else:
-        count_key = "sweep.flows" if "flows" in sweep else "flows.count"
-        rate_key = "sweep.rates" if "rates" in sweep else "flows.rate"
+        count_key = "sweep.flows" if "sweep.flows" in given else "flows.count"
+        rate_key = "sweep.rates" if "sweep.rates" in given else "flows.rate"
         keys = f"{count_key} x {rate_key} x duration"
         packets = max(plan.flow_counts) * max(plan.rates) * plan.duration
     if packets > MAX_PACKETS:
@@ -188,21 +209,27 @@ def load_config(path) -> ExperimentPlan:
     return plan
 
 
-def _section(raw: dict, name: str, known: set) -> dict:
-    sec = raw.get(name, {})
-    if sec is None:
-        sec = {}
-    if not isinstance(sec, dict):
-        raise ValidationError(f"{name} must be a mapping")
-    for key in sec:
-        if key not in known:
-            raise ValidationError(f"unknown config key: {name}.{key}")
-    return sec
+def _read(key: str, value, meta, plan: ExperimentPlan):
+    """value, given for config key, as the kind and within the bounds of meta."""
+    kind, (minimum, maximum) = meta["kind"], meta["bounds"]
+    if kind is bool:
+        if not isinstance(value, bool):
+            raise ValidationError(f"{key} must be true or false")
+        return value
+    if kind is Scheme:
+        return parse_scheme(str(value), key)
+    if kind in (int, float):
+        return _num(key, value, kind, minimum, maximum)
+    entries = _entries(key, value, minimum, maximum)
+    return tuple(kind(f"{key}[{i}]", i, entry, plan) for i, entry in enumerate(entries))
 
 
-def _as_list(value, key: str) -> list:
-    if not isinstance(value, list) or not value:
-        raise ValidationError(f"{key} must be a non-empty list")
+def _entries(key: str, value, minimum=None, maximum=None) -> list:
+    """value as a list of at least minimum (0 or 1) and at most maximum entries."""
+    if not isinstance(value, list) or len(value) < (minimum or 0):
+        raise ValidationError(f"{key} must be a {'non-empty ' if minimum else ''}list")
+    if maximum is not None and len(value) > maximum:
+        raise ValidationError(f"{key} must have at most {maximum} entries")
     return value
 
 
@@ -263,36 +290,6 @@ def build_scenario(plan: ExperimentPlan, scheme: Scheme, seed: int, n_flows: int
         count_header_overhead=plan.count_header_overhead,
         drain_grace=plan.drain_grace,
         capture_trace=False,
-    )
-
-
-def _flow_from_mapping(index: int, m, plan: ExperimentPlan) -> FlowSpec:
-    prefix = f"flows.list[{index}]"
-    if not isinstance(m, dict):
-        raise ValidationError(f"{prefix} must be a mapping")
-    for key in m:
-        if key not in {"flow", "src", "dst", "rate", "packet_size", "start", "stop"}:
-            raise ValidationError(f"unknown config key: {prefix}.{key}")
-    for key in ("src", "dst"):
-        if key not in m:
-            raise ValidationError(f"{prefix} missing key '{key}'")
-
-    def num(key: str, kind, default=None, **bounds):
-        return _num(f"{prefix}.{key}", m.get(key, default), kind, **bounds)
-
-    src = num("src", int, minimum=0, maximum=plan.nodes - 1)
-    dst = num("dst", int, minimum=0, maximum=plan.nodes - 1)
-    if src == dst:
-        raise ValidationError(f"{prefix}.dst must differ from {prefix}.src")
-    start = num("start", float, 0.0, minimum=0.0)
-    return FlowSpec(
-        flow=num("flow", int, index),
-        src=src,
-        dst=dst,
-        rate=num("rate", float, plan.rates[0], minimum=1e-9),
-        packet_size=num("packet_size", int, plan.packet_size, minimum=1, maximum=MAX_PACKET_SIZE),
-        start=start,
-        stop=None if m.get("stop") is None else num("stop", float, minimum=start),
     )
 
 

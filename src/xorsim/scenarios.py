@@ -149,6 +149,8 @@ def random_flows(
     """n_flows constant-rate flows between seeded random routable endpoints.
     The topology's one BFS table per destination answers every routability
     test, and routing the flows later reuses it."""
+    if n_flows and topo.n < 2:
+        raise ScenarioInvalidError(f"seed {seed}: a flow needs 2 nodes, the layout has {topo.n}")
     rng = random.Random(f"flows:{seed}")
     flows = []
     for i in range(n_flows):

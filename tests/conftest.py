@@ -1,10 +1,15 @@
 import itertools
 
 import pytest
+from hypothesis import settings
 
 from xorsim import node
 from xorsim.coding import Scheme, cope_can_code, excode_can_code
 from xorsim.packet import NativePacket
+
+# the config fuzzers of test_cli.py scale with the profile's max_examples: CI
+# runs them again with --hypothesis-profile=config-fuzz, ten times the default 100
+settings.register_profile("config-fuzz", max_examples=1000)
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@ import copy
 import functools
 import io
 import itertools
+import math
 import multiprocessing
 import operator
 import os
@@ -93,6 +94,7 @@ def test_full_config_round_trip(tmp_path):
         ("topology: {nodes: 2.5}", "topology.nodes must be an integer"),
         ("topology: {nodes: zero}", "topology.nodes must be a number"),
         ("topology: {nodes: 0}", "topology.nodes must be >="),
+        ("topology: {positions: []}", "topology.positions must be a non-empty list"),
         ("topology: {positions: [[1, 2], [3]]}", "topology.positions"),
         ("topology: {positions: [[a, 1], [2, 3]]}", "topology.positions[0] must be a number"),
         ("topology: {nodes: 9, positions: [[0, 0], [100, 0]]}",
@@ -224,7 +226,9 @@ def edited_configs(draw, bases=st.sampled_from(VALID_CONFIGS)):
     return config
 
 
-@settings(max_examples=200, deadline=None)
+# the two config fuzzers draw 2x and 1x the profile's max_examples: 200 and
+# 100 under the default profile, ten times that under "config-fuzz"
+@settings(max_examples=2 * settings.default.max_examples, deadline=None)
 @given(raw=edited_configs())
 def test_any_config_loads_or_names_a_key(tmp_path_factory, raw):
     path = tmp_path_factory.getbasetemp() / "fuzz.yaml"
@@ -262,8 +266,9 @@ small_configs = st.fixed_dictionaries({
 })
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=settings.default.max_examples, deadline=None)
 @given(raw=edited_configs(small_configs))
+@example(raw={"topology": {"positions": [], "range": 200}, "duration": 0.125, "scheme": "none", "seed": 0})
 @example(raw={"topology": LINE, "duration": 0.1, "scheme": "excode", "seed": 0,
               "flows": {"rate": 400.0, "list": [{"src": 0, "dst": 2, "packet_size": 512},
                                                 {"src": 2, "dst": 0, "packet_size": 256}]}})
@@ -277,6 +282,75 @@ def test_any_config_runs_or_exits_2(tmp_path_factory, raw):
         code = main(["run", "--config", str(path), "--out", str(base / "fuzz-main-out")])
     assert code in (0, 2)
     assert (code == 2) == err.getvalue().startswith("error: "), err.getvalue()
+
+
+def nested(key: str, value) -> dict:
+    """The config that sets one dotted key to value."""
+    for name in reversed(key.split(".")):
+        value = {name: value}
+    return value
+
+
+def bounded_spellings():
+    """(key, field metadata, config for a value of the key) for every key
+    with a bound. A sweep axis is spelt both ways, and a flows.list entry
+    key that shares its name with a flows key takes that key's bounds."""
+    for f in cli.PLAN_FIELDS:
+        key, sweep = f.metadata["key"], f.metadata["sweep"]
+        if f.metadata["bounds"] == (None, None):
+            continue
+        yield key, f.metadata, lambda v, key=key: nested(key, v)
+        if sweep:
+            yield sweep, f.metadata, lambda v, sweep=sweep: nested(sweep, [v])
+        section, _, name = key.partition(".")
+        if section == "flows" and name in cli.FLOW_KEYS:
+            yield (f"flows.list[0].{name}", f.metadata,
+                   lambda v, name=name: nested("flows.list", [{"src": 0, "dst": 1, name: v}]))
+
+
+# a valid entry for each list key, repeated to the length under test
+LIST_ENTRIES = {"topology.positions": [0.0, 0.0], "flows.list": {"src": 0, "dst": 1}}
+
+
+@pytest.mark.parametrize("key,meta,config", [pytest.param(*s, id=s[0]) for s in bounded_spellings()])
+def test_every_bound_holds_at_its_edges(tmp_path, key, meta, config):
+    # below the minimum, at it, at the maximum and above it; a list's bounds
+    # are on its length. The short duration keeps 10,000 flows at 5 pkt/s
+    # under the per-cell packet cap
+    kind, (lo, hi) = meta["kind"], meta["bounds"]
+    # one step out of bounds: the next float, or the next integer or length
+    out = (lambda v, way: math.nextafter(v, way * math.inf)) if kind is float else operator.add
+    edges = [(bound, True) for bound in (lo, hi) if bound is not None]
+    edges += [(out(bound, way), False) for bound, way in ((lo, -1), (hi, 1)) if bound is not None]
+    for value, inside in edges:
+        if kind not in (int, float):
+            value = [LIST_ENTRIES[key]] * value  # the same object: YAML writes aliases
+        path = write_config(tmp_path, yaml.safe_dump({"duration": 0.001, **config(value)}))
+        if inside:
+            assert isinstance(load_config(path), ExperimentPlan), (key, value)
+        else:
+            with pytest.raises(ValidationError, match=f"^{re.escape(key)} must "):
+                load_config(path)
+
+
+def test_readme_names_every_config_key():
+    # the README's "All config keys" block, flattened to dotted keys (a
+    # flows.list entry's keys as flows.list[].name), is the schema load_config reads
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = re.search(r"^All config keys.*?^```yaml\n(.*?)^```$", readme, re.M | re.S).group(1)
+
+    def flat(node, prefix=""):
+        for name, value in node.items():
+            key = f"{prefix}{name}"
+            if isinstance(value, dict):
+                yield from flat(value, key + ".")
+                continue
+            yield key
+            for entry in value if isinstance(value, list) else ():
+                if isinstance(entry, dict):
+                    yield from flat(entry, key + "[].")
+
+    assert set(flat(yaml.safe_load(block))) == set(cli.KEYS) | {f"flows.list[].{name}" for name in cli.FLOW_KEYS}
 
 
 def test_scheme_key_narrows_the_sweep_unless_overridden(tmp_path, capsys):

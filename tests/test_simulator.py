@@ -1000,6 +1000,15 @@ def test_random_flows_match_a_route_search_per_pair():
             assert [f.flow for f in flows] == list(range(n_flows))
 
 
+@pytest.mark.parametrize("positions", [[], [(0.0, 0.0)]])
+def test_random_flows_need_two_nodes(positions):
+    # a layout too small for any flow is a scenario error, not a raw ValueError
+    topo = build_topology(positions, 200.0)
+    assert random_flows(topo, 0, 5.0, 512, 0) == ()
+    with pytest.raises(ScenarioInvalidError, match=f"^seed 0: a flow needs 2 nodes, the layout has {len(positions)}$"):
+        random_flows(topo, 1, 5.0, 512, 0)
+
+
 def test_validated_routes_match_a_route_search_per_pair():
     # one BFS per destination must give each flow the route, and the first
     # unroutable flow the "no route" error, that a route search per flow gives
