@@ -269,15 +269,17 @@ def _is_float_text(text: str) -> bool:
 def build_scenario(plan: ExperimentPlan, scheme: Scheme, seed: int, n_flows: int, rate: float) -> Scenario:
     """One sweep field (node layout, unit-disk topology, flows) as a scenario
     of the given scheme, built without trace capture. run_plan builds each
-    field once and runs every scheme on it."""
-    if plan.positions is not None:
-        positions = plan.positions
-    else:
-        tseed = plan.topology_seed if plan.topology_seed is not None else seed
-        positions = random_layout(plan.nodes, plan.side, tseed)
+    field once and runs every scheme on it. An unroutable flows.list entry is
+    named, with the seed of the random layout that cut it."""
+    tseed = plan.topology_seed if plan.topology_seed is not None else seed
+    positions = plan.positions if plan.positions is not None else random_layout(plan.nodes, plan.side, tseed)
     topo = build_topology(positions, plan.radio_range)
     if plan.explicit_flows is not None:
         flows = plan.explicit_flows
+        for i, f in enumerate(flows):  # routing reuses each BFS table
+            if topo.distances_to(f.dst)[f.src] == math.inf:
+                layout = "" if plan.positions is not None else f" in the layout of seed {tseed}"
+                raise ScenarioInvalidError(f"flows.list[{i}]: no route from {f.src} to {f.dst}{layout}")
     else:
         flows = random_flows(topo, n_flows, rate, plan.packet_size, seed)
     return Scenario(

@@ -4,12 +4,14 @@ Addressed packets wait in a FIFO input queue until the node's radio is
 idle; that waiting room is where crossing flows meet and become codable.
 They are then handled one at a time, each through the same branch ladder:
 
-1. a key already handled as addressed is dropped;
-2. packets destined here are delivered, decoding first when encoded;
-3. anything else is relay traffic: under a coding scheme the node scans the
+1. packets destined here are delivered, decoding first when encoded;
+2. anything else is relay traffic: under a coding scheme the node scans the
    rest of the input queue for a codable partner and, if one exists, XORs the
    pair into a single output-queue entry; otherwise the packet is queued for
    forwarding as-is.
+
+No node is addressed the same key twice (see the README's Model), so only
+overheard copies are checked for duplicates: a repeat is traced dup_discard.
 
 The buffer holds natives only, by uid. Overheard copies carry no forwarding
 obligation: overhear() buffers a native, or the native an overheard mix
@@ -17,10 +19,10 @@ yields at once; a mix it cannot decode is not kept. The output queue drains
 one packet per transmission. A native takes its route's holder set for the
 sending hop; encoded packets advance each still-active constituent.
 
-Buffers and seen-sets hold only what is in flight. The node reports each
+Buffers and overheard sets hold only what is in flight. The node reports each
 copy of a mix it queues or handles (sim.mix_copies), and the simulation
 retires a delivered packet, once no live mix holds it, from every buffer and
-seen-set that can hold it. So a node traces a delivery before it reports it.
+overheard set that can hold it. So a delivery is traced before it is reported.
 """
 
 from __future__ import annotations
@@ -63,7 +65,6 @@ class Node:
     input_queue: deque = field(default_factory=deque)  # addressed arrivals
     output_queue: deque = field(default_factory=deque)
     buffer: dict = field(default_factory=dict)  # uid -> native
-    seen_addressed: set = field(default_factory=set)
     seen_overheard: set = field(default_factory=set)
     reports: ReceptionReports = field(default_factory=dict)  # neighbor -> its buffer
     transmitting: Optional[Transmission] = None  # the broadcast on air
@@ -75,24 +76,14 @@ class Node:
 
     def on_receive(self, packet: Packet, now: float, sim: Simulation) -> None:
         """Handle one addressed packet: deliver it or relay it."""
-        key = packet.key
-        if key in self.seen_addressed:
-            sim.trace(now, self.id, "dup_discard", packet, "addressed")
-            if isinstance(packet, EncodedPacket):
-                sim.mix_copies(key, -1)
-            return
-        self.seen_addressed.add(key)
-
-        if isinstance(packet, NativePacket):
-            if packet.dst == self.id:
-                self._buffer_native(packet, sim)
-                sim.trace(now, self.id, "deliver", packet)
-                sim.deliver(self.id, packet, now)
-                return
+        if isinstance(packet, EncodedPacket):
+            self._handle_addressed_encoded(packet, now, sim)
+        elif packet.dst != self.id:
             self._relay_native(packet, now, sim)
-            return
-
-        self._handle_addressed_encoded(packet, now, sim)
+        else:
+            self._buffer_native(packet, sim)
+            sim.trace(now, self.id, "deliver", packet)
+            sim.deliver(self.id, packet, now)
 
     def _relay_native(self, packet: NativePacket, now: float, sim: Simulation) -> None:
         self._buffer_native(packet, sim)  # the scan never reads this node's own buffer
@@ -100,10 +91,8 @@ class Node:
         if idx is not None:
             partner = self.input_queue[idx]
             del self.input_queue[idx]
-            self.seen_addressed.add(partner.uid)
             self._buffer_native(partner, sim)
             encoded = xor_encode(packet, partner)
-            self.seen_addressed.add(encoded.key)
             self.output_queue.append(encoded)
             sim.mix_copies(encoded.key, 1)
             sim.per_node_encodes[self.id] += 1
@@ -120,7 +109,6 @@ class Node:
             known = self.buffer.get(counterpart.uid)
             if known is not None:
                 native = xor_decode(packet, known)
-                self.seen_addressed.add(native.uid)
                 self._buffer_native(native, sim)
                 sim.trace(now, self.id, "decode_deliver", native, f"from {packet}")
                 sim.deliver(self.id, native, now)

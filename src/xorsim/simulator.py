@@ -38,13 +38,13 @@ sent and keeps a lean record, payload b"", unless they differ. Neither
 generated (a read-only view, see GeneratedView) nor delivered (the plain
 dict of those records) holds a payload that checked out. A packet uid is
 retired once it has been delivered and no copy of a mix holding it is still
-queued or on air: it leaves every node's buffer (so every cope report), both
-seen-sets and the trace's label cache. A count of live copies per mix key
-(+1 when a node queues a mix, +len(addressed)-1 when one leaves the air, -1
-when a node handles or discards one) says when a mix and its key die. Only
-the nodes that can hold the uid are visited: its route's last holder set,
-and for a mixed uid also the partner's, since overhearers of the mix sent
-along the partner's route can decode it early. Retiring cannot change a
+queued or on air: it leaves every node's buffer (so every cope report) and
+overheard set, and the trace's label cache. A count of live copies per mix
+key (+1 when a node queues a mix, +len(addressed)-1 when one leaves the air,
+-1 when a node handles one) says when a mix and its key die. Only the nodes
+that can hold the uid are visited: its route's last holder set, and for a
+mixed uid also the partner's, since overhearers of the mix sent along the
+partner's route can decode it early. Retiring cannot change a
 trace: any later reference to a uid needs a copy of it in flight, and uids
 are never reused.
 """
@@ -454,8 +454,8 @@ class Simulation:
 
     def mix_copies(self, key: tuple[PacketUid, PacketUid], delta: int) -> None:
         """A node queued (+1) or handled (-1) a copy of mix key. When the last
-        copy goes the mix dies: its key leaves the seen-sets and the label
-        cache, and its delivered natives retire."""
+        copy goes the mix dies: its key leaves the overheard sets and the
+        label cache, and its delivered natives retire."""
         copies = self._mix_copies
         left = copies.get(key, 0) + delta
         if left:
@@ -469,7 +469,6 @@ class Simulation:
         scope = self.holders_at[a.flow][-1] | self.holders_at[b.flow][-1]
         nodes = self.nodes
         for n in scope:
-            nodes[n].seen_addressed.discard(key)
             nodes[n].seen_overheard.discard(key)
         self.trace_log.forget(key)
         for uid in key:
@@ -478,13 +477,12 @@ class Simulation:
                 self._retire(uid, scope)
 
     def _retire(self, uid: PacketUid, scope) -> None:
-        """Drop a delivered uid, which no copy in flight holds, from the nodes
-        in scope and from the trace's label cache."""
+        """Drop a delivered uid, which no copy in flight holds, from the
+        buffers and overheard sets in scope and from the trace's label cache."""
         nodes = self.nodes
         for n in scope:
             node = nodes[n]
             node.buffer.pop(uid, None)
-            node.seen_addressed.discard(uid)
             node.seen_overheard.discard(uid)
         self.trace_log.forget(uid)
 

@@ -650,12 +650,12 @@ def test_main_reports_scenario_errors(tmp_path, capsys):
     config = write_config(
         tmp_path,
         """
-        topology: {positions: [[0, 0], [900, 0]]}
-        flows: {list: [{src: 0, dst: 1}]}
+        topology: {positions: [[0, 0], [100, 0], [1000, 0]], range: 200}
+        flows: {list: [{src: 0, dst: 1}, {src: 0, dst: 2}]}
         """,
     )
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
-    assert "no route" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: flows.list[1]: no route from 0 to 2\n"
 
 
 @pytest.mark.parametrize("cpus", [{0, 1}, {0, 1, 2}])
@@ -678,7 +678,7 @@ def test_main_reports_a_worker_field_error_as_one_process_does(tmp_path, capsys,
         assert main(["run", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
         errors.append(capsys.readouterr().err)
         assert multiprocessing.active_children() == []
-    assert errors == ["error: flow 0: no route from 0 to 1\n"] * 2
+    assert errors == ["error: flows.list[0]: no route from 0 to 1 in the layout of seed 1\n"] * 2
 
 
 def test_flows_of_different_packet_sizes_meet_without_coding(tmp_path, capsys):

@@ -3,7 +3,7 @@ from collections import Counter
 
 from xorsim.coding import Scheme
 from xorsim.node import Node
-from xorsim.packet import NativePacket, PacketUid, holder_table, xor_encode
+from xorsim.packet import EncodedPacket, NativePacket, PacketUid, holder_table, xor_encode
 
 
 class HookRecorder:
@@ -77,9 +77,9 @@ def test_relay_codes_with_queued_partner():
     assert ("encode", 1, str(encoded)) in sim.events
     assert encoded.key == (P_EAST.uid, Q_WEST.uid)
     assert encoded.payload == xor_encode(P_EAST, Q_WEST).payload
-    # both originals are buffered; the mix is only marked seen
+    # both originals are buffered, the mix is not; nothing counts as overheard
     assert node.buffer == {P_EAST.uid: P_EAST, Q_WEST.uid: Q_WEST}
-    assert {P_EAST.uid, Q_WEST.uid, encoded.key} <= node.seen_addressed
+    assert node.seen_overheard == set()
     assert sim.mix_deltas == [(encoded.key, 1)]  # one queued copy
 
 
@@ -90,24 +90,6 @@ def test_relay_never_codes_under_non_coding():
     node.process_input(0.0, sim)
     assert sim.per_node_encodes == {} and sim.details == []
     assert list(node.output_queue) == [Q_WEST, P_EAST]
-
-
-def test_duplicate_addressed_copies_are_dropped():
-    node, sim = relay_node()
-    node.input_queue.append(P_EAST)
-    node.input_queue.append(P_EAST)
-    node.process_input(0.0, sim)
-    assert dup_discards(sim) == [("dup_discard", 1, str(P_EAST.uid))]
-    assert list(node.output_queue) == [P_EAST]
-
-
-def test_duplicate_mix_copy_is_counted_gone():
-    node, sim = relay_node()
-    encoded = xor_encode(P_EAST, Q_WEST)
-    node.seen_addressed.add(encoded.key)
-    node.on_receive(encoded, 0.0, sim)
-    assert dup_discards(sim) == [("dup_discard", 1, str(encoded))]
-    assert sim.mix_deltas == [(encoded.key, -1)]
 
 
 def test_delivery_is_traced_before_it_is_reported():
@@ -274,11 +256,12 @@ def test_reception_report_lists_only_natives():
 
 
 def test_everything_buffered_was_seen():
-    # a node fed arbitrary interleavings never holds a packet it cannot
-    # account for in its seen sets
+    # a node fed arbitrary interleavings buffers only natives it was handed,
+    # alone or inside a mix, and marks every packet it overhears as seen
     rng = random.Random("node-walk")
     node = Node(id=1, neighbors=(0, 2), scheme=Scheme.EXCODE)
     sim = HookRecorder()
+    handed, overheard = set(), set()
     for step in range(300):
         flow = rng.randrange(4)
         seq = rng.randrange(6)
@@ -290,7 +273,12 @@ def test_everything_buffered_was_seen():
                 payload=bytes([seq, flow]) * 3,
             )
             pkt = xor_encode(pkt, other)
-        receive = node.overhear if rng.random() < 0.5 else node.on_receive
-        receive(pkt, float(step), sim)
-        assert set(node.buffer) <= node.seen_addressed | node.seen_overheard
+        handed.update(pkt.key if isinstance(pkt, EncodedPacket) else [pkt.uid])
+        if rng.random() < 0.5:
+            node.overhear(pkt, float(step), sim)
+            overheard.add(pkt.key)
+        else:
+            node.on_receive(pkt, float(step), sim)
+        assert set(node.buffer) <= handed
+        assert overheard <= node.seen_overheard
         node.output_queue.clear()

@@ -13,7 +13,7 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st, target
 
 from xorsim import node as node_module, simulator
 from xorsim.coding import Scheme
@@ -167,6 +167,57 @@ def test_every_other_neighbor_overhears_a_transmission():
             assert heard == set(sim.nodes[int(node)].neighbors) - addressed[node], lines[i]
             mixes += "^" in uid
     assert mixes > 0
+
+
+class AddressedOnce(Simulation):
+    """Fails at once, naming the node and the key, where a node is addressed
+    a key a second time or a native goes into a second mix."""
+
+    def __init__(self, scenario):
+        super().__init__(scenario)
+        self.addressed = set()  # (node, key) of every addressed arrival
+        self.mixed_into = {}  # uid -> the mix it went into
+
+    def _arrive(self, node, packet, now):
+        assert (node.id, packet.key) not in self.addressed, f"node {node.id} is addressed {packet} twice"
+        self.addressed.add((node.id, packet.key))
+        super()._arrive(node, packet, now)
+
+    def trace(self, now, node, event, packet, detail=""):
+        if event == "encode":
+            for uid in packet.key:
+                assert uid not in self.mixed_into, f"node {node} mixes {uid} again, into {packet}"
+                self.mixed_into[uid] = packet
+        super().trace(now, node, event, packet, detail)
+
+
+# nodes keep no addressed-duplicate filter: this is the precondition that
+# makes one needless. It scales with the profile's max_examples, as the
+# config fuzzers of test_cli.py do, and steers toward cells that mix more
+@settings(max_examples=settings.default.max_examples, deadline=None)
+@given(
+    scheme=st.sampled_from((Scheme.EXCODE, Scheme.COPE)),
+    line=st.booleans(),
+    n=st.integers(3, 40),
+    seed=st.integers(0, 10**6),
+    n_flows=st.integers(1, 8),
+    rate=st.floats(20.0, 400.0),
+    packet_size=st.sampled_from((64, 512)),
+    channel_rate=st.sampled_from((2e6, 11e6, 1e30)),
+)
+@example(scheme=Scheme.EXCODE, line=False, n=DEFAULT_NODES, seed=1, n_flows=8, rate=200.0, packet_size=512,
+         channel_rate=2e6)
+def test_no_node_is_addressed_a_key_twice(scheme, line, n, seed, n_flows, rate, packet_size, channel_rate):
+    positions = [(150.0 * i, 0.0) for i in range(n)] if line else random_layout(n, 150.0 * math.sqrt(n), seed)
+    topo = build_topology(positions, DEFAULT_RANGE)
+    try:
+        flows = random_flows(topo, n_flows, rate, packet_size, seed)
+    except ScenarioInvalidError:  # too few connected pairs to sample from
+        assume(False)
+    sim = AddressedOnce(Scenario(topo, flows, scheme, duration=0.25, channel_rate=channel_rate, seed=seed,
+                                 capture_trace=False)).run()
+    assert sim.double_deliveries == 0
+    target(float(sim.encode_count), label="encodes")
 
 
 def test_zero_flow_run_is_empty_but_valid():
@@ -1054,7 +1105,7 @@ def in_flight(sim):
 
 
 def held_entries(node):
-    return (*node.buffer, *node.seen_addressed, *node.seen_overheard)
+    return (*node.buffer, *node.seen_overheard)
 
 
 def watch_buffering(sim):
@@ -1138,7 +1189,7 @@ def test_retirement_keeps_only_what_is_in_flight(scheme, monkeypatch):
 @pytest.mark.parametrize("duration", (2.0, 4.0))
 def test_held_entries_per_packet_in_flight_are_bounded(duration):
     # the benchmark's saturated excode cell: queues grow with time, and
-    # buffers and seen-sets must grow with them, not with what was delivered
+    # buffers and overheard sets must grow with them, not with what was delivered
     sim = run(random_scenario(Scheme.EXCODE, seed=1, n_flows=8, rate=200.0, duration=duration,
                               capture_trace=False))
     natives, mixes = in_flight(sim)
