@@ -302,20 +302,22 @@ def run_plan(plan: ExperimentPlan, out_dir) -> list[MetricsReport]:
     """Run the whole sweep, write results.csv and one SVG per metric.
 
     Each (flow count, rate, seed) field is built once and every scheme runs
-    on it, so the schemes share one layout, its routes and its flows.
-    Fields run on W processes, W the smaller of the CPUs in the affinity set
-    and the number of fields: field i runs in process i % W, the parent
-    being process 0. Each of the W - 1 workers runs its fields in order and
-    puts each one's finished runs on one queue; the parent, on its own
-    thread, takes what is there after each of its own fields, waits for the
-    rest at the end, and finalizes every cell. With one CPU, one field or a
-    daemonic caller (a multiprocessing.Pool worker cannot have children)
-    every field runs in the parent and no process or queue is made. A
-    ScenarioInvalidError is the first failing field's, as in one process; a
-    worker that exits with fields unreturned (any other error ends it)
-    raises RuntimeError, and none outlives the call. Reports and rows come
-    in flow count x rate x scheme x seed order. No scheme builds no field
-    and writes only the csv header."""
+    on it, so the schemes share one layout, its routes and its flows. The
+    schemes run widest first, and a run that coded nothing stands in for
+    the narrower ones (see stands_in_for_narrower). Fields run on W
+    processes, W the smaller of the CPUs in the affinity set and the number
+    of fields: field i runs in process i % W, the parent being process 0.
+    Each of the W - 1 workers runs its fields in order and puts the runs it
+    made for each one on one queue; the parent, on its own thread, takes
+    what is there after each of its own fields, waits for the rest at the
+    end, and finalizes every cell, stand-ins included. With one CPU, one
+    field or a daemonic caller (a multiprocessing.Pool worker cannot have
+    children) every field runs in the parent and no process or queue is
+    made. A ScenarioInvalidError is the first failing field's, as in one
+    process; a worker that exits with fields unreturned (any other error
+    ends it) raises RuntimeError, and none outlives the call. Reports and
+    rows come in flow count x rate x scheme x seed order. No scheme builds
+    no field and writes only the csv header."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     fields = list(itertools.product(plan.flow_counts, plan.rates, plan.seeds)) if plan.schemes else []
@@ -324,13 +326,13 @@ def run_plan(plan: ExperimentPlan, out_dir) -> list[MetricsReport]:
     failed: dict[int, ScenarioInvalidError] = {}  # field index -> what it raised
     waiting = {i for i in range(len(fields)) if i % procs}  # worker fields not yet returned
 
-    def settle(i, simulations) -> None:
+    def settle(i, runs) -> None:
         waiting.discard(i)
-        if isinstance(simulations, ScenarioInvalidError):  # a worker's first failure: it stops there
-            failed[i] = simulations
+        if isinstance(runs, ScenarioInvalidError):  # a worker's first failure: it stops there
+            failed[i] = runs
         elif not failed or i < min(failed):  # a one-process run stops at the first failing field
             try:
-                by_field[i] = [finalize(sim) for sim in simulations]
+                by_field[i] = [finalize(sim) for sim in _field_cells(plan, runs)]
             except ScenarioInvalidError as exc:
                 failed[i] = exc
 
@@ -395,15 +397,51 @@ def _process_count(fields: int) -> int:
 
 
 def _field_simulations(plan: ExperimentPlan, n_flows: int, rate: float, seed: int):
-    """Build one field and yield each scheme's finished run on it, in the
-    plan's scheme order."""
+    """Build one field and run the plan's distinct schemes on it, widest
+    first (excode, cope, none: Scheme's order reversed), skipping each that
+    the last run made stands in for. Yields each run made."""
     scenario = build_scenario(plan, plan.schemes[0], seed, n_flows, rate)
-    for scheme in plan.schemes:
-        yield Simulation(replace(scenario, scheme=scheme)).run()
+    last = None
+    for scheme in reversed(Scheme):
+        if scheme in plan.schemes and not (last and stands_in_for_narrower(last)):
+            last = Simulation(replace(scenario, scheme=scheme)).run()
+            yield last
+
+
+def stands_in_for_narrower(sim: Simulation) -> bool:
+    """Whether a finished run is, event for event, the run of every scheme
+    narrower than its own on the same field. Up to a run's first encode
+    every scheme holds the same state, and on the same state a narrower
+    scheme's partner scan finds a partner only where a wider one does
+    (none ⊆ cope ⊆ excode, see coding.py); so a run that coded nothing is
+    also the narrower schemes' run, unless its airtimes differ from theirs,
+    as excode's do when it counts holder bytes."""
+    scenario = sim.scenario
+    return not sim.per_node_encodes and not (scenario.count_header_overhead and scenario.scheme is Scheme.EXCODE)
+
+
+def _field_cells(plan: ExperimentPlan, runs) -> list[Simulation]:
+    """Each plan scheme's finished run on one field, in the plan's scheme
+    order, from the runs _field_simulations made for it: a scheme it did not
+    run takes a relabelled copy of the last run made before it. The copy
+    shares that run's finished state, with its own scenario and no holder
+    bytes; it copies the instance dict, since copy.copy would rebuild
+    delivered through __getstate__ and __setstate__."""
+    made = {sim.scenario.scheme: sim for sim in runs}
+    cells = {}
+    last = None
+    for scheme in reversed(Scheme):
+        if scheme in made:
+            cells[scheme] = last = made[scheme]
+        elif scheme in plan.schemes:
+            cells[scheme] = stand_in = object.__new__(Simulation)
+            stand_in.__dict__ = {**last.__dict__, "scenario": replace(last.scenario, scheme=scheme),
+                                 "holder_bytes_total": 0}
+    return [cells[scheme] for scheme in plan.schemes]
 
 
 def _run_share(plan: ExperimentPlan, fields: list, k: int, procs: int, results) -> None:
-    """Sweep worker k of procs: put (i, finished runs) on results for fields
+    """Sweep worker k of procs: put (i, the runs made) on results for fields
     i = k, k + procs, ... in turn; at a ScenarioInvalidError put (i, it), stop."""
     for i in range(k, len(fields), procs):
         try:

@@ -10,6 +10,11 @@ opportunity is also a holder-set opportunity, because a neighbor that holds
 a packet was necessarily adjacent to one of its previous senders and is
 therefore in its holder set. Neither scheme mixes payloads of different
 lengths: COPE pads the shorter one, and this model does not.
+
+So none ⊆ cope ⊆ excode: on the same state, a narrower scheme finds a
+partner only where a wider one does. cli.run_plan depends on this ordering:
+it runs a field's widest scheme first and lets a run that coded nothing
+stand in for the narrower schemes' runs (cli.stands_in_for_narrower).
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from unittest import mock
 
 import pytest
 import yaml
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st, target
 
 from xorsim import cli
 from xorsim.cli import (
@@ -32,7 +32,7 @@ from xorsim.cli import (
 )
 from xorsim.coding import Scheme
 from xorsim.metrics import csv_header, finalize
-from xorsim.simulator import run
+from xorsim.simulator import ScenarioInvalidError, run
 
 CHAIN_YAML = """
 topology:
@@ -476,6 +476,89 @@ def test_run_plan_builds_each_field_once(tmp_path, monkeypatch, seeds):
     plan.schemes = [Scheme.COPE]  # as --scheme narrows it
     assert run_plan(plan, tmp_path / "cope") == [rep for rep in expected if rep.scheme == "cope"]
     assert len(log.read_text().splitlines()) == 2 * 2
+
+
+def predicted_runs(plan, cells) -> int:
+    """Runs a plan needs, from each cell's independent report (cells:
+    (flows, rate, seed, scheme) -> report): on each field the distinct
+    schemes run widest first, and one that coded nothing, and did not charge
+    holder bytes to airtime, stands in for the narrower ones."""
+    runs = 0
+    for n, rate, seed in itertools.product(plan.flow_counts, plan.rates, plan.seeds):
+        last = None
+        for scheme in (Scheme.EXCODE, Scheme.COPE, Scheme.NON_CODING):
+            if scheme not in plan.schemes:
+                continue
+            if last is None or last.encode_count or (last.scheme == "excode" and plan.count_header_overhead):
+                runs += 1
+                last = cells[n, rate, seed, scheme]
+    return runs
+
+
+# a run that coded nothing stands in for the narrower schemes' runs: every
+# cell must still equal its own run, whole report and all. It scales with the
+# profile's max_examples, as the config fuzzers do, and steers toward plans
+# that code. On the 5-node line of the examples both rules code on the
+# 3-flow fields and neither on the 2-flow ones
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="the patched Simulation.run reaches the worker only when it is forked")
+@settings(max_examples=settings.default.max_examples // 2, deadline=None)
+@given(
+    flow_counts=st.lists(st.integers(0, 5), min_size=1, max_size=2),
+    rates=st.lists(st.floats(2.0, 200.0), min_size=1, max_size=2),
+    seeds=st.lists(st.integers(0, 99), min_size=1, max_size=2),
+    schemes=st.lists(st.sampled_from(list(Scheme)), min_size=1, max_size=4),
+    count_header_overhead=st.booleans(),
+    drain_grace=st.sampled_from([0.0, 0.2]),
+    line=st.booleans(),
+    nodes=st.integers(2, 16),
+    channel_rate=st.sampled_from([2e5, 2e6]),
+)
+@example(flow_counts=[2, 3], rates=[200.0], seeds=[0, 1], schemes=[Scheme.NON_CODING, Scheme.EXCODE, Scheme.COPE,
+         Scheme.NON_CODING], count_header_overhead=False, drain_grace=0.2, line=True, nodes=5, channel_rate=2e5)
+@example(flow_counts=[2, 3], rates=[200.0], seeds=[0, 1], schemes=[Scheme.COPE, Scheme.EXCODE],
+         count_header_overhead=True, drain_grace=0.0, line=True, nodes=5, channel_rate=2e5)
+def test_run_plan_cells_equal_independent_runs(tmp_path_factory, flow_counts, rates, seeds, schemes,
+                                               count_header_overhead, drain_grace, line, nodes, channel_rate):
+    plan = ExperimentPlan(
+        nodes=nodes, side=150.0 * math.sqrt(nodes), channel_rate=channel_rate, duration=0.25,
+        positions=tuple((150.0 * i, 0.0) for i in range(nodes)) if line else None,
+        flow_counts=flow_counts, rates=rates, seeds=seeds, schemes=schemes,
+        count_header_overhead=count_header_overhead, drain_grace=drain_grace,
+    )
+    cells, error = {}, None
+    for n, rate, seed in itertools.product(flow_counts, rates, seeds):
+        try:
+            for scheme in set(schemes):
+                cells[n, rate, seed, scheme] = finalize(run(build_scenario(plan, scheme, seed, n, rate)))
+        except ScenarioInvalidError as exc:  # too few connected pairs: the first such field's error
+            error = exc
+            break
+    if not error:
+        expected = [cells[n, rate, seed, scheme]
+                    for n, rate, scheme, seed in itertools.product(flow_counts, rates, schemes, seeds)]
+
+    target(float(sum(r.encode_count > 0 for r in cells.values())), label="cells that code")
+    base = tmp_path_factory.mktemp("stand-in")
+    log = base / "runs"
+    simulate = cli.Simulation.run
+
+    def counted(sim):
+        with open(log, "a") as fh:
+            fh.write(f"{sim.scenario.scheme}\n")
+        return simulate(sim)
+
+    for cpus in ({0}, {0, 1}):
+        log.write_text("")
+        with mock.patch.object(cli.os, "sched_getaffinity", lambda pid: cpus), \
+                mock.patch.object(cli.Simulation, "run", counted):
+            if error:
+                with pytest.raises(ScenarioInvalidError, match=re.escape(str(error))):
+                    run_plan(plan, base / "out")
+                continue
+            assert run_plan(plan, base / "out") == expected
+        assert len(log.read_text().splitlines()) == predicted_runs(plan, cells)
+        assert multiprocessing.active_children() == []
 
 
 def sweep_outputs(out) -> dict[str, bytes]:

@@ -718,6 +718,8 @@ def test_every_coding_decision_saves_transmissions():
 
 
 def test_report_rule_never_fires_where_holder_rule_would_not(watch_scans):
+    # run_plan rests on this: a run that coded nothing under a wider rule is
+    # the narrower rule's run too
     hits = []
 
     def probe(node, p, q, cope_ok, excode_ok):
@@ -729,6 +731,29 @@ def test_report_rule_never_fires_where_holder_rule_would_not(watch_scans):
     for name in ("chain", "cross", "junction"):
         run(FIXTURES[name](Scheme.COPE))
     assert hits  # the two-hop fixtures really were exercised
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        line=st.booleans(),
+        n=st.integers(3, 30),
+        seed=st.integers(0, 10**6),
+        n_flows=st.integers(2, 8),
+        rate=st.floats(1.0, 200.0),
+        sizes=st.sampled_from([(512,), (256, 512)]),
+    )
+    def random_field(line, n, seed, n_flows, rate, sizes):
+        positions = [(150.0 * i, 0.0) for i in range(n)] if line else random_layout(n, 150.0 * math.sqrt(n), seed)
+        topo = build_topology(positions, DEFAULT_RANGE)
+        try:
+            flows = random_flows(topo, n_flows, rate, 512, seed)
+        except ScenarioInvalidError:  # too few connected pairs to sample from
+            assume(False)
+        flows = tuple(replace(f, packet_size=sizes[i % len(sizes)]) for i, f in enumerate(flows))
+        run(Scenario(topo, flows, Scheme.COPE, duration=0.25, seed=seed, capture_trace=False))
+
+    hits.clear()
+    random_field()
+    assert hits  # some random field's scan had a report-rule partner
 
 
 def test_encode_fires_only_when_both_sides_can_already_decode(monkeypatch):
