@@ -19,10 +19,11 @@ yields at once; a mix it cannot decode is not kept. The output queue drains
 one packet per transmission. A native takes its route's holder set for the
 sending hop; encoded packets advance each still-active constituent.
 
-Buffers and overheard sets hold only what is in flight. The node reports each
-copy of a mix it queues or handles (sim.mix_copies), and the simulation
-retires a delivered packet, once no live mix holds it, from every buffer and
-overheard set that can hold it. So a delivery is traced before it is reported.
+Buffers and overheard sets hold only what is in flight. A node reports each
+delivery, with the key of the mix it was decoded from, and takes no other
+part in retirement: the simulation retires a delivered packet, once no copy
+in flight can need it, from every buffer and overheard set that can hold it.
+A delivery is traced before it is reported.
 """
 
 from __future__ import annotations
@@ -83,7 +84,7 @@ class Node:
         else:
             self._buffer_native(packet, sim)
             sim.trace(now, self.id, "deliver", packet)
-            sim.deliver(self.id, packet, now)
+            sim.deliver(packet, now)
 
     def _relay_native(self, packet: NativePacket, now: float, sim: Simulation) -> None:
         self._buffer_native(packet, sim)  # the scan never reads this node's own buffer
@@ -94,7 +95,6 @@ class Node:
             self._buffer_native(partner, sim)
             encoded = xor_encode(packet, partner)
             self.output_queue.append(encoded)
-            sim.mix_copies(encoded.key, 1)
             sim.per_node_encodes[self.id] += 1
             sim.trace(now, self.id, "encode", encoded, f"{packet.uid}+{partner.uid}")
             return
@@ -111,12 +111,11 @@ class Node:
                 native = xor_decode(packet, known)
                 self._buffer_native(native, sim)
                 sim.trace(now, self.id, "decode_deliver", native, f"from {packet}")
-                sim.deliver(self.id, native, now)
+                sim.deliver(native, now, packet.key)
             else:
                 sim.decode_failures += 1
                 sim.trace(now, self.id, "decode_fail", packet, f"missing {counterpart.uid}")
         self.forward_encoded(packet, now, sim)
-        sim.mix_copies(packet.key, -1)  # after any forward, so a carried mix never reads dead
 
     def forward_encoded(self, packet: EncodedPacket, now: float, sim: Simulation) -> None:
         """Queue an encoded packet onward, keeping active only the branches
@@ -129,7 +128,6 @@ class Node:
         if carried != packet.active:
             packet = EncodedPacket(packet.constituents, packet.payload, carried)
         self.output_queue.append(packet)
-        sim.mix_copies(packet.key, 1)
         sim.trace(now, self.id, "forward_encoded", packet)
 
     def overhear(self, packet: Packet, now: float, sim: Simulation) -> None:

@@ -36,17 +36,16 @@ State follows the packets in flight, not simulated time. A packet keeps its
 payload only while in flight: delivery checks the payload against the one
 sent and keeps a lean record, payload b"", unless they differ. Neither
 generated (a read-only view, see GeneratedView) nor delivered (the plain
-dict of those records) holds a payload that checked out. A packet uid is
-retired once it has been delivered and no copy of a mix holding it is still
-queued or on air: it leaves every node's buffer (so every cope report) and
-overheard set, and the trace's label cache. A count of live copies per mix
-key (+1 when a node queues a mix, +len(addressed)-1 when one leaves the air,
--1 when a node handles one) says when a mix and its key die. Only the nodes
-that can hold the uid are visited: its route's last holder set, and for a
-mixed uid also the partner's, since overhearers of the mix sent along the
-partner's route can decode it early. Retiring cannot change a
-trace: any later reference to a uid needs a copy of it in flight, and uids
-are never reused.
+dict of those records) holds a payload that checked out. A delivered uid
+leaves every node's buffer (so every cope report) and overheard set once no
+copy in flight can need it: an unmixed uid at its delivery, a mixed one at
+its mix's second delivery, since a destination decodes a mix against the
+other native it holds. That second delivery ends the mix, and its key
+leaves the overheard sets too. Only the nodes that can hold the uid are
+visited: its route's last holder set, and for a mixed uid also the
+partner's, since overhearers of the mix sent along the partner's route can
+decode it early. Retiring cannot change a trace: any later reference to a
+uid needs a copy of it in flight, and uids are never reused.
 """
 
 from __future__ import annotations
@@ -115,9 +114,10 @@ class TraceLog:
     Each line is f"{time!r},{node},{event},{packet},{detail}". Formatting is
     the cost of capture, and its two costly pieces repeat: many events share
     an instant, and each packet shows up on many lines. So add keeps the repr
-    of the last time it formatted, and one label per live packet key; the
-    simulation drops a key's label when it retires the packet (forget). The
-    bytes are the ones the f-string gives.
+    of the last time it formatted, and a label per packet key named by a
+    pending line; a spill clears the labels with the lines, so there are
+    never more labels than pending lines. The bytes are the ones the f-string
+    gives.
 
     The log streams: as a block of TRACE_BLOCK lines fills, it is joined and
     encoded once, fed to a running sha256 and appended to an unnamed temp
@@ -136,7 +136,7 @@ class TraceLog:
         self._block = TRACE_BLOCK
         self._time: Optional[float] = None
         self._time_repr = ""
-        self._labels: dict = {}  # packet key -> str(packet)
+        self._labels: dict = {}  # packet key -> str(packet), for the pending lines' keys
 
     def add(self, time: float, node: NodeId, event: str, packet, detail: str = "") -> None:
         """Append one line. time is a float, as every simulator clock value
@@ -166,6 +166,7 @@ class TraceLog:
         self._spill.write(block)
         self._spilled += len(self._pending)
         self._pending = []
+        self._labels.clear()
 
     def _copy_spill(self, fh) -> None:
         """Write every spilled byte to fh; later blocks still go to the end."""
@@ -177,10 +178,6 @@ class TraceLog:
             shutil.copyfileobj(spill, fh)
         finally:
             spill.seek(0, os.SEEK_END)
-
-    def forget(self, key) -> None:
-        """Drop the cached label of a packet key that no line will name again."""
-        self._labels.pop(key, None)
 
     @property
     def lines(self) -> list[str]:
@@ -310,8 +307,6 @@ class Simulation:
         self.per_node_encodes: Counter[NodeId] = Counter()
         self.decode_failures = 0
         self.holder_bytes_total = 0
-        self._mix_copies: dict[tuple[PacketUid, PacketUid], int] = {}  # live mix key -> copies queued or on air
-        self._mixed_in: dict[PacketUid, tuple[PacketUid, PacketUid]] = {}  # uid -> the live mix holding it
 
         for i in range(len(scenario.flows)):
             self._schedule_gen(i, 0)
@@ -380,8 +375,6 @@ class Simulation:
         for receiver in sender.neighbors:
             if receiver not in addressed:
                 nodes[receiver].overhear(packet, now, self)
-        if len(addressed) > 1:  # only a mix is addressed to more than one node
-            self._mix_copies[packet.key] += len(addressed) - 1
         for receiver in addressed:
             self._arrive(nodes[receiver], packet, now)
         self._due[tx.sender] = None
@@ -431,11 +424,14 @@ class Simulation:
         if self._capture_trace:
             self.trace_log.add(now, node, event, packet, detail)
 
-    def deliver(self, node: NodeId, packet: NativePacket, now: float) -> None:
+    def deliver(self, packet: NativePacket, now: float, mix: Optional[tuple[PacketUid, PacketUid]] = None) -> None:
         """Record a first delivery and drop the packet's in-flight record.
         The payload is compared with the one sent: unless the packet was
         decoded it is the same object, and == returns at once. A match is
-        stored lean, with payload b""; a mismatch is stored whole."""
+        stored lean, with payload b""; a mismatch is stored whole. mix is the
+        key of the mix the packet was decoded from: the packet retires at
+        once when it has none, and with its partner when the partner is
+        already delivered, the mix's key going with them."""
         uid = packet.uid
         delivered = self.delivered
         if uid in delivered:
@@ -446,45 +442,25 @@ class Simulation:
             packet = build_packet(NativePacket, (uid, packet.dst, packet.route, packet.hop_index,
                                                  packet.holders, b"", packet.created_at))
         delivered[uid] = (now, packet)
-        if uid not in self._mixed_in:
+        if mix is None:
             self._retire(uid, self.holders_at[uid.flow][-1])
+        elif mix[0] in delivered and mix[1] in delivered:
+            a, b = mix
+            scope = self.holders_at[a.flow][-1] | self.holders_at[b.flow][-1]
+            for key in (a, b, mix):
+                self._retire(key, scope)
 
     def native_buffered(self, node: NodeId, packet: NativePacket) -> None:
         """A node buffered a native; the neighbors' reports already show it."""
 
-    def mix_copies(self, key: tuple[PacketUid, PacketUid], delta: int) -> None:
-        """A node queued (+1) or handled (-1) a copy of mix key. When the last
-        copy goes the mix dies: its key leaves the overheard sets and the
-        label cache, and its delivered natives retire."""
-        copies = self._mix_copies
-        left = copies.get(key, 0) + delta
-        if left:
-            if key not in copies:
-                for uid in key:
-                    self._mixed_in[uid] = key
-            copies[key] = left
-            return
-        del copies[key]
-        a, b = key
-        scope = self.holders_at[a.flow][-1] | self.holders_at[b.flow][-1]
-        nodes = self.nodes
-        for n in scope:
-            nodes[n].seen_overheard.discard(key)
-        self.trace_log.forget(key)
-        for uid in key:
-            del self._mixed_in[uid]
-            if uid in self.delivered:
-                self._retire(uid, scope)
-
-    def _retire(self, uid: PacketUid, scope) -> None:
-        """Drop a delivered uid, which no copy in flight holds, from the
-        buffers and overheard sets in scope and from the trace's label cache."""
+    def _retire(self, key, scope) -> None:
+        """Drop the key of a delivered uid, or of the dead mix that held two,
+        from the buffers and overheard sets in scope."""
         nodes = self.nodes
         for n in scope:
             node = nodes[n]
-            node.buffer.pop(uid, None)
-            node.seen_overheard.discard(uid)
-        self.trace_log.forget(uid)
+            node.buffer.pop(key, None)
+            node.seen_overheard.discard(key)
 
     @property
     def total_tx(self) -> int:

@@ -17,21 +17,17 @@ class HookRecorder:
         self.buffered = []
         self.per_node_encodes = Counter()
         self.decode_failures = 0
-        self.mix_deltas = []
 
     def trace(self, now, node, event, uid, detail=""):
         self.events.append((event, node, str(uid)))
         if detail:
             self.details.append((event, node, detail))
 
-    def deliver(self, node, packet, now):
-        self.delivered.append((node, packet))
+    def deliver(self, packet, now, mix=None):
+        self.delivered.append((packet, mix))
 
     def native_buffered(self, node, packet):
         self.buffered.append((node, packet.uid))
-
-    def mix_copies(self, key, delta):
-        self.mix_deltas.append((key, delta))
 
 
 def native(flow, seq, route, hop_index, holders, payload=b"\xaa" * 6):
@@ -80,7 +76,6 @@ def test_relay_codes_with_queued_partner():
     # both originals are buffered, the mix is not; nothing counts as overheard
     assert node.buffer == {P_EAST.uid: P_EAST, Q_WEST.uid: Q_WEST}
     assert node.seen_overheard == set()
-    assert sim.mix_deltas == [(encoded.key, 1)]  # one queued copy
 
 
 def test_relay_never_codes_under_non_coding():
@@ -93,12 +88,12 @@ def test_relay_never_codes_under_non_coding():
 
 
 def test_delivery_is_traced_before_it_is_reported():
-    # the simulation may retire a delivered packet, and forget its trace
-    # label, inside deliver; the trace line must already be written
+    # a delivery's trace line comes first, so the trace shows it ahead of
+    # whatever the simulation does in deliver, retirement included
     order = []
     sim = HookRecorder()
     sim.trace = lambda now, node, event, pkt, detail="": order.append(event)
-    sim.deliver = lambda node, pkt, now: order.append("reported")
+    sim.deliver = lambda pkt, now, mix=None: order.append("reported")
     Node(id=2, neighbors=(1,), scheme=Scheme.EXCODE).on_receive(P_EAST._replace(hop_index=2), 1.0, sim)
     p, q, encoded = arrived_mix()
     node = Node(id=2, neighbors=(1,), scheme=Scheme.EXCODE)
@@ -126,7 +121,7 @@ def test_destination_delivers_and_buffers():
     arriving = P_EAST._replace(hop_index=2, holders=frozenset({0, 1, 2}))
     node.input_queue.append(arriving)
     node.process_input(1.0, sim)
-    assert sim.delivered == [(2, arriving)]
+    assert sim.delivered == [(arriving, None)]  # delivered as sent, from no mix
     assert ("deliver", 2, str(arriving.uid)) in sim.events
     assert not node.output_queue
     assert node.buffer[arriving.uid] == arriving
@@ -174,12 +169,13 @@ def test_destination_decodes_addressed_mix():
     sim = HookRecorder()
     node.overhear(Q_WEST._replace(hop_index=0), 0.1, sim)
     node.on_receive(encoded, 1.0, sim)
-    assert [(n, pkt.uid) for n, pkt in sim.delivered] == [(2, p.uid)]
+    # a decoded delivery names its mix, the native one names none
+    node.on_receive(p._replace(uid=PacketUid(0, 1)), 2.0, sim)
+    assert [(pkt.uid, mix) for pkt, mix in sim.delivered] == [(p.uid, encoded.key), (PacketUid(0, 1), None)]
     assert ("decode_deliver", 2, str(p.uid)) in sim.events
-    delivered = sim.delivered[0][1]
+    delivered = sim.delivered[0][0]
     assert delivered.payload == P_EAST.payload
     assert not node.output_queue  # the other branch is not ours to carry
-    assert sim.mix_deltas == [(encoded.key, -1)]  # the handled copy is gone
 
 
 def test_decode_failure_is_counted_not_fatal():
@@ -203,9 +199,6 @@ def test_forward_keeps_only_own_branches():
     node.on_receive(encoded, 1.0, sim)
     [out] = node.output_queue
     assert out.active == {p.uid}
-    # the forwarded copy is counted before the handled one goes, so the
-    # count never reads zero while the mix is still carried
-    assert sim.mix_deltas == [(encoded.key, 1), (encoded.key, -1)]
 
 
 def test_send_annotates_then_advances():

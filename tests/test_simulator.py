@@ -282,9 +282,9 @@ def probed_run(scenario, monkeypatch):
                                       payload_bytes(scenario.seed, uid, flow.packet_size), now)
         on_gen(self, data, now)
 
-    def probe_deliver(self, node, packet, now):
+    def probe_deliver(self, packet, now, mix=None):
         delivered.setdefault(packet.uid, (now, packet))
-        deliver(self, node, packet, now)
+        deliver(self, packet, now, mix)
 
     with monkeypatch.context() as patched:
         patched.setattr(Simulation, "_on_gen", probe_gen)
@@ -576,6 +576,15 @@ def test_trace_log_memory_is_bounded():
             assert lines_in_memory(log) < block
             assert len(log) == n
             log.add(n / 3, n % 5, "gen", TRACE_PACKETS[n % len(TRACE_PACKETS)])
+        log.close()
+    # the label cache too: a run names ever new packets, and a spill drops
+    # the labels of the lines it takes
+    for block in (1, 3, 64):
+        with mock.patch.object(simulator, "TRACE_BLOCK", block):
+            log = TraceLog()
+        for n in range(3 * block + 2):
+            log.add(n / 3, n % 5, "gen", native(n // 2, n % 7, hop=n % 3))
+            assert len(log._labels) <= lines_in_memory(log) < block
         log.close()
 
 
@@ -1166,49 +1175,88 @@ def retirement_cells(scheme):
     yield detour_scenario(scheme)
 
 
-@pytest.mark.parametrize("scheme", ALL_SCHEMES)
-def test_retirement_keeps_only_what_is_in_flight(scheme, monkeypatch):
-    outside_own_route = drained = 0
-    partner = {}  # uid -> its mix partner, in the cell being run
+def check_retirement(sim, partner, buffered):
+    """Assert that sim's buffers and overheard sets hold only what a copy in
+    flight can need, and that a drained run holds nothing; partner maps each
+    mixed uid to the other uid of its mix, buffered each uid to the nodes
+    that buffered it. Return the uids buffered outside their own route's
+    last holder set, and whether the run drained."""
+    assert audit_conservation(sim) == [] and sim.decode_failures == 0
+    natives, mixes = in_flight(sim)
+    for node in sim.nodes:
+        for entry in held_entries(node):
+            if not isinstance(entry, PacketUid):
+                assert entry in mixes, (node.id, entry)
+            elif entry in sim.delivered:
+                # a mixed native stays held until its mix's second delivery
+                mate = partner.get(entry)
+                assert mate is not None and mate not in sim.delivered, (node.id, entry)
+                assert tuple(sorted((entry, mate))) in mixes, (node.id, entry)
+    # every node that ever buffered u can be reached by u's retirement:
+    # its route's last holder set, and its partner's when it was mixed
+    outside_own_route = set()
+    for uid, nodes in buffered.items():
+        scope = set(sim.holders_at[uid.flow][-1])
+        if uid in partner:
+            scope |= sim.holders_at[partner[uid].flow][-1]
+        assert nodes <= scope, uid
+        if nodes - sim.holders_at[uid.flow][-1]:
+            outside_own_route.add(uid)
+    drained = not natives and not mixes
+    if drained:
+        assert set(sim.delivered) == set(sim.generated)
+        for node in sim.nodes:
+            assert held_entries(node) == (), node.id
+    return outside_own_route, drained
+
+
+def watch_mixes(monkeypatch):
+    """Return uid -> the other uid of its mix, filled in as nodes encode."""
+    partner = {}
 
     def on_encode(p, q):
         partner[p.uid], partner[q.uid] = q.uid, p.uid
 
     watch_encodes(monkeypatch, on_encode)
+    return partner
+
+
+@pytest.mark.parametrize("scheme", ALL_SCHEMES)
+def test_retirement_keeps_only_what_is_in_flight(scheme, monkeypatch):
+    outside_own_route = drained = 0
+    partner = watch_mixes(monkeypatch)
     for scn in retirement_cells(scheme):
         partner.clear()
         sim = Simulation(scn)
         buffered = watch_buffering(sim)
         sim.run()
-        assert audit_conservation(sim) == [] and sim.decode_failures == 0
-        natives, mixes = in_flight(sim)
-        # the live-mix counts are the copies really queued or on air
-        assert sim._mix_copies == dict(mixes)
-        live = natives | {uid for key in mixes for uid in key}
-        for node in sim.nodes:
-            for entry in held_entries(node):
-                if isinstance(entry, PacketUid):
-                    assert entry not in sim.delivered or entry in live, (node.id, entry)
-                else:
-                    assert entry in mixes, (node.id, entry)
-        # every node that ever buffered u can be reached by u's retirement:
-        # its route's last holder set, and its partner's when it was mixed
-        for uid, nodes in buffered.items():
-            scope = set(sim.holders_at[uid.flow][-1])
-            if uid in partner:
-                scope |= sim.holders_at[partner[uid].flow][-1]
-            assert nodes <= scope, uid
-            outside_own_route += bool(nodes - sim.holders_at[uid.flow][-1])
-        if not natives and not mixes:
-            drained += 1
-            assert set(sim.delivered) == set(sim.generated)
-            for node in sim.nodes:
-                assert held_entries(node) == (), node.id
-            assert sim._mix_copies == {} and sim._mixed_in == {}
-            assert sim.trace_log._labels == {}
+        outside, done = check_retirement(sim, partner, buffered)
+        outside_own_route += len(outside)
+        drained += done
     assert drained >= 3
     # the detour fixture codes under excode alone
     assert bool(outside_own_route) == (scheme is Scheme.EXCODE)
+
+
+# the same rule over random fields, where a drain grace of 3 s lets some runs
+# drain. It scales with the profile's max_examples, as the addressed-once
+# property does
+@settings(max_examples=settings.default.max_examples, deadline=None)
+@given(
+    scheme=st.sampled_from(ALL_SCHEMES),
+    seed=st.integers(0, 10**6),
+    n_flows=st.integers(2, 8),
+    rate=st.floats(50.0, 300.0),
+    duration=st.floats(0.2, 1.5),
+    drain_grace=st.sampled_from((0.0, 3.0)),
+)
+def test_retirement_holds_on_random_fields(scheme, seed, n_flows, rate, duration, drain_grace):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        partner = watch_mixes(monkeypatch)
+        scn = random_scenario(scheme, seed=seed, n_flows=n_flows, rate=rate, duration=duration, capture_trace=False)
+        sim = Simulation(replace(scn, drain_grace=drain_grace))
+        buffered = watch_buffering(sim)
+        check_retirement(sim.run(), partner, buffered)
 
 
 @pytest.mark.parametrize("duration", (2.0, 4.0))
