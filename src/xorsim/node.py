@@ -17,7 +17,7 @@ The buffer holds natives only, by uid. Overheard copies carry no forwarding
 obligation: overhear() buffers a native, or the native an overheard mix
 yields at once; a mix it cannot decode is not kept. The output queue drains
 one packet per transmission. A native takes its route's holder set for the
-sending hop; encoded packets advance each still-active constituent.
+sending hop; a mix advances the branches its sender carries.
 
 Buffers and overheard sets hold only what is in flight. A node reports each
 delivery, with the key of the mix it was decoded from, and takes no other
@@ -102,7 +102,7 @@ class Node:
         sim.trace(now, self.id, "enqueue", packet)
 
     def _handle_addressed_encoded(self, packet: EncodedPacket, now: float, sim: Simulation) -> None:
-        for header in packet.active_headers():
+        for header in packet.constituents:
             if header.custodian != self.id or header.dst != self.id:
                 continue
             counterpart = packet.counterpart(header.uid)
@@ -118,15 +118,11 @@ class Node:
         self.forward_encoded(packet, now, sim)
 
     def forward_encoded(self, packet: EncodedPacket, now: float, sim: Simulation) -> None:
-        """Queue an encoded packet onward, keeping active only the branches
-        this node is custodian of and that end elsewhere; queue nothing when
-        there are none. Never re-encodes and never splits the payload."""
-        carried = frozenset(h.uid for h in packet.active_headers()
-                            if h.custodian == self.id and h.dst != self.id)
-        if not carried:
+        """Queue an encoded packet onward as it came when this node carries
+        any of its branches; queue nothing when it carries none. Never
+        re-encodes and never splits the payload."""
+        if not packet.carried(self.id):
             return
-        if carried != packet.active:
-            packet = EncodedPacket(packet.constituents, packet.payload, carried)
         self.output_queue.append(packet)
         sim.trace(now, self.id, "forward_encoded", packet)
 
@@ -158,8 +154,8 @@ class Node:
             packet = annotate_holders(packet, sim.holders_at[packet.uid.flow])
             addressed = (packet.custodian,)
         else:
-            packet = packet.sent()
-            addressed = tuple(sorted({h.custodian for h in packet.active_headers()}))
+            addressed = tuple(sorted({h.route[h.hop_index + 1] for h in packet.carried(self.id)}))
+            packet = packet.sent(self.id)
         return Transmission(self.id, packet, addressed)
 
     def _buffer_native(self, packet: NativePacket, sim: Simulation) -> None:

@@ -5,8 +5,11 @@ its 1-hop neighbors, a function of route and hop that holder_table builds
 once per route. Since radio links are reliable broadcast, everyone in the set
 holds the packet by the time anyone else can read it.
 An encoded packet is the XOR of exactly two natives from different flows. Its
-header is the two natives' own headers as they were when mixed, each stored
-without its payload.
+header is COPE's: each native's uid and next hop. It keeps each native's own
+header as mixed, without its payload, and a branch's next hop is the hop
+after its custodian, which advances as the branch is carried. A node carries
+on the branches it is custodian of that end elsewhere (EncodedPacket.carried);
+the mix keeps no other record of which branches are live.
 
 Both packet types are NamedTuples, so immutable: a hop, mix or decode builds
 a new one rather than changing one in place. Every hop of every packet builds
@@ -72,11 +75,9 @@ NativePacket.key = NativePacket.uid
 
 
 class EncodedPacket(NamedTuple):
-    # the two natives as mixed, sorted by uid, each with payload b""; a
-    # constituent's hop_index advances only while its uid is in active
+    # the two natives as mixed, sorted by uid, each with payload b""
     constituents: tuple[NativePacket, NativePacket]
     payload: bytes
-    active: frozenset[PacketUid]  # the branches still being carried
 
     @property
     def key(self) -> tuple[PacketUid, PacketUid]:
@@ -91,18 +92,20 @@ class EncodedPacket(NamedTuple):
             return a
         raise NotConstituentError(f"{uid} is not a constituent of {self}")
 
-    def active_headers(self) -> tuple[NativePacket, ...]:
-        return tuple(c for c in self.constituents if c.uid in self.active)
+    def carried(self, node: NodeId) -> tuple[NativePacket, ...]:
+        """The branches node carries on: those it is custodian of that end
+        elsewhere. A branch left behind keeps the custodian it had, which
+        no later holder of this copy reaches (see the README's Model)."""
+        return tuple(c for c in self.constituents if c.custodian == node and c.dst != node)
 
-    def sent(self) -> EncodedPacket:
-        """The mix as its custodians send it: each active branch's hop
-        advanced, the rest frozen where they stopped."""
-        active = self.active
+    def sent(self, sender: NodeId) -> EncodedPacket:
+        """The mix as sender sends it: each branch it carries advanced a
+        hop, the rest frozen where they stopped."""
+        carried = self.carried(sender)
         return build_packet(EncodedPacket, (
-            tuple(_native_at(c, c.hop_index + 1, c.holders, c.payload) if c.uid in active else c
+            tuple(_native_at(c, c.hop_index + 1, c.holders, c.payload) if c in carried else c
                   for c in self.constituents),
             self.payload,
-            active,
         ))
 
     def __str__(self) -> str:
@@ -161,7 +164,6 @@ def xor_encode(p: NativePacket, q: NativePacket) -> EncodedPacket:
             _native_at(second, second.hop_index, second.holders, b""),
         ),
         xor_payloads(p.payload, q.payload),
-        frozenset((p.uid, q.uid)),
     ))
 
 

@@ -517,27 +517,26 @@ def run(scenario: Scenario) -> Simulation:
 
 def audit_conservation(sim: Simulation) -> list[str]:
     """Every generated packet must be in exactly one place: delivered, queued
-    at its current custodian, or inside a node's transmission on air."""
+    at its current custodian, or inside a node's transmission on air. A mix
+    counts a branch in n's input queue if n is its custodian, in n's output
+    queue if n carries it, and on air if its custodian is addressed."""
     places: dict[PacketUid, list[str]] = {}
 
     def put(uid: PacketUid, where: str) -> None:
         places.setdefault(uid, []).append(where)
 
-    def put_packet(pkt, where: str, custodian: Optional[NodeId]) -> None:
-        if isinstance(pkt, NativePacket):
-            put(pkt.uid, where)
-        else:
-            for h in pkt.active_headers():
-                if custodian is None or h.custodian == custodian:
-                    put(h.uid, where)
+    def put_packet(pkt, where: str, branches) -> None:
+        for h in (pkt,) if isinstance(pkt, NativePacket) else branches(pkt):
+            put(h.uid, where)
 
     for node in sim.nodes:
+        n, tx = node.id, node.transmitting
         for pkt in node.input_queue:
-            put_packet(pkt, f"input:{node.id}", node.id)
+            put_packet(pkt, f"input:{n}", lambda mix: [h for h in mix.constituents if h.custodian == n])
         for pkt in node.output_queue:
-            put_packet(pkt, f"output:{node.id}", None)
-        if node.transmitting is not None:
-            put_packet(node.transmitting.packet, f"air:{node.id}", None)
+            put_packet(pkt, f"output:{n}", lambda mix: mix.carried(n))
+        if tx is not None:
+            put_packet(tx.packet, f"air:{n}", lambda mix: [h for h in mix.constituents if h.custodian in tx.addressed])
     for uid in sim.delivered:
         put(uid, "delivered")
 

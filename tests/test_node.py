@@ -198,7 +198,8 @@ def test_forward_keeps_only_own_branches():
     sim = HookRecorder()
     node.on_receive(encoded, 1.0, sim)
     [out] = node.output_queue
-    assert out.active == {p.uid}
+    assert out is encoded  # queued as it came, not rebuilt
+    assert out.carried(2) == (p._replace(payload=b""),)
 
 
 def test_send_annotates_then_advances():
@@ -217,16 +218,17 @@ def test_send_annotates_then_advances():
     assert not node.output_queue
 
 
-def test_send_encoded_advances_active_branches_only():
-    p = native(0, 0, (0, 1, 2), 1, {0, 1})
-    q = native(1, 0, (2, 1, 0), 1, {2, 1})
-    encoded = xor_encode(p, q)._replace(active=frozenset({p.uid}))
+def test_send_encoded_advances_carried_branches_only():
+    # mixed at node 0, whose send took p's branch to node 1 and q's to node 3
+    p = native(0, 0, (0, 1, 2), 0, {0, 1, 3})
+    q = native(1, 0, (0, 3, 4), 0, {0, 1, 3})
+    encoded = xor_encode(p, q).sent(0)
     node = Node(id=1, neighbors=(0, 2), scheme=Scheme.EXCODE)
     node.output_queue.append(encoded)
     tx = node.on_send(0.0, HookRecorder())
     headers = {h.uid: h for h in tx.packet.constituents}
     assert headers[p.uid].hop_index == 2
-    assert headers[q.uid].hop_index == 1  # frozen with its branch
+    assert headers[q.uid].hop_index == 1  # frozen at node 3
     assert tx.addressed == (2,)
 
 

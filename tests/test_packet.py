@@ -93,7 +93,7 @@ def test_encoded_header_snapshot_and_counterpart():
     by_uid = {h.uid: h for h in e.constituents}
     assert by_uid[p.uid].holders == frozenset({0, 1})
     assert by_uid[p.uid].custodian == 1
-    assert e.active == {p.uid, q.uid}
+    assert e.carried(1) == e.constituents  # both go on from the mixing relay
     assert e.counterpart(p.uid).uid == q.uid
     assert e.counterpart(q.uid).uid == p.uid
     with pytest.raises(NotConstituentError):
@@ -125,13 +125,15 @@ def test_fast_builds_are_whole_packets():
     # that uses it must give a packet of its own class with every field
     p = make_native(0, 0, (0, 1, 2), b"pppp")
     q = make_native(1, 0, (2, 1, 0), b"qqqq")
-    mix = xor_encode(p, q)
+    relay = 1
+    mix = xor_encode(p._replace(hop_index=relay), q._replace(hop_index=relay))
     sent = annotate_holders(p, (frozenset({0, 1}), frozenset({0, 1, 2})))
     assert sent == p._replace(hop_index=1, holders=frozenset({0, 1}))
-    for packet in (sent, mix, *mix.constituents, mix.sent(), *mix.sent().constituents, xor_decode(mix, p)):
+    for packet in (sent, mix, *mix.constituents, mix.sent(relay), *mix.sent(relay).constituents,
+                   xor_decode(mix, p)):
         assert type(packet) in (NativePacket, EncodedPacket)
         assert type(packet)._make(packet) == packet  # _make checks the count
-    assert xor_decode(mix, p) == q
+    assert xor_decode(mix, p) == q._replace(hop_index=relay)
 
 
 def test_constituents_sorted_by_uid():

@@ -1,3 +1,4 @@
+import functools
 import gc
 import hashlib
 import math
@@ -171,12 +172,30 @@ def test_every_other_neighbor_overhears_a_transmission():
 
 class AddressedOnce(Simulation):
     """Fails at once, naming the node and the key, where a node is addressed
-    a key a second time or a native goes into a second mix."""
+    a key a second time or a native goes into a second mix. At each mix
+    send it also checks the invariant that lets a mix's header hold only
+    each native's uid and next hop: the send addresses the next hops of the
+    branches the sender carries, and a branch it does not carry has neither
+    the sender nor an addressed node as custodian."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
         self.addressed = set()  # (node, key) of every addressed arrival
         self.mixed_into = {}  # uid -> the mix it went into
+        for node in self.nodes:
+            node.on_send = functools.partial(self._checked_send, node)
+
+    def _checked_send(self, node, now, sim):
+        mix = node.output_queue[0] if node.output_queue else None
+        tx = Node.on_send(node, now, sim)
+        if isinstance(mix, EncodedPacket):
+            carried = mix.carried(node.id)
+            next_hops = tuple(sorted({h.route[h.hop_index + 1] for h in carried}))
+            left = [h for h in mix.constituents if h not in carried]
+            where = f"node {node.id} sends {mix} to {tx.addressed}"
+            assert carried and tx.addressed == next_hops, where
+            assert all(h.custodian not in (node.id, *tx.addressed) for h in left), where
+        return tx
 
     def _arrive(self, node, packet, now):
         assert (node.id, packet.key) not in self.addressed, f"node {node.id} is addressed {packet} twice"
@@ -264,6 +283,33 @@ def test_audits_name_planted_faults():
     sim.delivered = {uid: delivered[uid] for uid in (second, first, *rest)}
     assert audit_conservation(sim) == []
     assert fifo_violations(sim) == [f"flow 0: seq {first.seq} delivered after {second.seq}"]
+
+
+def test_audits_count_each_branch_of_a_mix_once():
+    # the long chain cut while the two copies of its mix make their last
+    # hops: each carries its own branch, the other left where they parted
+    sim = run(replace(long_chain_scenario(Scheme.EXCODE), duration=0.013))
+    assert audit_conservation(sim) == []
+    east, west = sim.nodes[7].transmitting, sim.nodes[1].transmitting
+    p, q = sorted(sim.generated)  # p runs east to node 8, q west to node 0
+    assert (east.addressed, [h.custodian for h in east.packet.constituents]) == ((8,), [8, 3])
+    assert (west.addressed, [h.custodian for h in west.packet.constituents]) == ((0,), [5, 0])
+
+    # a frozen branch in a copy is counted nowhere: with its own copy off
+    # the air, q has no place
+    sim.nodes[1].transmitting = None
+    assert audit_conservation(sim) == [f"{q}: found in nowhere"]
+    sim.nodes[1].transmitting = west
+
+    # a carried branch that is also delivered is flagged
+    sim.delivered[p] = (0.013, sim.generated[p])
+    assert audit_conservation(sim) == [f"{p}: found in ['air:7', 'delivered']"]
+
+    # a branch that ended at node n is delivered, so a copy in n's output
+    # queue does not count it
+    sim.nodes[7].transmitting = None
+    sim.nodes[8].output_queue.append(east.packet)
+    assert audit_conservation(sim) == []
 
 
 def probed_run(scenario, monkeypatch):
