@@ -29,6 +29,7 @@ from .simulator import (
     ScenarioInvalidError,
     Simulation,
     TraceLog,
+    audit,
     audit_conservation,
     fifo_violations,
     run,
@@ -59,6 +60,7 @@ __all__ = [
     "TraceLog",
     "Transmission",
     "annotate_holders",
+    "audit",
     "audit_conservation",
     "build_topology",
     "chain_scenario",

@@ -562,3 +562,15 @@ def fifo_violations(sim: Simulation) -> list[str]:
             bad.append(f"flow {flow}: seq {seq} delivered after {last[flow]}")
         last[flow] = seq
     return bad
+
+
+def audit(sim: Simulation) -> list[str]:
+    """Every fault of a finished run: conservation, per-flow FIFO order, decode
+    failures, and deliveries stored whole (their bytes differed from those sent)."""
+    problems = audit_conservation(sim) + fifo_violations(sim)
+    if sim.decode_failures:
+        problems.append(f"{sim.decode_failures} decode failures")
+    whole = sum(1 for _, packet in sim.delivered.values() if packet.payload)
+    if whole:
+        problems.append(f"{whole} corrupt deliveries")
+    return problems

@@ -2,21 +2,22 @@
 
 Each test covers one numbered claim about the system, prints a single
 [PASS] line with the measured values, and fails loudly otherwise. Every
-simulation here flows through audited(), or through audited_cell() in a
-worker process for the large sweeps of criteria 4 and 6, so packet
-conservation and per-flow FIFO order are rechecked on each run; the final
-test reports that tally, and skips when a criterion it counts did not run.
+simulation here goes through audited(), which asserts that the library's
+audit(sim) finds nothing: packet conservation, per-flow FIFO order, no
+decode failure and no corrupt delivery. The large sweeps of criteria 4 and
+6 run through run_plan, with each cell audited as cli.finalize reduces it.
+The final test reports that tally, and skips when a criterion it counts did
+not run.
 """
 
-import os
 import random
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import pytest
 
+from xorsim import cli
 from xorsim.cli import ExperimentPlan, run_plan
 from xorsim.coding import Scheme
 from xorsim.metrics import finalize
@@ -27,7 +28,7 @@ from xorsim.scenarios import (
     long_chain_scenario,
     random_scenario,
 )
-from xorsim.simulator import Simulation, audit_conservation, fifo_violations, run
+from xorsim.simulator import Simulation, audit, run
 
 AUDITED = Counter()  # criterion -> runs audited in this session
 TALLIED = (1, 2, 3, 4, 5, 6, 8)  # the criteria whose runs criterion 9 counts
@@ -38,7 +39,7 @@ CRITERION_8_TRACE = "dbbfbc2ad09c4d683b2fdbf57469d226009830ceacad2ec5188ed6df0c8
 
 
 def audited(sim, criterion):
-    problems = audit_conservation(sim) + fifo_violations(sim)
+    problems = audit(sim)
     assert problems == [], f"invariant violations: {problems}"
     AUDITED[criterion] += 1
     return sim
@@ -68,10 +69,7 @@ def test_criterion_2_junction_codes_beyond_two_hops():
     started = time.perf_counter()
     ex = audited(run(junction_scenario(Scheme.EXCODE)), 2)
     assert ex.per_node_encodes == {2: 1}  # exactly one mix, at the shared relay
-    assert ex.decode_failures == 0
     assert set(ex.delivered) == set(ex.generated)
-    # deliver compared every byte: a payload that differed would be stored whole
-    assert not any(pkt.payload for _, pkt in ex.delivered.values())
     cope = audited(run(junction_scenario(Scheme.COPE)), 2)
     assert cope.encode_count == 0
     assert set(cope.delivered) == set(cope.generated)
@@ -87,9 +85,6 @@ def test_criterion_3_long_chain_codes_mid_route():
     route_hops = {len(p.route) - 1 for p in ex.generated.values()}
     assert route_hops == {7}  # well past the two-hop regime
     assert ex.per_node_encodes == {4: 1}  # interior relay, 3 hops from either end
-    assert ex.decode_failures == 0
-    # deliver compared every byte: a payload that differed would be stored whole
-    assert not any(pkt.payload for _, pkt in ex.delivered.values())
     cope = audited(run(long_chain_scenario(Scheme.COPE)), 3)
     assert cope.encode_count == 0
     elapsed = time.perf_counter() - started
@@ -98,38 +93,30 @@ def test_criterion_3_long_chain_codes_mid_route():
                 f"cope={cope.encode_count}), payloads bit-exact", started)
 
 
-def audited_cell(cell):
-    """Run one random_scenario cell, with capture off, and audit it: its
-    report, its invariant problems and its encode count. Runs in a pool
-    worker, so it returns no Simulation."""
-    sim = run(random_scenario(**cell, capture_trace=False))
-    problems = audit_conservation(sim) + fifo_violations(sim)
-    if sim.decode_failures:
-        problems.append(f"{sim.decode_failures} decode failures")
-    return finalize(sim), problems, sim.encode_count
+def audited_plan(plan, criterion, out_dir, monkeypatch):
+    """run_plan(plan) with every cell audited in the parent as cli.finalize
+    reduces it; a stand-in cell re-audits the run it copies. Each cell
+    counts as an audited run of criterion."""
+    def finalize_audited(sim):
+        return finalize(audited(sim, criterion))
+
+    monkeypatch.setattr(cli, "finalize", finalize_audited)
+    return run_plan(plan, out_dir)
 
 
-def audited_cells(cells, criterion):
-    """audited_cell over cells on one worker process per CPU, in order. Each
-    cell must come back clean, and each counts as an audited run of criterion."""
-    with ProcessPoolExecutor(len(os.sched_getaffinity(0))) as pool:
-        results = list(pool.map(audited_cell, cells))
-    for cell, (_, problems, _) in zip(cells, results):
-        assert problems == [], (cell, problems)
-        AUDITED[criterion] += 1
-    return results
-
-
-def test_criterion_4_no_decode_failures_across_random_fields():
+def test_criterion_4_no_decode_failures_across_random_fields(tmp_path, monkeypatch):
     started = time.perf_counter()
-    # standard 16-node fields at the default duration
-    cells = [dict(scheme=scheme, seed=seed, n_flows=3, rate=2.0)
-             for seed in range(100) for scheme in Scheme]
-    # extra saturated fields, where relays queue up and mix constantly
-    cells += [dict(scheme=scheme, seed=seed, n_flows=8, rate=150.0, duration=3.0)
-              for seed in range(25) for scheme in Scheme]
-    encodes = sum(count for _, _, count in audited_cells(cells, 4))
-    scenarios = len(cells) // len(Scheme)
+    plans = (
+        # standard 16-node fields at the default duration
+        ExperimentPlan(flow_counts=[3], rates=[2.0], seeds=list(range(100))),
+        # extra saturated fields, where relays queue up and mix constantly
+        ExperimentPlan(duration=3.0, flow_counts=[8], rates=[150.0], seeds=list(range(25))),
+    )
+    reports = []
+    for i, plan in enumerate(plans):
+        reports += audited_plan(plan, 4, tmp_path / str(i), monkeypatch)
+    encodes = sum(r.encode_count for r in reports)
+    scenarios = len(reports) // len(Scheme)
     elapsed = time.perf_counter() - started
     assert elapsed < 120.0
     announce(4, f"{scenarios} random scenarios x 3 schemes, 0 decode failures "
@@ -193,15 +180,14 @@ def test_criterion_5_coding_opportunity_superset(watch_scans):
                 f"mean encoded-fraction gap {gap:+.4f} at >=4 flows", started)
 
 
-def test_criterion_6_throughput_and_delay_ordering():
+def test_criterion_6_throughput_and_delay_ordering(tmp_path, monkeypatch):
     started = time.perf_counter()
     tol = 0.01
     means = {}
-    cells = [dict(scheme=scheme, seed=seed, n_flows=8, rate=200.0, duration=4.0)
-             for scheme in Scheme for seed in range(20)]
-    results = audited_cells(cells, 6)
+    plan = ExperimentPlan(duration=4.0, flow_counts=[8], rates=[200.0], seeds=list(range(20)))
+    results = audited_plan(plan, 6, tmp_path, monkeypatch)
     for scheme in Scheme:
-        reports = [report for cell, (report, _, _) in zip(cells, results) if cell["scheme"] is scheme]
+        reports = [r for r in results if r.scheme == scheme.value]
         means[scheme] = (
             sum(r.throughput_kbps for r in reports) / len(reports),
             sum(r.mean_delay_s for r in reports) / len(reports),
@@ -283,5 +269,5 @@ def test_criterion_9_invariants_held_everywhere():
                     "criterion 9 tallies their audited runs")
     runs = AUDITED.total()
     assert runs >= 400
-    announce(9, f"conservation + FIFO audits clean on all {runs} "
+    announce(9, f"audit(sim) clean (conservation, FIFO, decodes, payloads) on all {runs} "
                 "acceptance runs", time.perf_counter())

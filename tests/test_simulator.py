@@ -39,6 +39,7 @@ from xorsim.simulator import (
     ScenarioInvalidError,
     Simulation,
     TraceLog,
+    audit,
     audit_conservation,
     fifo_violations,
     payload_bytes,
@@ -67,12 +68,8 @@ def test_fixture_counts_and_payload_fidelity(name, scheme):
     expect_tx, expect_encodes = FIXTURE_COUNTS[name][scheme]
     assert sim.total_tx == expect_tx
     assert sim.encode_count == expect_encodes
-    assert sim.decode_failures == 0
     assert set(sim.delivered) == set(sim.generated)
-    # deliver compared every byte: a payload that differed would be stored whole
-    assert not any(got.payload for _, got in sim.delivered.values())
-    assert audit_conservation(sim) == []
-    assert fifo_violations(sim) == []
+    assert audit(sim) == []
 
 
 def test_chain_delivery_times_are_exact():
@@ -265,7 +262,7 @@ def test_audits_name_planted_faults():
     topo = build_topology([(0.0, 0.0), (150.0, 0.0), (300.0, 0.0)], 200.0)
     flows = (FlowSpec(0, 0, 2, rate=10.0),)
     sim = run(Scenario(topo, flows, Scheme.NON_CODING, duration=0.5, drain_grace=0.1))
-    assert audit_conservation(sim) == [] and fifo_violations(sim) == []
+    assert audit(sim) == []
     delivered = dict(sim.delivered)
     first, second, *rest = delivered
     assert len(delivered) == len(sim.generated) == 5
@@ -273,7 +270,7 @@ def test_audits_name_planted_faults():
     # each fault is planted in a fresh copy of the delivery records
     sim.delivered = dict(delivered)
     del sim.delivered[first]
-    assert audit_conservation(sim) == [f"{first}: found in nowhere"]
+    assert audit_conservation(sim) == audit(sim) == [f"{first}: found in nowhere"]
 
     sim.delivered = dict(delivered)
     sim.nodes[1].output_queue.append(delivered[first][1])
@@ -282,7 +279,16 @@ def test_audits_name_planted_faults():
 
     sim.delivered = {uid: delivered[uid] for uid in (second, first, *rest)}
     assert audit_conservation(sim) == []
-    assert fifo_violations(sim) == [f"flow 0: seq {first.seq} delivered after {second.seq}"]
+    assert fifo_violations(sim) == audit(sim) == [f"flow 0: seq {first.seq} delivered after {second.seq}"]
+
+    # deliver stores a record whole only when its bytes differ from those sent
+    at, packet = delivered[first]
+    sim.delivered = {**delivered, first: (at, packet._replace(payload=b"\x00"))}
+    assert audit(sim) == ["1 corrupt deliveries"]
+
+    sim.delivered = dict(delivered)
+    sim.decode_failures = 2
+    assert audit(sim) == ["2 decode failures"]
 
 
 def test_audits_count_each_branch_of_a_mix_once():
@@ -403,8 +409,8 @@ def test_delivered_packets_hold_little_memory():
 def test_corrupt_decodes_are_flagged_at_every_delivery(monkeypatch):
     # every decode yields flipped bytes: each delivery whose payload differs
     # from the one sent is stored whole, so it reads as differing from the
-    # generated packet's payload b"" (bench/worker.check_sim's check), and
-    # no other delivery does
+    # generated packet's payload b"" (bench/worker.check_sim's check) and
+    # audit counts it, and no other delivery does
     def corrupt_decode(encoded, known):
         native = xor_decode(encoded, known)
         return native._replace(payload=bytes([native.payload[0] ^ 0xFF]) + native.payload[1:])
@@ -417,6 +423,7 @@ def test_corrupt_decodes_are_flagged_at_every_delivery(monkeypatch):
         bad = {uid for uid, (_, p) in delivered.items() if p.payload != generated[uid].payload}
         flagged = {uid for uid, (_, p) in sim.delivered.items() if p.payload != sim.generated[uid].payload}
         assert bad and flagged == bad
+        assert audit(sim) == [f"{len(bad)} corrupt deliveries"]
         for uid in bad:
             assert sim.delivered[uid][1].payload == delivered[uid][1].payload
 
@@ -748,9 +755,7 @@ def test_conservation_and_fifo_across_random_runs():
             sim = run(
                 random_scenario(scheme, seed=seed, n_flows=3, rate=3.0, duration=20.0, capture_trace=False)
             )
-            assert audit_conservation(sim) == [], (seed, scheme)
-            assert fifo_violations(sim) == [], (seed, scheme)
-            assert sim.decode_failures == 0, (seed, scheme)
+            assert audit(sim) == [], (seed, scheme)
 
 
 def test_every_coding_decision_saves_transmissions():
@@ -1227,7 +1232,7 @@ def check_retirement(sim, partner, buffered):
     mixed uid to the other uid of its mix, buffered each uid to the nodes
     that buffered it. Return the uids buffered outside their own route's
     last holder set, and whether the run drained."""
-    assert audit_conservation(sim) == [] and sim.decode_failures == 0
+    assert audit(sim) == []
     natives, mixes = in_flight(sim)
     for node in sim.nodes:
         for entry in held_entries(node):
