@@ -2,8 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .simulator import Simulation
 from .topology import NodeId
@@ -25,8 +24,7 @@ COLUMN_ATTRS = {
 CSV_COLUMNS = tuple(COLUMN_ATTRS)
 
 
-@dataclass(frozen=True)
-class MetricsReport:
+class MetricsReport(NamedTuple):
     scheme: str
     seed: int
     flows: int

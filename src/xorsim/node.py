@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Optional
 
 from .coding import ReceptionReports, Scheme, find_partner
@@ -48,27 +47,29 @@ if TYPE_CHECKING:
     from .simulator import Simulation
 
 
-@dataclass(slots=True)
 class Transmission:
     """One broadcast: every neighbor of the sender receives it."""
 
-    sender: NodeId
-    packet: Packet
-    addressed: tuple[NodeId, ...]  # sorted; every other neighbor overhears
-    end: float = math.inf  # when it leaves the air; set as it goes on air
+    __slots__ = ("sender", "packet", "addressed", "end")
+
+    def __init__(self, sender: NodeId, packet: Packet, addressed: tuple[NodeId, ...], end: float = math.inf):
+        self.sender = sender
+        self.packet = packet
+        self.addressed = addressed  # sorted; every other neighbor overhears
+        self.end = end  # when it leaves the air; set as it goes on air
 
 
-@dataclass
 class Node:
-    id: NodeId
-    neighbors: tuple[NodeId, ...]  # sorted
-    scheme: Scheme
-    input_queue: deque = field(default_factory=deque)  # addressed arrivals
-    output_queue: deque = field(default_factory=deque)
-    buffer: dict = field(default_factory=dict)  # uid -> native
-    seen_overheard: set = field(default_factory=set)
-    reports: ReceptionReports = field(default_factory=dict)  # neighbor -> its buffer
-    transmitting: Optional[Transmission] = None  # the broadcast on air
+    def __init__(self, id: NodeId, neighbors: tuple[NodeId, ...], scheme: Scheme):
+        self.id = id
+        self.neighbors = neighbors  # sorted
+        self.scheme = scheme
+        self.input_queue: deque = deque()  # addressed arrivals
+        self.output_queue: deque = deque()
+        self.buffer: dict = {}  # uid -> native
+        self.seen_overheard: set = set()
+        self.reports: ReceptionReports = {}  # neighbor -> its buffer
+        self.transmitting: Optional[Transmission] = None  # the broadcast on air
 
     def process_input(self, now: float, sim: Simulation) -> None:
         """Drain the input queue in arrival order."""

@@ -1,5 +1,7 @@
 from dataclasses import replace
 
+import pytest
+
 from xorsim.coding import Scheme
 from xorsim.metrics import CSV_COLUMNS, csv_header, finalize
 from xorsim.scenarios import chain_scenario, junction_scenario, random_scenario
@@ -86,3 +88,13 @@ def test_undelivered_traffic_lowers_ratio_not_throughput_math():
 def test_reports_are_seed_stable():
     scn = random_scenario(Scheme.EXCODE, seed=9, n_flows=4, rate=60.0, duration=1.0, capture_trace=False)
     assert finalize(run(scn)) == finalize(run(replace(scn)))
+
+
+def test_report_is_an_immutable_value():
+    sim = run(junction_scenario(Scheme.EXCODE))
+    report = finalize(sim)
+    assert report == finalize(sim)
+    with pytest.raises(AttributeError):
+        report.total_tx = 0
+    # the junction relay codes once; each column prints as str of its value, None as ""
+    assert report.csv_row() == "excode,0,2,8.192,8.192,0.4,1.0,0.006144,5,1,0"

@@ -1,8 +1,11 @@
+import math
 import random
 from collections import Counter
 
+import pytest
+
 from xorsim.coding import Scheme
-from xorsim.node import Node
+from xorsim.node import Node, Transmission
 from xorsim.packet import EncodedPacket, NativePacket, PacketUid, holder_table, xor_encode
 
 
@@ -277,3 +280,47 @@ def test_everything_buffered_was_seen():
         assert set(node.buffer) <= handed
         assert overheard <= node.seen_overheard
         node.output_queue.clear()
+
+
+def test_node_keyword_construction_starts_empty_and_idle():
+    node = Node(id=3, neighbors=(2, 4), scheme=Scheme.COPE)
+    assert (node.id, node.neighbors, node.scheme) == (3, (2, 4), Scheme.COPE)
+    assert not node.input_queue and not node.output_queue
+    assert node.buffer == {} and node.seen_overheard == set() and node.reports == {}
+    assert node.transmitting is None
+
+
+def test_nodes_share_no_container():
+    # each node owns its queues, buffer, seen-set and reports: a shared
+    # default would let one node's traffic show up at every other node
+    a, b = (Node(id=i, neighbors=(), scheme=Scheme.EXCODE) for i in (0, 1))
+    names = ("input_queue", "output_queue", "buffer", "seen_overheard", "reports")
+    assert all(getattr(a, name) is not getattr(b, name) for name in names)
+    a.input_queue.append(P_EAST)
+    a.output_queue.append(P_EAST)
+    a.buffer[P_EAST.uid] = P_EAST
+    a.seen_overheard.add(P_EAST.uid)
+    a.reports[1] = b.buffer
+    assert all(not getattr(b, name) for name in names)
+
+
+def test_per_node_method_patch_takes_effect():
+    # the addressed-once property patches on_send on each node; the node's
+    # instance dict must keep such a patch ahead of the class method
+    node, sim = relay_node()
+    other = Node(id=0, neighbors=(1,), scheme=Scheme.EXCODE)
+    node.on_send = lambda now, sim: "patched"
+    assert node.on_send(0.0, sim) == "patched"
+    assert other.on_send.__func__ is Node.on_send
+
+
+def test_transmission_is_built_positionally_with_slots():
+    tx = Transmission(1, P_EAST, (2,))
+    assert (tx.sender, tx.packet, tx.addressed) == (1, P_EAST, (2,))
+    assert tx.end == math.inf
+    tx.end = 0.25
+    assert tx.end == 0.25
+    assert Transmission(1, P_EAST, (2,), 0.5).end == 0.5
+    assert not hasattr(tx, "__dict__")
+    with pytest.raises(AttributeError):
+        tx.extra = 1

@@ -685,6 +685,25 @@ def test_untraced_run_opens_no_file_and_pickles():
         assert clone.trace_log.sha256() == sim.trace_log.sha256()
 
 
+def test_pickled_simulation_keeps_node_state():
+    # sweep workers send finished runs; one cut mid-flight under overload
+    # still has queued packets, buffers and a broadcast on air
+    sim = run(random_scenario(Scheme.EXCODE, seed=1, n_flows=8, rate=200.0, duration=0.25, capture_trace=False))
+    clone = pickle.loads(pickle.dumps(sim))
+    assert any(node.output_queue for node in sim.nodes) and any(node.transmitting for node in sim.nodes)
+    for node, twin in zip(sim.nodes, clone.nodes, strict=True):
+        assert list(twin.input_queue) == list(node.input_queue)
+        assert list(twin.output_queue) == list(node.output_queue)
+        assert twin.buffer == node.buffer and twin.seen_overheard == node.seen_overheard
+        assert all(twin.reports[nb] is clone.nodes[nb].buffer for nb in node.neighbors)
+        tx, tx_twin = node.transmitting, twin.transmitting
+        assert (tx is None) == (tx_twin is None)
+        if tx is not None:
+            assert (tx_twin.sender, tx_twin.packet, tx_twin.addressed, tx_twin.end) == (
+                tx.sender, tx.packet, tx.addressed, tx.end)
+    assert finalize(clone) == finalize(sim)
+
+
 @pytest.mark.parametrize("cell", ["decoded", "corrupt", "empty"])
 def test_pickled_simulation_rebuilds_delivered_exactly(cell, monkeypatch):
     # delivered pickles as columns: the copy rebuilds the same plain dict, in
