@@ -59,8 +59,8 @@ def _position(key: str, index: int, p, plan: ExperimentPlan) -> tuple[float, flo
 
 
 def _flow_from_mapping(key: str, index: int, m, plan: ExperimentPlan) -> FlowSpec:
-    """A flows.list entry. Its rate and packet_size default to the plan's
-    flows.rate and flows.packet_size, and take their kind and bounds."""
+    """A flows.list entry between two nodes of the layout. Its rate and packet_size
+    take the kind, bounds and default of the plan's flows.rate and flows.packet_size."""
     if not isinstance(m, dict):
         raise ValidationError(f"{key} must be a mapping")
     for name in m:
@@ -69,11 +69,15 @@ def _flow_from_mapping(key: str, index: int, m, plan: ExperimentPlan) -> FlowSpe
     for name in ("src", "dst"):
         if name not in m:
             raise ValidationError(f"{key} missing key '{name}'")
+    last = (plan.nodes if plan.positions is None else len(plan.positions)) - 1  # the layout's last node
+    src, dst = (_num(f"{key}.{end}", m[end], int, 0, last) for end in ("src", "dst"))
+    if src == dst:
+        raise ValidationError(f"{key}.dst must differ from {key}.src")
     start = _num(f"{key}.start", m.get("start", 0.0), float, 0.0)  # 0 <= start <= stop
     return FlowSpec(
         flow=_num(f"{key}.flow", m.get("flow", index), int),
-        src=_num(f"{key}.src", m["src"], int),
-        dst=_num(f"{key}.dst", m["dst"], int),
+        src=src,
+        dst=dst,
         rate=_read(f"{key}.rate", m.get("rate", plan.rates[0]), KEYS["flows.rate"].metadata, plan),
         packet_size=_read(f"{key}.packet_size", m.get("packet_size", plan.packet_size),
                           KEYS["flows.packet_size"].metadata, plan),
@@ -189,14 +193,9 @@ def load_config(path) -> ExperimentPlan:
                 raise ValidationError(f"{key} cannot be combined with flows.list")
         first_index: dict[int, int] = {}  # flow id -> the first entry that set it
         for i, flow in enumerate(plan.explicit_flows):
-            entry = f"flows.list[{i}]"
-            for end in ("src", "dst"):
-                _num(f"{entry}.{end}", getattr(flow, end), int, 0, plan.nodes - 1)
-            if flow.src == flow.dst:
-                raise ValidationError(f"{entry}.dst must differ from {entry}.src")
             first = first_index.setdefault(flow.flow, i)
             if first != i:
-                raise ValidationError(f"{entry}.flow must differ from flows.list[{first}].flow")
+                raise ValidationError(f"flows.list[{i}].flow must differ from flows.list[{first}].flow")
         keys = "the sum of flows.list[i].rate x duration"
         packets = sum(f.rate * plan.duration for f in plan.explicit_flows)
     else:
@@ -415,9 +414,8 @@ def stands_in_for_narrower(sim: Simulation) -> bool:
     scheme's partner scan finds a partner only where a wider one does
     (none ⊆ cope ⊆ excode, see coding.py); so a run that coded nothing is
     also the narrower schemes' run, unless its airtimes differ from theirs,
-    as excode's do when it counts holder bytes."""
-    scenario = sim.scenario
-    return not sim.per_node_encodes and not (scenario.count_header_overhead and scenario.scheme is Scheme.EXCODE)
+    as they do when they carry holder bytes (Simulation.holder_bytes_on_air)."""
+    return not sim.per_node_encodes and not sim.holder_bytes_on_air
 
 
 def _field_cells(plan: ExperimentPlan, runs) -> list[Simulation]:

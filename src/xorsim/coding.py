@@ -4,8 +4,8 @@ Two discovery schemes are modeled. The holder-set scheme codes two relay
 packets whenever each packet's final destination already holds a copy of the
 other packet, as witnessed by the holder sets the packets carry. The
 report-based baseline is an idealized two-hop scheme: it codes only when each
-destination is a direct neighbor of the relay whose reception report (its
-buffer itself, so always in sync) lists the other packet. Every report-based
+destination's reception report (its buffer itself, so always in sync, and
+held by its neighbors alone) lists the other packet. Every report-based
 opportunity is also a holder-set opportunity, because a neighbor that holds
 a packet was necessarily adjacent to one of its previous senders and is
 therefore in its holder set. Neither scheme mixes payloads of different
@@ -45,31 +45,18 @@ def excode_can_code(p: NativePacket, q: NativePacket) -> bool:
     return p.dst in q.holders and q.dst in p.holders and len(p.payload) == len(q.payload)
 
 
-def cope_can_code(
-    p: NativePacket,
-    q: NativePacket,
-    reports: ReceptionReports,
-    neighbors: Container[NodeId],
-) -> bool:
-    """Two-hop report rule: both destinations are direct neighbors that
-    reported holding the counterpart packet. Same-flow pairs and payloads of
-    different lengths never code."""
+def cope_can_code(p: NativePacket, q: NativePacket, reports: ReceptionReports) -> bool:
+    """Two-hop report rule: each destination reports the other packet. reports
+    has a key per neighbor of the relay and no other, so both destinations are
+    neighbors. Same-flow pairs and payloads of different lengths never code."""
     if p.uid.flow == q.uid.flow:
-        return False
-    if p.dst not in neighbors or q.dst not in neighbors:
         return False
     return (q.uid in reports.get(p.dst, ()) and p.uid in reports.get(q.dst, ())
             and len(p.payload) == len(q.payload))
 
 
-def find_partner(
-    p: NativePacket,
-    queue: Sequence,
-    scheme: Scheme,
-    self_id: NodeId,
-    neighbors: Container[NodeId],
-    reports: ReceptionReports,
-) -> Optional[int]:
+def find_partner(p: NativePacket, queue: Sequence, scheme: Scheme, self_id: NodeId,
+                 reports: ReceptionReports) -> Optional[int]:
     """Index of the first queued packet codable with p, front to back.
 
     The queue is a node's input queue of addressed arrivals. Only natives
@@ -85,6 +72,6 @@ def find_partner(
     for idx, cand in enumerate(queue):
         if not isinstance(cand, NativePacket) or cand.dst == self_id:
             continue
-        if excode_can_code(p, cand) if by_holders else cope_can_code(p, cand, reports, neighbors):
+        if excode_can_code(p, cand) if by_holders else cope_can_code(p, cand, reports):
             return idx
     return None

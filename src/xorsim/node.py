@@ -68,7 +68,7 @@ class Node:
         self.output_queue: deque = deque()
         self.buffer: dict = {}  # uid -> native
         self.seen_overheard: set = set()
-        self.reports: ReceptionReports = {}  # neighbor -> its buffer
+        self.reports: ReceptionReports = {}  # each neighbor, and no other node -> its buffer
         self.transmitting: Optional[Transmission] = None  # the broadcast on air
 
     def process_input(self, now: float, sim: Simulation) -> None:
@@ -89,7 +89,7 @@ class Node:
 
     def _relay_native(self, packet: NativePacket, now: float, sim: Simulation) -> None:
         self._buffer_native(packet, sim)  # the scan never reads this node's own buffer
-        idx = find_partner(packet, self.input_queue, self.scheme, self.id, self.neighbors, self.reports)
+        idx = find_partner(packet, self.input_queue, self.scheme, self.id, self.reports)
         if idx is not None:
             partner = self.input_queue[idx]
             del self.input_queue[idx]

@@ -280,14 +280,14 @@ class Simulation:
             Node(id=i, neighbors=tuple(sorted(topo.neighbors(i))), scheme=scenario.scheme)
             for i in range(topo.n)
         ]
-        # a cope reception report is the neighbor's buffer itself
+        # a cope reception report is the neighbor's buffer itself, held by its neighbors alone
         for node in self.nodes:
             node.reports = {nb: self.nodes[nb].buffer for nb in node.neighbors}
         self.holders_at = {flow: holder_table(route, topo.neighbors) for flow, route in self.routes.items()}
         self.trace_log = TraceLog()
         self._capture_trace = scenario.capture_trace  # read on every event
         self._excode = scenario.scheme is Scheme.EXCODE
-        self._count_holders = scenario.count_header_overhead and self._excode
+        self.holder_bytes_on_air = scenario.count_header_overhead and self._excode  # airtimes carry holder bytes
         self._tx_details: dict[tuple[NodeId, ...], str] = {}  # addressed -> tx_start detail
         self._heap: list = []  # generations and TX_ENDs
         self._ordinal = 0
@@ -302,7 +302,7 @@ class Simulation:
         # when it matched the one sent, the bytes received when it did not
         self.delivered: dict[PacketUid, tuple[float, NativePacket]] = {}
         self.double_deliveries = 0
-        self.tx_native = 0
+        self.total_tx = 0
         self.tx_encoded = 0
         self.per_node_encodes: Counter[NodeId] = Counter()
         self.decode_failures = 0
@@ -399,15 +399,14 @@ class Simulation:
             return
         node.transmitting = tx
         packet = tx.packet
+        self.total_tx += 1
         if isinstance(packet, EncodedPacket):
             self.tx_encoded += 1
-        else:
-            self.tx_native += 1
         size = len(packet.payload)
         if self._excode:
             holder_bytes = holder_overhead_bytes(packet)
             self.holder_bytes_total += holder_bytes
-            if self._count_holders:
+            if self.holder_bytes_on_air:
                 size += holder_bytes
         if self._capture_trace:
             detail = self._tx_details.get(tx.addressed)
@@ -463,10 +462,6 @@ class Simulation:
             node.seen_overheard.discard(key)
 
     @property
-    def total_tx(self) -> int:
-        return self.tx_native + self.tx_encoded
-
-    @property
     def encode_count(self) -> int:
         return sum(self.per_node_encodes.values())
 
@@ -475,6 +470,9 @@ def validate_scenario(scenario: Scenario) -> dict[int, tuple[NodeId, ...]]:
     """Check the scenario's structure; return each flow's route by flow id.
     The topology's one BFS table per destination serves every flow routed to it."""
     topo = scenario.topology
+    if not isinstance(scenario.scheme, Scheme):
+        raise ScenarioInvalidError(f"scheme must be a Scheme, not {scenario.scheme!r}")
+    _check_kinds("", scenario, "__float__", "duration", "channel_rate", "drain_grace")
     if not 0 < scenario.duration < math.inf:
         raise ScenarioInvalidError("duration must be positive and finite")
     if not 0 < scenario.channel_rate < math.inf:
@@ -484,6 +482,12 @@ def validate_scenario(scenario: Scenario) -> dict[int, tuple[NodeId, ...]]:
     routes: dict[int, tuple[NodeId, ...]] = {}
     for f in scenario.flows:
         tag = f"flow {f.flow}"
+        try:
+            hash(f.flow)
+        except TypeError:
+            raise ScenarioInvalidError(f"{tag}: flow id must be hashable") from None
+        _check_kinds(f"{tag}: ", f, "__index__", "src", "dst", "packet_size")
+        _check_kinds(f"{tag}: ", f, "__float__", "rate", "start", *(() if f.stop is None else ("stop",)))
         if f.flow in routes:
             raise ScenarioInvalidError(f"{tag}: duplicate flow id")
         if not (0 <= f.src < topo.n) or not (0 <= f.dst < topo.n):
@@ -505,6 +509,16 @@ def validate_scenario(scenario: Scenario) -> dict[int, tuple[NodeId, ...]]:
         except NoRouteError:
             raise ScenarioInvalidError(f"{tag}: no route from {f.src} to {f.dst}") from None
     return routes
+
+
+def _check_kinds(tag: str, record, method: str, *names: str) -> None:
+    """Raise unless each named field of record is an integer (method "__index__"),
+    or a real number ("__float__"); a bool is neither, as in a config."""
+    for name in names:
+        value = getattr(record, name)
+        if isinstance(value, bool) or not hasattr(value, method):
+            kind = "an integer" if method == "__index__" else "a real number"
+            raise ScenarioInvalidError(f"{tag}{name} must be {kind}, not {value!r}")
 
 
 def run(scenario: Scenario) -> Simulation:

@@ -7,10 +7,11 @@ from xorsim import node
 from xorsim.coding import Scheme, cope_can_code, excode_can_code
 from xorsim.packet import NativePacket
 
-# the config fuzzers of test_cli.py and the addressed-once (with its check of
-# what each mix send carries and addresses) and retirement properties of
-# test_simulator.py scale with the profile's max_examples: CI runs them again
-# with --hypothesis-profile=config-fuzz, ten times the default 100
+# the config fuzzers and stand-in property of test_cli.py and the ill-typed
+# scenario, addressed-once (with its check of what each mix send carries and
+# addresses) and retirement properties of test_simulator.py scale with the
+# profile's max_examples: CI runs them again with
+# --hypothesis-profile=config-fuzz, ten times the default 100
 settings.register_profile("config-fuzz", max_examples=1000)
 
 
@@ -26,13 +27,13 @@ def watch_scans(monkeypatch):
     def install(probe):
         scan = node.find_partner
 
-        def watched(p, queue, scheme, self_id, neighbors, reports):
-            idx = scan(p, queue, scheme, self_id, neighbors, reports)
+        def watched(p, queue, scheme, self_id, reports):
+            idx = scan(p, queue, scheme, self_id, reports)
             if scheme is not Scheme.NON_CODING:
                 examined = len(queue) if idx is None else idx + 1
                 for q in itertools.islice(queue, examined):
                     if isinstance(q, NativePacket) and q.dst != self_id and q.uid.flow != p.uid.flow:
-                        probe(self_id, p, q, cope_can_code(p, q, reports, neighbors), excode_can_code(p, q))
+                        probe(self_id, p, q, cope_can_code(p, q, reports), excode_can_code(p, q))
             return idx
 
         monkeypatch.setattr(node, "find_partner", watched)

@@ -55,6 +55,9 @@ def write_config(tmp_path, text, name="conf.yaml"):
 
 
 def test_empty_config_gives_defaults(tmp_path):
+    # an empty section is an empty mapping
+    for text in ("topology:", "flows:\nchannel:\nsweep:"):
+        assert load_config(write_config(tmp_path, text)) == ExperimentPlan()
     plan = load_config(write_config(tmp_path, ""))
     assert plan == ExperimentPlan()
     assert plan.nodes == 16
@@ -90,6 +93,8 @@ def test_full_config_round_trip(tmp_path):
     "snippet,needle",
     [
         ("bogus: 1", "unknown config key: bogus"),
+        ("- 1\n- 2", "config root must be a mapping"),
+        ("topology: 3", "topology must be a mapping"),
         ("topology: {sides: 3}", "unknown config key: topology.sides"),
         ("topology: {nodes: 2.5}", "topology.nodes must be an integer"),
         ("topology: {nodes: zero}", "topology.nodes must be a number"),
@@ -107,6 +112,7 @@ def test_full_config_round_trip(tmp_path):
         ("flows: {rate: .inf}", "flows.rate must be finite"),
         ("flows: {rate: 1" + "0" * 400 + "}", "flows.rate is too large"),
         ("flows: {list: 3}", "flows.list must be a list"),
+        ("flows: {list: [3]}", "flows.list[0] must be a mapping"),
         ("flows: {list: [{src: abc, dst: 1}]}", "flows.list[0].src must be a number"),
         ("flows: {list: [{src: 0, dst: 1, rate: .nan}]}", "flows.list[0].rate must be finite"),
         # a bad flows.list entry names its key, not the flow id it sets

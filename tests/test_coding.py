@@ -51,38 +51,35 @@ def test_rules_reject_payloads_of_different_lengths():
 
     p = native(0, 0, (0, 1, 2), hop_index=1)
     q = native(1, 0, (2, 1, 0), hop_index=1)
-    neighbors, reports = frozenset({0, 2}), {0: {p.uid}, 2: {q.uid}}
+    reports = {0: {p.uid}, 2: {q.uid}}
     longer = q._replace(payload=b"\x00" * 8)
-    assert cope_can_code(p, q, reports, neighbors)
-    assert not cope_can_code(p, longer, reports, neighbors)
-    assert not cope_can_code(longer, p, reports, neighbors)
+    assert cope_can_code(p, q, reports)
+    assert not cope_can_code(p, longer, reports)
+    assert not cope_can_code(longer, p, reports)
 
 
 def test_report_rule_two_hop_exchange():
     # relay 1 between endpoints 0 and 2, each holding the packet it sourced
     p = native(0, 0, (0, 1, 2), hop_index=1)
     q = native(1, 0, (2, 1, 0), hop_index=1)
-    neighbors = frozenset({0, 2})
-    reports = {0: {p.uid}, 2: {q.uid}}
-    assert cope_can_code(p, q, reports, neighbors)
-    assert cope_can_code(q, p, reports, neighbors)
+    reports = {0: {p.uid}, 2: {q.uid}}  # one per neighbor of relay 1
+    assert cope_can_code(p, q, reports)
+    assert cope_can_code(q, p, reports)
 
 
 def test_report_rule_needs_adjacent_destinations():
     p = native(0, 0, (0, 2, 4, 6), hop_index=1)  # dst 6 is two hops out
     q = native(1, 0, (6, 4, 2, 0), hop_index=2)
-    neighbors = frozenset({0, 3, 4})
-    reports = {0: {p.uid}, 3: set(), 4: set()}
-    assert not cope_can_code(p, q, reports, neighbors)
+    reports = {0: {p.uid}, 3: set(), 4: set()}  # relay 2 holds no report from 6
+    assert not cope_can_code(p, q, reports)
 
 
 def test_report_rule_needs_both_reports():
     p = native(0, 0, (0, 1, 2), hop_index=1)
     q = native(1, 0, (2, 1, 0), hop_index=1)
-    neighbors = frozenset({0, 2})
-    assert not cope_can_code(p, q, {0: {p.uid}, 2: set()}, neighbors)
-    assert not cope_can_code(p, q, {0: set(), 2: {q.uid}}, neighbors)
-    assert not cope_can_code(p, q, {}, neighbors)
+    assert not cope_can_code(p, q, {0: {p.uid}, 2: set()})
+    assert not cope_can_code(p, q, {0: set(), 2: {q.uid}})
+    assert not cope_can_code(p, q, {})
 
 
 def test_report_rule_implies_holder_rule_on_consistent_state():
@@ -98,21 +95,17 @@ def test_report_rule_implies_holder_rule_on_consistent_state():
         q = native(1, rng.randrange(4), (5, 6, q_dst), hop_index=1,
                    holders=set(rng.sample(nodes, rng.randrange(1, 8))))
         neighbors = frozenset(rng.sample(nodes, rng.randrange(1, 8)))
-        reports = {nb: set() for nb in neighbors}
+        reports = {nb: set() for nb in neighbors}  # a relay's reports: one per neighbor
         if p_dst in neighbors and p_dst in q.holders and rng.random() < 0.8:
             reports[p_dst].add(q.uid)
         if q_dst in neighbors and q_dst in p.holders and rng.random() < 0.8:
             reports[q_dst].add(p.uid)
-        if cope_can_code(p, q, reports, neighbors):
+        if cope_can_code(p, q, reports):
             assert excode_can_code(p, q)
 
 
-def scan_args(self_id=2, neighbors=frozenset({0, 1, 3, 4}), reports=None):
-    return dict(
-        self_id=self_id,
-        neighbors=neighbors,
-        reports=reports if reports is not None else {},
-    )
+def scan_args(self_id=2, reports=None):
+    return dict(self_id=self_id, reports=reports if reports is not None else {})
 
 
 def test_scan_disabled_without_coding():
@@ -152,7 +145,6 @@ def test_scan_against_constructed_queues():
     # known without re-running the predicate under test
     rng = random.Random("scan-oracle")
     self_id = 2
-    neighbors = frozenset({0, 1, 3, 4})
     for _ in range(300):
         p = native(0, rng.randrange(100), (7, 2, 5), hop_index=1,
                    holders={7, rng.randrange(8, 16)})
@@ -169,8 +161,4 @@ def test_scan_against_constructed_queues():
             if kind == "match" and expected is None:
                 expected = idx
             queue.append(cand)
-        got = find_partner(
-            p, queue, Scheme.EXCODE,
-            self_id=self_id, neighbors=neighbors, reports={},
-        )
-        assert got == expected
+        assert find_partner(p, queue, Scheme.EXCODE, self_id=self_id, reports={}) == expected

@@ -289,6 +289,17 @@ def test_audits_name_planted_faults():
     sim.delivered = dict(delivered)
     sim.decode_failures = 2
     assert audit(sim) == ["2 decode failures"]
+    sim.decode_failures = 0
+
+    # a second delivery of a delivered uid is counted, not stored
+    sim.deliver(delivered[first][1], 9.0)
+    assert sim.delivered == delivered
+    assert audit_conservation(sim) == audit(sim) == ["1 duplicate deliveries"]
+    sim.double_deliveries = 0
+
+    stray = delivered[first][1]._replace(uid=PacketUid(0, 99))
+    sim.nodes[1].input_queue.append(stray)
+    assert audit(sim) == [f"{stray.uid}: never generated"]
 
 
 def test_audits_count_each_branch_of_a_mix_once():
@@ -461,6 +472,79 @@ def test_validation_messages():
         validate_scenario(Scenario(topo, (ok,), Scheme.EXCODE, drain_grace=-1.0))
     with pytest.raises(ScenarioInvalidError, match="drain grace must be >= 0 and finite"):
         validate_scenario(Scenario(topo, (ok,), Scheme.EXCODE, drain_grace=math.inf))
+
+
+# values no number field takes: a bool is not a number here, as in a config
+NOT_NUMBERS = st.one_of(st.booleans(), st.text(max_size=4), st.sampled_from(["1", "0.5", "nan"]), st.binary(max_size=2),
+                        st.complex_numbers(), st.lists(st.integers(), max_size=2), st.just({"x": 1}))
+SCENARIO_FIELDS = ("scheme", "duration", "channel_rate", "drain_grace")  # the rest are FlowSpec fields
+# the fields a scenario error can name, each with ill-typed values for it
+ILL_TYPED = {
+    "scheme": st.one_of(st.sampled_from([s.value for s in Scheme] + [s.name for s in Scheme]),
+                        st.text(max_size=4), st.integers(), st.none()),
+    "duration": st.one_of(NOT_NUMBERS, st.none()),
+    "channel_rate": st.one_of(NOT_NUMBERS, st.none()),
+    "drain_grace": st.one_of(NOT_NUMBERS, st.none()),
+    "flow": st.one_of(st.lists(st.integers(), max_size=2), st.sets(st.integers(), max_size=2), st.just({0: 1}),
+                      st.tuples(st.integers(), st.lists(st.integers(), max_size=1))),
+    **{name: st.one_of(NOT_NUMBERS, st.none(), st.floats()) for name in ("src", "dst", "packet_size")},
+    **{name: st.one_of(NOT_NUMBERS, st.none()) for name in ("rate", "start")},
+    "stop": NOT_NUMBERS,  # None is a valid stop: the scenario's end
+}
+
+
+@st.composite
+def ill_typed_scenarios(draw):
+    """(fixture name, flow index, field, value): one fixture field swapped
+    for a value of the wrong kind; a FlowSpec field is swapped in that flow."""
+    name = draw(st.sampled_from(sorted(FIXTURES)))
+    field = draw(st.sampled_from(sorted(ILL_TYPED)))
+    return name, draw(st.integers(0, 1)), field, draw(ILL_TYPED[field])
+
+
+def swapped(name, index, field, value) -> Scenario:
+    scenario = FIXTURES[name](Scheme.EXCODE)
+    if field in SCENARIO_FIELDS:
+        return replace(scenario, **{field: value})
+    flows = list(scenario.flows)
+    flows[index] = replace(flows[index], **{field: value})
+    return replace(scenario, flows=tuple(flows))
+
+
+@settings(max_examples=2 * settings.default.max_examples, deadline=None)
+@given(case=ill_typed_scenarios())
+@example(case=("junction", 0, "scheme", "excode"))  # ran as cope: junction codes 0, excode 1
+@example(case=("chain", 0, "scheme", "none"))  # scanned with the report rule
+@example(case=("chain", 0, "src", 0.0))  # TypeError: list indices must be integers
+@example(case=("chain", 1, "packet_size", 512.5))  # TypeError in payload_bytes
+@example(case=("chain", 0, "rate", "1"))  # TypeError in validate_scenario
+@example(case=("chain", 0, "duration", "1"))
+@example(case=("cross", 1, "flow", [0]))  # unhashable
+@example(case=("cross", 0, "flow", (0, [1])))
+@example(case=("chain", 0, "packet_size", True))  # ran with 1-byte packets
+def test_ill_typed_scenario_fields_are_rejected(case):
+    name, index, field, value = case
+    with pytest.raises(ScenarioInvalidError) as err:
+        Simulation(swapped(name, index, field, value))
+    message = str(err.value)
+    assert ("flow id" if field == "flow" else field) + " must be" in message
+    assert message.startswith("flow ") == (field not in SCENARIO_FIELDS)
+
+
+def test_numpy_numbers_still_run():
+    # numpy integers and floats are integers and real numbers; their reprs
+    # differ from Python's, so traces are compared by their counts
+    np = pytest.importorskip("numpy")
+    plain = junction_scenario(Scheme.EXCODE)
+    a, b, *rest = plain.flows
+    flows = (replace(a, src=np.int64(a.src), packet_size=np.int64(a.packet_size)), replace(b, rate=np.float64(b.rate)))
+    sim = run(replace(plain, flows=(*flows, *rest), duration=np.float64(plain.duration)))
+    assert audit(sim) == []
+    want = run(plain)
+    assert want.per_node_encodes  # the numpy flows meet and code
+    assert (sim.delivered.keys(), sim.total_tx, sim.per_node_encodes) == (want.delivered.keys(), want.total_tx,
+                                                                         want.per_node_encodes)
+    assert len(sim.trace_log) == len(want.trace_log)
 
 
 def test_payload_bytes_deterministic_and_seed_sensitive():
@@ -1162,6 +1246,12 @@ def test_random_flows_need_two_nodes(positions):
     assert random_flows(topo, 0, 5.0, 512, 0) == ()
     with pytest.raises(ScenarioInvalidError, match=f"^seed 0: a flow needs 2 nodes, the layout has {len(positions)}$"):
         random_flows(topo, 1, 5.0, 512, 0)
+
+
+def test_random_flows_name_an_unroutable_layout():
+    topo = build_topology([(0.0, 0.0), (1000.0, 0.0)], 200.0)  # two nodes out of range
+    with pytest.raises(ScenarioInvalidError, match="^seed 3: could not sample a routable flow in this layout$"):
+        random_flows(topo, 1, 5.0, 512, 3)
 
 
 def test_validated_routes_match_a_route_search_per_pair():

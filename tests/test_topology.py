@@ -84,6 +84,19 @@ def test_random_layout_rejects_zero_nodes():
         random_layout(0, 800.0, 1)
 
 
+@pytest.mark.parametrize("radio_range", [0.0, -1.0])
+def test_build_topology_rejects_a_range_of_zero_or_less(radio_range):
+    with pytest.raises(ValueError, match="radio_range must be positive"):
+        build_topology([(0.0, 0.0)], radio_range)
+
+
+def test_shortest_path_rejects_node_ids_out_of_range():
+    topo = build_topology([(0.0, 0.0), (100.0, 0.0)], 200.0)
+    for src, dst in ((0, 2), (-1, 1), (2, 0)):
+        with pytest.raises(ValueError, match=f"node id out of range: src={src} dst={dst}"):
+            shortest_path(topo, src, dst)
+
+
 def test_shortest_path_endpoints_and_consecutive_adjacency():
     topo = build_topology(random_layout(16, 800.0, 7), 250.0)
     route = shortest_path(topo, 0, 5)
