@@ -14,10 +14,13 @@ No node is addressed the same key twice (see the README's Model), so only
 overheard copies are checked for duplicates: a repeat is traced dup_discard.
 
 The buffer holds natives only, by uid. Overheard copies carry no forwarding
-obligation: overhear() buffers a native, or the native an overheard mix
-yields at once; a mix it cannot decode is not kept. The output queue drains
-one packet per transmission. A native takes its route's holder set for the
-sending hop; a mix advances the branches its sender carries.
+obligation: overhear() serves a whole broadcast in one call, and each
+listener buffers a native, or the native an overheard mix yields at once; a
+mix it cannot decode is not kept. overhear()'s lines, and those with a
+formatted detail, are built only while the simulation captures its trace.
+The output queue drains one packet per transmission. A native takes its
+route's holder set for the sending hop; a mix advances the branches its
+sender carries.
 
 Buffers and overheard sets hold only what is in flight. A node reports each
 delivery, with the key of the mix it was decoded from, and takes no other
@@ -89,7 +92,8 @@ class Node:
 
     def _relay_native(self, packet: NativePacket, now: float, sim: Simulation) -> None:
         self._buffer_native(packet, sim)  # the scan never reads this node's own buffer
-        idx = find_partner(packet, self.input_queue, self.scheme, self.id, self.reports)
+        # no partner waits in an empty queue
+        idx = find_partner(packet, self.input_queue, self.scheme, self.id, self.reports) if self.input_queue else None
         if idx is not None:
             partner = self.input_queue[idx]
             del self.input_queue[idx]
@@ -97,7 +101,8 @@ class Node:
             encoded = xor_encode(packet, partner)
             self.output_queue.append(encoded)
             sim.per_node_encodes[self.id] += 1
-            sim.trace(now, self.id, "encode", encoded, f"{packet.uid}+{partner.uid}")
+            if sim.capture_trace:
+                sim.trace(now, self.id, "encode", encoded, f"{packet.uid}+{partner.uid}")
             return
         self.output_queue.append(packet)
         sim.trace(now, self.id, "enqueue", packet)
@@ -111,11 +116,13 @@ class Node:
             if known is not None:
                 native = xor_decode(packet, known)
                 self._buffer_native(native, sim)
-                sim.trace(now, self.id, "decode_deliver", native, f"from {packet}")
+                if sim.capture_trace:
+                    sim.trace(now, self.id, "decode_deliver", native, f"from {packet}")
                 sim.deliver(native, now, packet.key)
             else:
                 sim.decode_failures += 1
-                sim.trace(now, self.id, "decode_fail", packet, f"missing {counterpart.uid}")
+                if sim.capture_trace:
+                    sim.trace(now, self.id, "decode_fail", packet, f"missing {counterpart.uid}")
         self.forward_encoded(packet, now, sim)
 
     def forward_encoded(self, packet: EncodedPacket, now: float, sim: Simulation) -> None:
@@ -126,25 +133,6 @@ class Node:
             return
         self.output_queue.append(packet)
         sim.trace(now, self.id, "forward_encoded", packet)
-
-    def overhear(self, packet: Packet, now: float, sim: Simulation) -> None:
-        """Buffer an overheard native, or what a mix yields; nothing goes further."""
-        key = packet.key
-        if key in self.seen_overheard:
-            sim.trace(now, self.id, "dup_discard", packet, "overheard")
-            return
-        self.seen_overheard.add(key)
-        sim.trace(now, self.id, "overhear", packet)
-        if isinstance(packet, NativePacket):
-            self._buffer_native(packet, sim)
-            return
-        # holding one original lets the node pull out the other right away
-        held = [h.uid for h in packet.constituents if h.uid in self.buffer]
-        if len(held) == 1:
-            native = xor_decode(packet, self.buffer[held[0]])
-            self.seen_overheard.add(native.uid)
-            self._buffer_native(native, sim)
-            sim.trace(now, self.id, "early_decode", native, f"from {packet}")
 
     def on_send(self, now: float, sim: Simulation) -> Optional[Transmission]:
         """Pop the output-queue head and turn it into a broadcast."""
@@ -164,3 +152,39 @@ class Node:
             return
         self.buffer[packet.uid] = packet
         sim.native_buffered(self.id, packet)
+
+
+def overhear(nodes: list[Node], neighbors: tuple[NodeId, ...], addressed: tuple[NodeId, ...], packet: Packet,
+             now: float, sim: Simulation) -> None:
+    """Every neighbor of a broadcast's sender that it does not address
+    overhears it, in id order, and buffers a native, or the native an
+    overheard mix yields at once; nothing goes further."""
+    key = packet.key
+    capture = sim.capture_trace
+    mixed = isinstance(packet, EncodedPacket)
+    for n in neighbors:
+        if n in addressed:
+            continue
+        seen = nodes[n].seen_overheard
+        if key in seen:
+            if capture:
+                sim.trace(now, n, "dup_discard", packet, "overheard")
+            continue
+        seen.add(key)
+        if capture:
+            sim.trace(now, n, "overhear", packet)
+        buffer = nodes[n].buffer
+        if not mixed:
+            if key not in buffer:
+                buffer[key] = packet
+                sim.native_buffered(n, packet)
+            continue
+        # holding one original lets the node pull out the other right away
+        held = [h.uid for h in packet.constituents if h.uid in buffer]
+        if len(held) == 1:
+            native = xor_decode(packet, buffer[held[0]])
+            seen.add(native.uid)
+            buffer[native.uid] = native
+            sim.native_buffered(n, native)
+            if capture:
+                sim.trace(now, n, "early_decode", native, f"from {packet}")

@@ -54,17 +54,18 @@ import hashlib
 import heapq
 import io
 import math
+import operator
 import os
 import shutil
 import tempfile
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import repeat
 from typing import Optional
 
 from .coding import Scheme
-from .node import Node, Transmission
+from .node import Node, Transmission, overhear
 from .packet import EncodedPacket, NativePacket, PacketUid, build_packet, holder_overhead_bytes, holder_table
 from .topology import NodeId, NoRouteError, Topology, shortest_path
 
@@ -274,7 +275,7 @@ class Simulation:
 
     def __init__(self, scenario: Scenario):
         self.routes = validate_scenario(scenario)
-        self.scenario = scenario
+        self.scenario = scenario = _float_times(scenario)
         topo = scenario.topology
         self.nodes: list[Node] = [
             Node(id=i, neighbors=tuple(sorted(topo.neighbors(i))), scheme=scenario.scheme)
@@ -285,7 +286,7 @@ class Simulation:
             node.reports = {nb: self.nodes[nb].buffer for nb in node.neighbors}
         self.holders_at = {flow: holder_table(route, topo.neighbors) for flow, route in self.routes.items()}
         self.trace_log = TraceLog()
-        self._capture_trace = scenario.capture_trace  # read on every event
+        self.capture_trace = scenario.capture_trace  # read on every event, by the nodes too
         self._excode = scenario.scheme is Scheme.EXCODE
         self.holder_bytes_on_air = scenario.count_header_overhead and self._excode  # airtimes carry holder bytes
         self._tx_details: dict[tuple[NodeId, ...], str] = {}  # addressed -> tx_start detail
@@ -360,21 +361,20 @@ class Simulation:
         packet = source_native(flow, uid, self.routes[flow.flow], payload)
         self._in_flight[uid] = packet
         self._gen_counts[i] = seq + 1
-        if self._capture_trace:
+        if self.capture_trace:
             self.trace_log.add(now, flow.src, "gen", packet)
         self._arrive(self.nodes[flow.src], packet, now)
 
     def _on_tx_end(self, tx: Transmission, now: float) -> None:
         sender = self.nodes[tx.sender]
         sender.transmitting = None
-        if self._capture_trace:
+        if self.capture_trace:
             self.trace_log.add(now, tx.sender, "tx_end", tx.packet)
-        # overhearing is pure listening: it lands in the buffer the moment
-        # the transmission ends, never competing with the radio's work
+        # overhearing is pure listening: one call lands the broadcast in every
+        # overhearer's buffer the moment it ends, ahead of the addressed
+        # arrivals and never competing with the radio's work
         nodes, packet, addressed = self.nodes, tx.packet, tx.addressed
-        for receiver in sender.neighbors:
-            if receiver not in addressed:
-                nodes[receiver].overhear(packet, now, self)
+        overhear(nodes, sender.neighbors, addressed, packet, now, self)
         for receiver in addressed:
             self._arrive(nodes[receiver], packet, now)
         self._due[tx.sender] = None
@@ -408,7 +408,7 @@ class Simulation:
             self.holder_bytes_total += holder_bytes
             if self.holder_bytes_on_air:
                 size += holder_bytes
-        if self._capture_trace:
+        if self.capture_trace:
             detail = self._tx_details.get(tx.addressed)
             if detail is None:
                 detail = self._tx_details[tx.addressed] = "to=" + "|".join(map(str, tx.addressed))
@@ -420,7 +420,7 @@ class Simulation:
     # -- hooks called by nodes ---------------------------------------------
 
     def trace(self, now: float, node: NodeId, event: str, packet, detail: str = "") -> None:
-        if self._capture_trace:
+        if self.capture_trace:
             self.trace_log.add(now, node, event, packet, detail)
 
     def deliver(self, packet: NativePacket, now: float, mix: Optional[tuple[PacketUid, PacketUid]] = None) -> None:
@@ -469,10 +469,13 @@ class Simulation:
 def validate_scenario(scenario: Scenario) -> dict[int, tuple[NodeId, ...]]:
     """Check the scenario's structure; return each flow's route by flow id.
     The topology's one BFS table per destination serves every flow routed to it."""
+    _check_kinds("", scenario, "a Topology", "topology")
+    _check_kinds("", scenario, "a tuple of FlowSpecs", "flows")
+    _check_kinds("", scenario, "a Scheme", "scheme")
+    _check_kinds("", scenario, "a real number", "duration", "channel_rate", "drain_grace")
+    _check_kinds("", scenario, "an integer", "seed")
+    _check_kinds("", scenario, "a bool", "count_header_overhead", "capture_trace")
     topo = scenario.topology
-    if not isinstance(scenario.scheme, Scheme):
-        raise ScenarioInvalidError(f"scheme must be a Scheme, not {scenario.scheme!r}")
-    _check_kinds("", scenario, "__float__", "duration", "channel_rate", "drain_grace")
     if not 0 < scenario.duration < math.inf:
         raise ScenarioInvalidError("duration must be positive and finite")
     if not 0 < scenario.channel_rate < math.inf:
@@ -486,8 +489,8 @@ def validate_scenario(scenario: Scenario) -> dict[int, tuple[NodeId, ...]]:
             hash(f.flow)
         except TypeError:
             raise ScenarioInvalidError(f"{tag}: flow id must be hashable") from None
-        _check_kinds(f"{tag}: ", f, "__index__", "src", "dst", "packet_size")
-        _check_kinds(f"{tag}: ", f, "__float__", "rate", "start", *(() if f.stop is None else ("stop",)))
+        _check_kinds(f"{tag}: ", f, "an integer", "src", "dst", "packet_size")
+        _check_kinds(f"{tag}: ", f, "a real number", "rate", "start", *(() if f.stop is None else ("stop",)))
         if f.flow in routes:
             raise ScenarioInvalidError(f"{tag}: duplicate flow id")
         if not (0 <= f.src < topo.n) or not (0 <= f.dst < topo.n):
@@ -511,14 +514,46 @@ def validate_scenario(scenario: Scenario) -> dict[int, tuple[NodeId, ...]]:
     return routes
 
 
-def _check_kinds(tag: str, record, method: str, *names: str) -> None:
-    """Raise unless each named field of record is an integer (method "__index__"),
-    or a real number ("__float__"); a bool is neither, as in a config."""
+# what a field must be, by the name its error gives; a bool is no number, as in a config
+KINDS = {
+    "an integer": lambda v: not isinstance(v, bool) and hasattr(v, "__index__"),
+    "a real number": lambda v: not isinstance(v, bool) and hasattr(v, "__float__"),
+    "a bool": lambda v: isinstance(v, bool),
+    "a Scheme": lambda v: isinstance(v, Scheme),
+    "a Topology": lambda v: isinstance(v, Topology),
+    "a tuple of FlowSpecs": lambda v: isinstance(v, tuple) and all(isinstance(f, FlowSpec) for f in v),
+}
+
+
+def _check_kinds(tag: str, record, kind: str, *names: str) -> None:
+    """Raise unless each named field of record is of kind, a key of KINDS."""
     for name in names:
         value = getattr(record, name)
-        if isinstance(value, bool) or not hasattr(value, method):
-            kind = "an integer" if method == "__index__" else "a real number"
+        if not KINDS[kind](value):
             raise ScenarioInvalidError(f"{tag}{name} must be {kind}, not {value!r}")
+
+
+def _float_times(scenario: Scenario) -> Scenario:
+    """A checked scenario with each time and rate a plain float; scenario
+    itself when each already is one. Any other number type would become the
+    clock, which the trace prints by repr: np.float64(0.0), not 0.0."""
+    flows = tuple(_as_floats(f"flow {f.flow}: ", f, "rate", "start", "stop") for f in scenario.flows)
+    if any(map(operator.is_not, flows, scenario.flows)):
+        scenario = replace(scenario, flows=flows)
+    return _as_floats("", scenario, "duration", "channel_rate", "drain_grace")
+
+
+def _as_floats(tag: str, record, *names: str):
+    """record with each named field that is set, and not a plain float, made one."""
+    changes = {}
+    for name in names:
+        value = getattr(record, name)
+        if value is not None and type(value) is not float:
+            try:
+                changes[name] = float(value)
+            except OverflowError:  # an int past the float range
+                raise ScenarioInvalidError(f"{tag}{name} must be finite") from None
+    return replace(record, **changes) if changes else record
 
 
 def run(scenario: Scenario) -> Simulation:

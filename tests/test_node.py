@@ -3,17 +3,19 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from xorsim.coding import Scheme
-from xorsim.node import Node, Transmission
+from xorsim.node import Node, Transmission, overhear
 from xorsim.packet import EncodedPacket, NativePacket, PacketUid, holder_table, xor_encode
 
 
 class HookRecorder:
     """Stand-in for the simulation side of the node protocol."""
 
-    def __init__(self, holders_at=None):
+    def __init__(self, holders_at=None, capture_trace=True):
         self.holders_at = holders_at or {}  # flow -> holder table of its route
+        self.capture_trace = capture_trace  # the nodes skip trace lines when off
         self.events = []
         self.details = []  # (event, node, detail) of each trace line with a detail
         self.delivered = []
@@ -44,6 +46,11 @@ def native(flow, seq, route, hop_index, holders, payload=b"\xaa" * 6):
         payload=payload,
         created_at=0.0,
     )
+
+
+def hear(node, packet, now, sim):
+    """One broadcast of packet that node alone overhears."""
+    overhear({node.id: node}, (node.id,), (), packet, now, sim)
 
 
 def relay_node(scheme=Scheme.EXCODE):
@@ -100,7 +107,7 @@ def test_delivery_is_traced_before_it_is_reported():
     Node(id=2, neighbors=(1,), scheme=Scheme.EXCODE).on_receive(P_EAST._replace(hop_index=2), 1.0, sim)
     p, q, encoded = arrived_mix()
     node = Node(id=2, neighbors=(1,), scheme=Scheme.EXCODE)
-    node.overhear(Q_WEST._replace(hop_index=0), 0.1, sim)
+    hear(node, Q_WEST._replace(hop_index=0), 0.1, sim)
     node.on_receive(encoded, 2.0, sim)
     assert order == ["deliver", "reported", "overhear", "decode_deliver", "reported"]
 
@@ -108,9 +115,9 @@ def test_delivery_is_traced_before_it_is_reported():
 def test_roles_deduplicate_independently():
     node, sim = relay_node()
     node.on_receive(P_EAST, 0.0, sim)
-    node.overhear(P_EAST, 0.0, sim)
+    hear(node, P_EAST, 0.0, sim)
     assert dup_discards(sim) == []
-    node.overhear(P_EAST, 0.0, sim)
+    hear(node, P_EAST, 0.0, sim)
     assert dup_discards(sim) == [("dup_discard", 1, str(P_EAST.uid))]
 
 
@@ -132,7 +139,7 @@ def test_destination_delivers_and_buffers():
 
 def test_overheard_native_is_buffered_never_forwarded():
     node, sim = relay_node()
-    node.overhear(Q_WEST, 0.0, sim)
+    hear(node, Q_WEST, 0.0, sim)
     assert node.buffer[Q_WEST.uid] == Q_WEST
     assert not node.output_queue
     assert sim.events == [("overhear", 1, str(Q_WEST.uid))]
@@ -140,9 +147,9 @@ def test_overheard_native_is_buffered_never_forwarded():
 
 def test_overheard_mix_decodes_against_known_original():
     node, sim = relay_node()
-    node.overhear(Q_WEST, 0.0, sim)
+    hear(node, Q_WEST, 0.0, sim)
     encoded = xor_encode(P_EAST, Q_WEST)
-    node.overhear(encoded, 1.0, sim)
+    hear(node, encoded, 1.0, sim)
     recovered = node.buffer[P_EAST.uid]
     assert recovered.payload == P_EAST.payload
     assert P_EAST.uid in node.seen_overheard
@@ -153,7 +160,7 @@ def test_overheard_mix_decodes_against_known_original():
 def test_overheard_mix_without_any_original_is_not_kept():
     node, sim = relay_node()
     encoded = xor_encode(P_EAST, Q_WEST)
-    node.overhear(encoded, 1.0, sim)
+    hear(node, encoded, 1.0, sim)
     assert node.buffer == {}
     assert encoded.key in node.seen_overheard  # a repeat is still a duplicate
     assert sim.events == [("overhear", 1, str(encoded))]
@@ -170,7 +177,7 @@ def test_destination_decodes_addressed_mix():
     p, q, encoded = arrived_mix()
     node = Node(id=2, neighbors=(1,), scheme=Scheme.EXCODE)
     sim = HookRecorder()
-    node.overhear(Q_WEST._replace(hop_index=0), 0.1, sim)
+    hear(node, Q_WEST._replace(hop_index=0), 0.1, sim)
     node.on_receive(encoded, 1.0, sim)
     # a decoded delivery names its mix, the native one names none
     node.on_receive(p._replace(uid=PacketUid(0, 1)), 2.0, sim)
@@ -245,8 +252,8 @@ def test_reception_report_lists_only_natives():
     # each native is announced once through native_buffered, the mix never
     node, sim = relay_node()
     encoded = xor_encode(P_EAST, Q_WEST)
-    node.overhear(Q_WEST, 0.0, sim)
-    node.overhear(encoded, 0.1, sim)
+    hear(node, Q_WEST, 0.0, sim)
+    hear(node, encoded, 0.1, sim)
     assert set(node.buffer) == {Q_WEST.uid, P_EAST.uid}  # P_EAST recovered early
     assert sim.buffered == [(1, Q_WEST.uid), (1, P_EAST.uid)]
     assert all(isinstance(v, NativePacket) for v in node.buffer.values())
@@ -273,13 +280,93 @@ def test_everything_buffered_was_seen():
             pkt = xor_encode(pkt, other)
         handed.update(pkt.key if isinstance(pkt, EncodedPacket) else [pkt.uid])
         if rng.random() < 0.5:
-            node.overhear(pkt, float(step), sim)
+            hear(node, pkt, float(step), sim)
             overheard.add(pkt.key)
         else:
             node.on_receive(pkt, float(step), sim)
         assert set(node.buffer) <= handed
         assert overheard <= node.seen_overheard
         node.output_queue.clear()
+
+
+def test_empty_queue_is_not_scanned(monkeypatch):
+    # no partner waits in an empty input queue, so the scan is skipped
+    scans = []
+    monkeypatch.setattr("xorsim.node.find_partner", lambda *args: scans.append(len(args[1])))
+    node, sim = relay_node()
+    node.input_queue.extend([P_EAST, Q_WEST])
+    node.process_input(0.0, sim)
+    assert scans == [1]  # P_EAST scanned the one entry behind it; Q_WEST found none
+    assert list(node.output_queue) == [P_EAST, Q_WEST]
+
+
+def test_capture_off_builds_no_coding_line(monkeypatch):
+    # with capture off no encode, decode, early-decode or overhearing line is
+    # made, so no detail is formatted
+    monkeypatch.setattr(EncodedPacket, "__str__", lambda self: pytest.fail("a mix was formatted"))
+    sim = HookRecorder(capture_trace=False)
+    relay, _ = relay_node()
+    relay.input_queue.extend([Q_WEST, P_EAST])
+    relay.process_input(0.0, sim)  # encode
+    listener = Node(id=0, neighbors=(1,), scheme=Scheme.EXCODE)
+    for packet in (P_EAST, P_EAST, xor_encode(P_EAST, Q_WEST)):  # overhear, dup_discard, early_decode
+        hear(listener, packet, 1.0, sim)
+    p, q, encoded = arrived_mix()
+    Node(id=2, neighbors=(1,), scheme=Scheme.EXCODE).on_receive(encoded, 2.0, sim)  # decode_fail
+    destination = Node(id=2, neighbors=(1,), scheme=Scheme.EXCODE)
+    destination.buffer[q.uid] = q
+    destination.on_receive(encoded, 3.0, sim)  # decode_deliver
+    assert listener.buffer.keys() == {P_EAST.uid, Q_WEST.uid}
+    assert sim.decode_failures == 1 and [pkt.uid for pkt, _ in sim.delivered] == [p.uid]
+    assert sim.events == [] and sim.details == []
+
+
+# what a listener holds before a broadcast: of a native (Q_WEST) or of the mix
+# P_EAST ^ Q_WEST. "relayed" holds a copy it was addressed, not the one heard
+NATIVE_STATES = ("new", "relayed", "repeat")
+MIX_STATES = ("repeat", "holds p", "holds q", "holds both", "holds neither")
+RELAYED = Q_WEST._replace(hop_index=0)
+
+
+def listener(n, state, packet):
+    node = Node(id=n, neighbors=(), scheme=Scheme.EXCODE)
+    held = {"relayed": [RELAYED], "repeat": [packet] if packet is Q_WEST else [P_EAST], "holds p": [P_EAST],
+            "holds q": [Q_WEST], "holds both": [P_EAST, Q_WEST]}.get(state, [])
+    node.buffer.update((native.uid, native) for native in held)
+    if state == "repeat":
+        node.seen_overheard.add(packet.key)
+    return node
+
+
+@settings(deadline=None)
+@given(data=st.data())
+def test_one_broadcast_is_each_listener_alone(data):
+    # one overhear call serves every listener as a call per listener would,
+    # in the same order: no listener's state leaks into the next one's
+    mixed = data.draw(st.booleans())
+    packet = xor_encode(P_EAST, Q_WEST) if mixed else Q_WEST
+    neighbors = tuple(data.draw(st.lists(st.integers(0, 9), unique=True, max_size=6).map(sorted)))
+    addressed = tuple(sorted(data.draw(st.sets(st.sampled_from(neighbors)) if neighbors else st.just(set()))))
+    states = {n: data.draw(st.sampled_from(MIX_STATES if mixed else NATIVE_STATES)) for n in neighbors}
+    capture = data.draw(st.booleans())
+    together, alone = ({n: listener(n, state, packet) for n, state in states.items()} for _ in range(2))
+    together_sim, alone_sim = HookRecorder(capture_trace=capture), HookRecorder(capture_trace=capture)
+    overhear(together, neighbors, addressed, packet, 1.0, together_sim)
+    for n in neighbors:
+        if n not in addressed:
+            overhear(alone, (n,), (), packet, 1.0, alone_sim)
+    for n in neighbors:
+        assert together[n].buffer == alone[n].buffer
+        assert together[n].seen_overheard == alone[n].seen_overheard
+        if states[n] == "relayed":
+            assert together[n].buffer[RELAYED.uid] is RELAYED  # heard again, not replaced
+        if n in addressed:  # an addressed node does not overhear
+            untouched = listener(n, states[n], packet)
+            assert (together[n].buffer, together[n].seen_overheard) == (untouched.buffer, untouched.seen_overheard)
+    assert (together_sim.events, together_sim.details) == (alone_sim.events, alone_sim.details)
+    assert together_sim.buffered == alone_sim.buffered
+    if not capture:
+        assert together_sim.events == []
 
 
 def test_node_keyword_construction_starts_empty_and_idle():

@@ -477,9 +477,19 @@ def test_validation_messages():
 # values no number field takes: a bool is not a number here, as in a config
 NOT_NUMBERS = st.one_of(st.booleans(), st.text(max_size=4), st.sampled_from(["1", "0.5", "nan"]), st.binary(max_size=2),
                         st.complex_numbers(), st.lists(st.integers(), max_size=2), st.just({"x": 1}))
-SCENARIO_FIELDS = ("scheme", "duration", "channel_rate", "drain_grace")  # the rest are FlowSpec fields
+SCENARIO_FIELDS = ("topology", "flows", "scheme", "duration", "channel_rate", "drain_grace", "seed",
+                   "count_header_overhead", "capture_trace")  # the rest are FlowSpec fields
+# values no bool field takes: a config's "yes", "no", 0 and 1 are not bools
+NOT_BOOLS = st.one_of(st.integers(), st.floats(), st.text(max_size=4), st.sampled_from(["yes", "no", "true"]),
+                      st.none(), st.lists(st.booleans(), max_size=2))
 # the fields a scenario error can name, each with ill-typed values for it
 ILL_TYPED = {
+    "topology": st.one_of(NOT_NUMBERS, st.none(), st.integers()),
+    "flows": st.one_of(NOT_NUMBERS, st.none(), st.lists(st.sampled_from(FIXTURES["chain"](Scheme.EXCODE).flows)),
+                       st.tuples(st.none()), st.tuples(st.integers(), st.integers())),
+    "seed": st.one_of(NOT_NUMBERS, st.none(), st.floats()),
+    "count_header_overhead": NOT_BOOLS,
+    "capture_trace": NOT_BOOLS,
     "scheme": st.one_of(st.sampled_from([s.value for s in Scheme] + [s.name for s in Scheme]),
                         st.text(max_size=4), st.integers(), st.none()),
     "duration": st.one_of(NOT_NUMBERS, st.none()),
@@ -522,6 +532,11 @@ def swapped(name, index, field, value) -> Scenario:
 @example(case=("cross", 1, "flow", [0]))  # unhashable
 @example(case=("cross", 0, "flow", (0, [1])))
 @example(case=("chain", 0, "packet_size", True))  # ran with 1-byte packets
+@example(case=("chain", 0, "topology", None))  # AttributeError
+@example(case=("chain", 0, "flows", None))  # TypeError
+@example(case=("chain", 0, "seed", [1]))  # ran
+@example(case=("chain", 0, "capture_trace", "no"))  # ran, and captured
+@example(case=("chain", 0, "count_header_overhead", "yes"))  # ran
 def test_ill_typed_scenario_fields_are_rejected(case):
     name, index, field, value = case
     with pytest.raises(ScenarioInvalidError) as err:
@@ -532,8 +547,8 @@ def test_ill_typed_scenario_fields_are_rejected(case):
 
 
 def test_numpy_numbers_still_run():
-    # numpy integers and floats are integers and real numbers; their reprs
-    # differ from Python's, so traces are compared by their counts
+    # numpy integers and floats are integers and real numbers; the times are
+    # made plain floats, so the trace is the plain scenario's
     np = pytest.importorskip("numpy")
     plain = junction_scenario(Scheme.EXCODE)
     a, b, *rest = plain.flows
@@ -544,7 +559,51 @@ def test_numpy_numbers_still_run():
     assert want.per_node_encodes  # the numpy flows meet and code
     assert (sim.delivered.keys(), sim.total_tx, sim.per_node_encodes) == (want.delivered.keys(), want.total_tx,
                                                                          want.per_node_encodes)
-    assert len(sim.trace_log) == len(want.trace_log)
+    assert sim.trace_log.sha256() == want.trace_log.sha256()
+
+
+class Seconds(float):
+    """A float that keeps its type through arithmetic and prints itself
+    otherwise, as numpy's float64 does."""
+
+    def __repr__(self) -> str:
+        return f"Seconds({float(self)!r})"
+
+    def __add__(self, other):
+        return Seconds(float(self) + other)
+
+    __radd__ = __add__
+
+    def __truediv__(self, other):
+        return Seconds(float(self) / other)
+
+    def __rtruediv__(self, other):
+        return Seconds(other / float(self))
+
+
+@pytest.mark.parametrize("kind", ["subclass", "numpy"])
+def test_float_subclass_times_give_the_plain_trace(kind):
+    # every time and rate is made a plain float once, so none becomes the
+    # clock and prints its own repr in the trace
+    number = pytest.importorskip("numpy").float64 if kind == "numpy" else Seconds
+    plain = junction_scenario(Scheme.EXCODE)
+    a, *rest = plain.flows
+    flows = (replace(a, rate=number(a.rate), start=number(a.start), stop=number(a.stop)), *rest)
+    odd = replace(plain, flows=flows, duration=number(plain.duration), channel_rate=number(plain.channel_rate),
+                  drain_grace=number(0.5))
+    sim, want = run(odd), run(replace(plain, drain_grace=0.5))
+    assert repr(number(0.0)) != "0.0"
+    assert sim.trace_log.sha256() == want.trace_log.sha256()
+    assert all(type(t) is float for t in (sim.scenario.duration, sim.scenario.flows[0].rate))
+
+
+def test_an_int_past_the_float_range_is_rejected():
+    plain = junction_scenario(Scheme.EXCODE)
+    with pytest.raises(ScenarioInvalidError, match="^duration must be finite"):
+        Simulation(replace(plain, duration=10**400))
+    a, *rest = plain.flows
+    with pytest.raises(ScenarioInvalidError, match=f"^flow {a.flow}: rate must be finite"):
+        Simulation(replace(plain, flows=(replace(a, rate=10**400), *rest)))
 
 
 def test_payload_bytes_deterministic_and_seed_sensitive():
