@@ -25,19 +25,22 @@ from .simulator import (
     DEFAULT_CHANNEL_RATE,
     DEFAULT_DURATION,
     DEFAULT_PACKET_SIZE,
+    MAX_PACKETS,
     FlowSpec,
     Scenario,
     ScenarioInvalidError,
     Simulation,
+    check_field,
+    check_flows,
+    packet_count,
 )
 from .topology import build_topology, random_layout
 
 # the unit-disk adjacency is built pairwise and can hold nodes**2 entries
 MAX_NODES = 1_000
 MAX_PACKET_SIZE = 65_535  # bytes, the largest IP datagram
-# held until the run ends: a ~340 B record per packet delivered, each in flight whole
-MAX_PACKETS = 1_000_000
 MAX_FLOWS = 10_000  # each flow costs a route search before its first packet
+ValidationError = ScenarioInvalidError  # a bad config: the message names the key at fault
 
 # (results.csv column the chart is named after, axis label)
 CHART_METRICS = (
@@ -48,10 +51,6 @@ CHART_METRICS = (
 )
 
 
-class ValidationError(Exception):
-    """Bad config file: message names the offending key."""
-
-
 def _position(key: str, index: int, p, plan: ExperimentPlan) -> tuple[float, float]:
     if not isinstance(p, list) or len(p) != 2:
         raise ValidationError(f"{key} must be an [x, y] pair")
@@ -59,44 +58,39 @@ def _position(key: str, index: int, p, plan: ExperimentPlan) -> tuple[float, flo
 
 
 def _flow_from_mapping(key: str, index: int, m, plan: ExperimentPlan) -> FlowSpec:
-    """A flows.list entry between two nodes of the layout. Its rate and packet_size
-    take the kind, bounds and default of the plan's flows.rate and flows.packet_size."""
+    """A flows.list entry, each number of its FlowSpec field's kind and within its flows key's caps, rate
+    and packet_size defaulting to the plan's flows.rate and flows.packet_size; load_config checks the rules."""
     if not isinstance(m, dict):
         raise ValidationError(f"{key} must be a mapping")
-    for name in m:
-        if name not in FLOW_KEYS:
+    spec = {}
+    for name, value in {"flow": index, "rate": plan.rates[0], "packet_size": plan.packet_size, **m}.items():
+        if name not in FLOW:
             raise ValidationError(f"unknown config key: {key}.{name}")
+        if value is not None or name != "stop":  # a null stop is the scenario's end
+            caps = KEYS[f"flows.{name}"].metadata["bounds"] if f"flows.{name}" in KEYS else ()
+            spec[name] = _num(f"{key}.{name}", value, FLOW[name].metadata["kind"], *caps)
     for name in ("src", "dst"):
         if name not in m:
             raise ValidationError(f"{key} missing key '{name}'")
-    last = (plan.nodes if plan.positions is None else len(plan.positions)) - 1  # the layout's last node
-    src, dst = (_num(f"{key}.{end}", m[end], int, 0, last) for end in ("src", "dst"))
-    if src == dst:
-        raise ValidationError(f"{key}.dst must differ from {key}.src")
-    start = _num(f"{key}.start", m.get("start", 0.0), float, 0.0)  # 0 <= start <= stop
-    return FlowSpec(
-        flow=_num(f"{key}.flow", m.get("flow", index), int),
-        src=src,
-        dst=dst,
-        rate=_read(f"{key}.rate", m.get("rate", plan.rates[0]), KEYS["flows.rate"].metadata, plan),
-        packet_size=_read(f"{key}.packet_size", m.get("packet_size", plan.packet_size),
-                          KEYS["flows.packet_size"].metadata, plan),
-        start=start,
-        stop=None if m.get("stop") is None else _num(f"{key}.stop", m["stop"], float, start),
-    )
+    return FlowSpec(**spec)
 
 
-def _key(default, key: str, kind, minimum=None, maximum=None, sweep: Optional[str] = None):
+def _key(default, key: str, kind=None, minimum=None, maximum=None, sweep: Optional[str] = None, rule=None):
     """An ExperimentPlan field with the one statement of the config key that
-    sets it: the key, the kind of its value and the bounds on that value. A
-    list kind is a reader, called as kind(entry key, index, entry, plan) on
-    each entry, and its bounds are on the list's length. A sweep axis holds a
-    list: key gives its one value, and each entry of the sweep list takes the
-    kind and bounds of key."""
-    meta = {"key": key, "kind": kind, "bounds": (minimum, maximum), "sweep": sweep}
+    sets it: the key, its value's kind and caps, and the Scenario or FlowSpec
+    field whose rule, kind included, it takes too. A list kind is a reader,
+    called as kind(entry key, index, entry, plan) on each entry, and its caps
+    are on the list's length. A sweep axis holds a list: key gives its one
+    value, and each entry of the sweep list is read as key is."""
+    meta = {"key": key, "kind": kind or rule.metadata["kind"], "bounds": (minimum, maximum), "sweep": sweep,
+            "rule": rule}
     if isinstance(default, list):
         return field(default_factory=default.copy, metadata=meta)
     return field(default=default, metadata=meta)
+
+
+# each Scenario field, and each FlowSpec field (a flows.list entry key), by name
+SCENARIO, FLOW = ({f.name: f for f in fields(cls)} for cls in (Scenario, FlowSpec))
 
 
 @dataclass
@@ -110,13 +104,13 @@ class ExperimentPlan:
     radio_range: float = _key(DEFAULT_RANGE, "topology.range", float, 1e-9)
     topology_seed: Optional[int] = _key(None, "topology.seed", int)
     positions: Optional[tuple[tuple[float, float], ...]] = _key(None, "topology.positions", _position, 1, MAX_NODES)
-    packet_size: int = _key(DEFAULT_PACKET_SIZE, "flows.packet_size", int, 1, MAX_PACKET_SIZE)
-    channel_rate: float = _key(DEFAULT_CHANNEL_RATE, "channel.rate_bps", float, 1e-9)
-    duration: float = _key(DEFAULT_DURATION, "duration", float, 1e-9)
+    packet_size: int = _key(DEFAULT_PACKET_SIZE, "flows.packet_size", maximum=MAX_PACKET_SIZE, rule=FLOW["packet_size"])
+    channel_rate: float = _key(DEFAULT_CHANNEL_RATE, "channel.rate_bps", rule=SCENARIO["channel_rate"])
+    duration: float = _key(DEFAULT_DURATION, "duration", rule=SCENARIO["duration"])
     count_header_overhead: bool = _key(False, "count_header_overhead", bool)
-    drain_grace: float = _key(0.0, "drain_grace", float, 0.0)
+    drain_grace: float = _key(0.0, "drain_grace", rule=SCENARIO["drain_grace"])
     flow_counts: list[int] = _key([2], "flows.count", int, 0, MAX_FLOWS, sweep="sweep.flows")
-    rates: list[float] = _key([5.0], "flows.rate", float, 1e-9, sweep="sweep.rates")
+    rates: list[float] = _key([5.0], "flows.rate", sweep="sweep.rates", rule=FLOW["rate"])
     schemes: list[Scheme] = _key(list(Scheme), "scheme", Scheme, sweep="sweep.schemes")
     seeds: list[int] = _key([0], "seed", int, sweep="sweep.seeds")
     explicit_flows: Optional[tuple[FlowSpec, ...]] = _key(None, "flows.list", _flow_from_mapping, maximum=MAX_FLOWS)
@@ -126,7 +120,6 @@ PLAN_FIELDS = fields(ExperimentPlan)
 # every config key ("section.name", or "name" at the root) -> the field it sets
 KEYS = {k: f for f in PLAN_FIELDS for k in (f.metadata["key"], f.metadata["sweep"]) if k}
 SECTIONS = {key.partition(".")[0] for key in KEYS if "." in key}
-FLOW_KEYS = {f.name for f in fields(FlowSpec)}  # the keys of a flows.list entry
 
 
 def parse_scheme(name: str, key: str = "scheme") -> Scheme:
@@ -191,13 +184,8 @@ def load_config(path) -> ExperimentPlan:
         for key in ("flows.count", "sweep.flows", "sweep.rates"):
             if key in given:
                 raise ValidationError(f"{key} cannot be combined with flows.list")
-        first_index: dict[int, int] = {}  # flow id -> the first entry that set it
-        for i, flow in enumerate(plan.explicit_flows):
-            first = first_index.setdefault(flow.flow, i)
-            if first != i:
-                raise ValidationError(f"flows.list[{i}].flow must differ from flows.list[{first}].flow")
-        keys = "the sum of flows.list[i].rate x duration"
-        packets = sum(f.rate * plan.duration for f in plan.explicit_flows)
+        plan.explicit_flows = check_flows(plan.explicit_flows, plan.nodes, "flows.list")
+        keys, packets = "flows.list over duration", packet_count(plan.explicit_flows, plan.duration)
     else:
         count_key = "sweep.flows" if "sweep.flows" in given else "flows.count"
         rate_key = "sweep.rates" if "sweep.rates" in given else "flows.rate"
@@ -218,7 +206,8 @@ def _read(key: str, value, meta, plan: ExperimentPlan):
     if kind is Scheme:
         return parse_scheme(str(value), key)
     if kind in (int, float):
-        return _num(key, value, kind, minimum, maximum)
+        value = _num(key, value, kind, minimum, maximum)
+        return value if meta["rule"] is None else check_field(meta["rule"], key, value)
     entries = _entries(key, value, minimum, maximum)
     return tuple(kind(f"{key}[{i}]", i, entry, plan) for i, entry in enumerate(entries))
 
@@ -469,7 +458,9 @@ def write_charts(reports: list[MetricsReport], out: Path) -> None:
                 ys = [y for y in ys if y is not None]
                 if not ys:
                     continue
-                pts.append((sum(xs) / len(xs), sum(ys) / len(ys)))
+                x, y = sum(xs) / len(xs), sum(ys) / len(ys)
+                if math.isfinite(x) and math.isfinite(y):  # a load past the float range has no place
+                    pts.append((x, y))
             if pts:
                 series[scheme] = pts
         write_svg_chart(out / f"{column}.svg", label, "offered load (kb/s)", label, series)
@@ -489,8 +480,8 @@ def write_svg_chart(path, title: str, xlabel: str, ylabel: str,
     ys = [p[1] for p in points] or [0.0, 1.0]
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(min(ys), 0.0), max(ys)
-    if x1 == x0:
-        x1 = x0 + 1.0
+    if x1 == x0:  # one unit wide, or one step of x0 where x0 + 1.0 rounds to x0
+        x1 = x0 + max(1.0, math.ulp(x0))
     if y1 == y0:
         y1 = y0 + 1.0
 
@@ -582,11 +573,16 @@ def main(argv: Optional[list[str]] = None) -> int:
                 plan.schemes = [parse_scheme(args.scheme)]
             if args.seed is not None:
                 plan.seeds = [args.seed]
-            reports = run_plan(plan, args.out)
-            print(f"wrote {len(reports)} runs to {Path(args.out) / 'results.csv'}")
-            return 0
-        return figures_command(args.out)
-    except (ValidationError, ScenarioInvalidError) as exc:
+        try:  # before any field runs
+            Path(args.out).mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ValidationError(f"--out {args.out}: cannot make the directory: {exc.strerror}") from None
+        if args.command == "figures":
+            return figures_command(args.out)
+        reports = run_plan(plan, args.out)
+        print(f"wrote {len(reports)} runs to {Path(args.out) / 'results.csv'}")
+        return 0
+    except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -60,7 +60,7 @@ import shutil
 import tempfile
 from collections import Counter
 from collections.abc import Mapping
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from itertools import repeat
 from typing import Optional
 
@@ -75,33 +75,49 @@ DEFAULT_DURATION = 120.0  # seconds
 
 
 class ScenarioInvalidError(Exception):
-    """The scenario violates a structural constraint; nothing was simulated."""
+    """A rule is broken, and the message names the field or config key at fault; nothing was simulated."""
+
+
+# a ~340 B record per packet delivered is held until the run ends, each in flight whole
+MAX_PACKETS = 1_000_000
+
+
+# the kind a field's error names: "a <class>" for a class not listed
+KIND_NAMES = {int: "an integer", float: "a real number", bool: "a bool", tuple: "a tuple of FlowSpecs"}
+NUMBERS = {int: "__index__", float: "__float__"}  # a number is of any type with the method, but no bool
+SYMBOLS = {operator.gt: ">", operator.ge: ">="}  # the bound a field's error names
+
+
+def _rule(kind: type, bound: Optional[tuple] = None, **default):
+    """A Scenario or FlowSpec field with the one statement of its rule: its kind, and a bound such as
+    (operator.gt, 0) that its value must pass. One that defaults to None may be None. See check_field."""
+    return field(**default, metadata={"kind": kind, "bound": bound})
 
 
 @dataclass(frozen=True)
 class FlowSpec:
     """One constant-bit-rate flow: packet k leaves the source at start + k/rate."""
 
-    flow: int
-    src: NodeId
-    dst: NodeId
-    rate: float  # packets per second
-    packet_size: int = DEFAULT_PACKET_SIZE
-    start: float = 0.0
-    stop: Optional[float] = None  # defaults to scenario duration
+    flow: int = _rule(int)
+    src: NodeId = _rule(int)
+    dst: NodeId = _rule(int)
+    rate: float = _rule(float, (operator.gt, 0))  # packets per second
+    packet_size: int = _rule(int, (operator.ge, 1), default=DEFAULT_PACKET_SIZE)
+    start: float = _rule(float, (operator.ge, 0), default=0.0)
+    stop: Optional[float] = _rule(float, default=None)  # defaults to scenario duration
 
 
 @dataclass(frozen=True)
 class Scenario:
-    topology: Topology
-    flows: tuple[FlowSpec, ...]
-    scheme: Scheme
-    duration: float = DEFAULT_DURATION
-    channel_rate: float = DEFAULT_CHANNEL_RATE
-    seed: int = 0
-    count_header_overhead: bool = False
-    drain_grace: float = 0.0
-    capture_trace: bool = True
+    topology: Topology = _rule(Topology)
+    flows: tuple[FlowSpec, ...] = _rule(tuple)
+    scheme: Scheme = _rule(Scheme)
+    duration: float = _rule(float, (operator.gt, 0), default=DEFAULT_DURATION)
+    channel_rate: float = _rule(float, (operator.gt, 0), default=DEFAULT_CHANNEL_RATE)
+    seed: int = _rule(int, default=0)
+    count_header_overhead: bool = _rule(bool, default=False)
+    drain_grace: float = _rule(float, (operator.ge, 0), default=0.0)
+    capture_trace: bool = _rule(bool, default=True)
 
 
 NO_HOLDERS: frozenset[NodeId] = frozenset()  # a native's holders before its first send
@@ -274,8 +290,8 @@ class Simulation:
     """One run. Build it, call run(), then read counters or finalize metrics."""
 
     def __init__(self, scenario: Scenario):
-        self.routes = validate_scenario(scenario)
-        self.scenario = scenario = _float_times(scenario)
+        scenario, self.routes = validate_scenario(scenario)
+        self.scenario = scenario
         topo = scenario.topology
         self.nodes: list[Node] = [
             Node(id=i, neighbors=tuple(sorted(topo.neighbors(i))), scheme=scenario.scheme)
@@ -466,94 +482,81 @@ class Simulation:
         return sum(self.per_node_encodes.values())
 
 
-def validate_scenario(scenario: Scenario) -> dict[int, tuple[NodeId, ...]]:
-    """Check the scenario's structure; return each flow's route by flow id.
-    The topology's one BFS table per destination serves every flow routed to it."""
-    _check_kinds("", scenario, "a Topology", "topology")
-    _check_kinds("", scenario, "a tuple of FlowSpecs", "flows")
-    _check_kinds("", scenario, "a Scheme", "scheme")
-    _check_kinds("", scenario, "a real number", "duration", "channel_rate", "drain_grace")
-    _check_kinds("", scenario, "an integer", "seed")
-    _check_kinds("", scenario, "a bool", "count_header_overhead", "capture_trace")
-    topo = scenario.topology
-    if not 0 < scenario.duration < math.inf:
-        raise ScenarioInvalidError("duration must be positive and finite")
-    if not 0 < scenario.channel_rate < math.inf:
-        raise ScenarioInvalidError("channel rate must be positive and finite")
-    if not 0 <= scenario.drain_grace < math.inf:
-        raise ScenarioInvalidError("drain grace must be >= 0 and finite")
-    routes: dict[int, tuple[NodeId, ...]] = {}
-    for f in scenario.flows:
-        tag = f"flow {f.flow}"
-        try:
-            hash(f.flow)
-        except TypeError:
-            raise ScenarioInvalidError(f"{tag}: flow id must be hashable") from None
-        _check_kinds(f"{tag}: ", f, "an integer", "src", "dst", "packet_size")
-        _check_kinds(f"{tag}: ", f, "a real number", "rate", "start", *(() if f.stop is None else ("stop",)))
-        if f.flow in routes:
-            raise ScenarioInvalidError(f"{tag}: duplicate flow id")
-        if not (0 <= f.src < topo.n) or not (0 <= f.dst < topo.n):
-            raise ScenarioInvalidError(f"{tag}: endpoint out of range")
-        if f.src == f.dst:
-            raise ScenarioInvalidError(f"{tag}: source equals destination")
-        if not 0 < f.rate < math.inf:
-            raise ScenarioInvalidError(f"{tag}: rate must be positive and finite")
-        if f.packet_size < 1:
-            raise ScenarioInvalidError(f"{tag}: packet size must be >= 1 byte")
-        if not 0 <= f.start < math.inf:
-            raise ScenarioInvalidError(f"{tag}: start must be >= 0 and finite")
-        if f.stop is not None and not math.isfinite(f.stop):
-            raise ScenarioInvalidError(f"{tag}: stop must be finite")
-        if f.stop is not None and f.stop < f.start:
-            raise ScenarioInvalidError(f"{tag}: stop precedes start")
+def validate_scenario(scenario: Scenario) -> tuple[Scenario, dict[int, tuple[NodeId, ...]]]:
+    """Check a scenario in one pass: its fields' rules (see _rule), its flows'
+    (see check_flows), then the packet cap. Return it, each time and rate a
+    plain float, with each flow's route by flow id."""
+    scenario = _checked(scenario, "")
+    flows = check_flows(scenario.flows, scenario.topology.n)
+    if any(map(operator.is_not, flows, scenario.flows)):
+        scenario = replace(scenario, flows=flows)
+    if (packets := packet_count(flows, scenario.duration)) > MAX_PACKETS:
+        raise ScenarioInvalidError(f"flows would generate {packets:.6g} packets, more than {MAX_PACKETS:,}")
+    routes, topo = {}, scenario.topology
+    for i, f in enumerate(flows):  # one BFS table per destination serves every flow routed to it
         try:
             routes[f.flow] = shortest_path(topo, f.src, f.dst, topo.distances_to(f.dst))
         except NoRouteError:
-            raise ScenarioInvalidError(f"{tag}: no route from {f.src} to {f.dst}") from None
-    return routes
+            raise ScenarioInvalidError(f"flows[{i}]: no route from {f.src} to {f.dst}") from None
+    return scenario, routes
 
 
-# what a field must be, by the name its error gives; a bool is no number, as in a config
-KINDS = {
-    "an integer": lambda v: not isinstance(v, bool) and hasattr(v, "__index__"),
-    "a real number": lambda v: not isinstance(v, bool) and hasattr(v, "__float__"),
-    "a bool": lambda v: isinstance(v, bool),
-    "a Scheme": lambda v: isinstance(v, Scheme),
-    "a Topology": lambda v: isinstance(v, Topology),
-    "a tuple of FlowSpecs": lambda v: isinstance(v, tuple) and all(isinstance(f, FlowSpec) for f in v),
-}
+def packet_count(flows: tuple[FlowSpec, ...], duration: float) -> float:
+    """The packets flows generate in a run: the sum of rate x (min(stop, duration) - start)."""
+    return sum(f.rate * max(0.0, (duration if f.stop is None else min(f.stop, duration)) - f.start) for f in flows)
 
 
-def _check_kinds(tag: str, record, kind: str, *names: str) -> None:
-    """Raise unless each named field of record is of kind, a key of KINDS."""
-    for name in names:
-        value = getattr(record, name)
-        if not KINDS[kind](value):
-            raise ScenarioInvalidError(f"{tag}{name} must be {kind}, not {value!r}")
+def check_flows(flows: tuple[FlowSpec, ...], nodes: int, key: str = "flows") -> tuple[FlowSpec, ...]:
+    """flows, each checked against its fields' rules, then against the rules
+    between fields: its endpoints are nodes 0..nodes-1 and differ, its stop,
+    if set, is >= its start, and its id is no earlier flow's. An error names
+    flow i as key[i]."""
+    if not all(isinstance(f, FlowSpec) for f in flows):
+        raise ScenarioInvalidError(f"{key} must be {KIND_NAMES[tuple]}, not {flows!r}")
+    flows = tuple(_checked(f, f"{key}[{i}].") for i, f in enumerate(flows))
+    first: dict[int, int] = {}  # flow id -> the position of the first flow with it
+    for i, f in enumerate(flows):
+        at = f"{key}[{i}]."
+        for end in ("src", "dst"):
+            if not 0 <= getattr(f, end) < nodes:
+                raise ScenarioInvalidError(f"{at}{end} must be >= 0 and <= {nodes - 1}")
+        if f.src == f.dst:
+            raise ScenarioInvalidError(f"{at}dst must differ from {at}src")
+        if f.stop is not None and f.stop < f.start:
+            raise ScenarioInvalidError(f"{at}stop must be >= {f.start}")
+        if first.setdefault(f.flow, i) != i:
+            raise ScenarioInvalidError(f"{at}flow must differ from {key}[{first[f.flow]}].flow")
+    return flows
 
 
-def _float_times(scenario: Scenario) -> Scenario:
-    """A checked scenario with each time and rate a plain float; scenario
-    itself when each already is one. Any other number type would become the
-    clock, which the trace prints by repr: np.float64(0.0), not 0.0."""
-    flows = tuple(_as_floats(f"flow {f.flow}: ", f, "rate", "start", "stop") for f in scenario.flows)
-    if any(map(operator.is_not, flows, scenario.flows)):
-        scenario = replace(scenario, flows=flows)
-    return _as_floats("", scenario, "duration", "channel_rate", "drain_grace")
+def _checked(record, where: str):
+    """record, each field checked with where before its name; itself unless a number became a float."""
+    declared = record.__dataclass_fields__  # fields(record), without its cost on each call
+    checked = {name: check_field(f, where + name, getattr(record, name)) for name, f in declared.items()}
+    return record if all(v is getattr(record, k) for k, v in checked.items()) else replace(record, **checked)
 
 
-def _as_floats(tag: str, record, *names: str):
-    """record with each named field that is set, and not a plain float, made one."""
-    changes = {}
-    for name in names:
-        value = getattr(record, name)
-        if value is not None and type(value) is not float:
-            try:
-                changes[name] = float(value)
-            except OverflowError:  # an int past the float range
-                raise ScenarioInvalidError(f"{tag}{name} must be finite") from None
-    return replace(record, **changes) if changes else record
+def check_field(declared, name: str, value):
+    """value, checked against the rule of the Scenario or FlowSpec field
+    declared (see _rule) and named name in an error. A real number must be
+    finite and comes back a plain float: any other number type would become
+    the clock, which the trace prints by repr (np.float64(0.0), not 0.0)."""
+    kind, bound = declared.metadata["kind"], declared.metadata["bound"]
+    if value is None and declared.default is None:
+        return value
+    number = NUMBERS.get(kind)
+    if not (hasattr(value, number) and not isinstance(value, bool) if number else isinstance(value, kind)):
+        raise ScenarioInvalidError(f"{name} must be {KIND_NAMES.get(kind) or 'a ' + kind.__name__}, not {value!r}")
+    if kind is float:
+        try:
+            value = float(value)
+        except OverflowError:  # an int past the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ScenarioInvalidError(f"{name} must be finite")
+    if bound and not bound[0](value, bound[1]):
+        raise ScenarioInvalidError(f"{name} must be {SYMBOLS[bound[0]]} {bound[1]}")
+    return value
 
 
 def run(scenario: Scenario) -> Simulation:

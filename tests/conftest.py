@@ -7,12 +7,12 @@ from xorsim import node
 from xorsim.coding import Scheme, cope_can_code, excode_can_code
 from xorsim.packet import NativePacket
 
-# the config fuzzers and stand-in property of test_cli.py, the ill-typed
-# scenario, addressed-once (with its check of what each mix send carries and
-# addresses) and retirement properties of test_simulator.py, and the
-# one-broadcast property of test_node.py scale with the profile's
-# max_examples: CI runs them again with --hypothesis-profile=config-fuzz,
-# ten times the default 100
+# the config fuzzers, loader-library agreement and stand-in properties of
+# test_cli.py, the ill-typed scenario, addressed-once (with its check of
+# what each mix send carries and addresses) and retirement properties of
+# test_simulator.py, and the one-broadcast property of test_node.py scale
+# with the profile's max_examples: CI runs them again with
+# --hypothesis-profile=config-fuzz, ten times the default 100
 settings.register_profile("config-fuzz", max_examples=1000)
 
 

@@ -1,5 +1,6 @@
 import contextlib
 import copy
+import errno
 import functools
 import io
 import itertools
@@ -13,6 +14,7 @@ import subprocess
 import sys
 import textwrap
 import threading
+from dataclasses import fields
 from pathlib import Path
 from unittest import mock
 
@@ -22,6 +24,7 @@ from hypothesis import example, given, settings, strategies as st, target
 
 from xorsim import cli
 from xorsim.cli import (
+    MAX_PACKET_SIZE,
     ExperimentPlan,
     ValidationError,
     build_scenario,
@@ -32,7 +35,9 @@ from xorsim.cli import (
 )
 from xorsim.coding import Scheme
 from xorsim.metrics import csv_header, finalize
-from xorsim.simulator import ScenarioInvalidError, run
+from xorsim.scenarios import random_flows
+from xorsim.simulator import SYMBOLS, FlowSpec, Scenario, ScenarioInvalidError, run, validate_scenario
+from xorsim.topology import build_topology
 
 CHAIN_YAML = """
 topology:
@@ -108,7 +113,7 @@ def test_full_config_round_trip(tmp_path):
          "topology.side cannot be combined with topology.positions"),
         ("topology: {seed: 3, positions: [[0, 0], [100, 0]]}",
          "topology.seed cannot be combined with topology.positions"),
-        ("flows: {rate: -1}", "flows.rate must be >="),
+        ("flows: {rate: -1}", "flows.rate must be > 0"),
         ("flows: {rate: .inf}", "flows.rate must be finite"),
         ("flows: {rate: 1" + "0" * 400 + "}", "flows.rate is too large"),
         ("flows: {list: 3}", "flows.list must be a list"),
@@ -117,13 +122,14 @@ def test_full_config_round_trip(tmp_path):
         ("flows: {list: [{src: 0, dst: 1, rate: .nan}]}", "flows.list[0].rate must be finite"),
         # a bad flows.list entry names its key, not the flow id it sets
         ("flows: {list: [{src: 0, dst: 1, start: -1}]}", "flows.list[0].start must be >= 0"),
-        ("flows: {list: [{src: 0, dst: 1, rate: -1}]}", "flows.list[0].rate must be >= 1e-09"),
-        ("flows: {list: [{src: 0, dst: 1, rate: 0}]}", "flows.list[0].rate must be >= 1e-09"),
+        ("flows: {list: [{src: 0, dst: 1, rate: -1}]}", "flows.list[0].rate must be > 0"),
+        ("flows: {list: [{src: 0, dst: 1, rate: 0}]}", "flows.list[0].rate must be > 0"),
         ("flows: {list: [{src: 0, dst: 1, start: 2, stop: 1}]}", "flows.list[0].stop must be >= 2.0"),
-        ("flows: {list: [{src: 0, dst: 99}]}", "flows.list[0].dst must be <= 15"),
-        ("flows: {list: [{src: -1, dst: 1}]}", "flows.list[0].src must be >= 0"),
+        ("flows: {list: [{src: 0, dst: 99}]}", "flows.list[0].dst must be >= 0 and <= 15"),
+        ("flows: {list: [{src: -1, dst: 1}]}", "flows.list[0].src must be >= 0 and <= 15"),
         ("topology: {positions: [[0, 0], [100, 0]]}\nflows: {list: [{src: 2, dst: 1}]}",
-         "flows.list[0].src must be <= 1"),
+         "flows.list[0].src must be >= 0 and <= 1"),
+        ("flows: {list: [{src: 0, dst: 1, flow: null}]}", "flows.list[0].flow must be a number"),
         ("flows: {list: [{src: 3, dst: 3}]}", "flows.list[0].dst must differ from flows.list[0].src"),
         ("flows: {list: [{flow: 5, src: 0, dst: 1, start: -1}]}", "flows.list[0].start must be >= 0"),
         ("flows: {list: [{flow: 1, src: 0, dst: 1}, {flow: 1, src: 1, dst: 0}]}",
@@ -138,7 +144,10 @@ def test_full_config_round_trip(tmp_path):
         ("flows: {list: [{src: 0, dst: 1}]}\nsweep: {rates: [1, 50]}",
          "sweep.rates cannot be combined with flows.list"),
         ("count_header_overhead: 3", "must be true or false"),
-        ("duration: 0", "duration must be >="),
+        ("duration: 0", "duration must be > 0"),
+        ("channel: {rate_bps: 0}", "channel.rate_bps must be > 0"),
+        ("drain_grace: -1", "drain_grace must be >= 0"),
+        ("sweep: {rates: [1.0, 0]}", "sweep.rates must be > 0"),
         ("duration: .nan", "duration must be finite"),
         ("scheme: cope\nsweep: {schemes: [none]}", "scheme cannot be combined with sweep.schemes"),
         ("seed: 7\nsweep: {seeds: [1]}", "seed cannot be combined with sweep.seeds"),
@@ -159,7 +168,10 @@ def test_full_config_round_trip(tmp_path):
         ("flows: {rate: 100.0}\nsweep: {flows: [1, 2000]}\nduration: 10",
          "sweep.flows x flows.rate x duration is 2e+06 packets"),
         ("flows: {list: [{src: 0, dst: 1, rate: 6.0e+5}, {src: 1, dst: 0, rate: 6.0e+5}]}\nduration: 1",
-         "the sum of flows.list[i].rate x duration is 1.2e+06 packets"),
+         "flows.list over duration is 1.2e+06 packets"),
+        # a flow counts from its start until its stop or the end of the cell
+        ("flows: {list: [{src: 0, dst: 1, rate: 1.0e+6, start: 0.25, stop: 1.5}]}\nduration: 2",
+         "flows.list over duration is 1.25e+06 packets"),
         # each flow costs a route search: a tiny rate must not let the count run away
         ("flows: {count: 1000000, rate: 1.0e-6}\nduration: 1.0\nscheme: none",
          "flows.count must be <= 10000"),
@@ -278,16 +290,25 @@ small_configs = st.fixed_dictionaries({
 @example(raw={"topology": LINE, "duration": 0.1, "scheme": "excode", "seed": 0,
               "flows": {"rate": 400.0, "list": [{"src": 0, "dst": 2, "packet_size": 512},
                                                 {"src": 2, "dst": 0, "packet_size": 256}]}})
+# so short a cell that its offered load, about 4e300 kb/s, is the chart's whole x axis
+@example(raw={"topology": {"nodes": 2, "seed": 0}, "duration": 1e-300, "scheme": "none", "seed": 0,
+              "flows": {"count": 1, "rate": 20.0}})
+# shorter still: one packet's bits over the duration overflow, so the offered load is inf
+@example(raw={"topology": {"nodes": 2, "seed": 0}, "duration": 1e-306, "scheme": "none", "seed": 0,
+              "flows": {"count": 1, "rate": 20.0}})
 def test_any_config_runs_or_exits_2(tmp_path_factory, raw):
     base = tmp_path_factory.getbasetemp()
-    path = base / "fuzz-main.yaml"
+    path, out = base / "fuzz-main.yaml", base / "fuzz-main-out"
     path.write_text(yaml.safe_dump(raw))
     err = io.StringIO()
     # an edit may scale a cell up; the lower cap sends it down the exit-2 path
     with mock.patch.object(cli, "MAX_PACKETS", 2_000), contextlib.redirect_stderr(err):
-        code = main(["run", "--config", str(path), "--out", str(base / "fuzz-main-out")])
+        code = main(["run", "--config", str(path), "--out", str(out)])
     assert code in (0, 2)
     assert (code == 2) == err.getvalue().startswith("error: "), err.getvalue()
+    if code == 0:  # every chart was written by this run, and each coordinate is a number
+        for chart in out.glob("*.svg"):
+            assert not re.search(r"\b(nan|inf)\b", chart.read_text()), chart.name
 
 
 def nested(key: str, value) -> dict:
@@ -297,37 +318,48 @@ def nested(key: str, value) -> dict:
     return value
 
 
+def symbolic(bound) -> tuple:
+    """A declared bound, (operator.gt, 0) say, as (">", 0)."""
+    return SYMBOLS[bound[0]], bound[1]
+
+
 def bounded_spellings():
-    """(key, field metadata, config for a value of the key) for every key
-    with a bound. A sweep axis is spelt both ways, and a flows.list entry
-    key that shares its name with a flows key takes that key's bounds."""
+    """(key, kind, bounds, config for a value of the key) for every key with a
+    bound: its loader caps and its Scenario or FlowSpec rule's bound, each as
+    an (op, value) pair. A sweep axis is spelt both ways, and a flows.list
+    entry key takes its FlowSpec field's rule and the cap of the flows key
+    of its name."""
     for f in cli.PLAN_FIELDS:
-        key, sweep = f.metadata["key"], f.metadata["sweep"]
-        if f.metadata["bounds"] == (None, None):
-            continue
-        yield key, f.metadata, lambda v, key=key: nested(key, v)
-        if sweep:
-            yield sweep, f.metadata, lambda v, sweep=sweep: nested(sweep, [v])
-        section, _, name = key.partition(".")
-        if section == "flows" and name in cli.FLOW_KEYS:
-            yield (f"flows.list[0].{name}", f.metadata,
-                   lambda v, name=name: nested("flows.list", [{"src": 0, "dst": 1, name: v}]))
+        key, sweep, (lo, hi), rule = (f.metadata[name] for name in ("key", "sweep", "bounds", "rule"))
+        bounds = [(op, b) for op, b in ((">=", lo), ("<=", hi)) if b is not None]
+        bounds += [symbolic(rule.metadata["bound"])] if rule and rule.metadata["bound"] else []
+        if bounds:
+            yield key, f.metadata["kind"], bounds, lambda v, key=key: nested(key, v)
+            if sweep:
+                yield sweep, f.metadata["kind"], bounds, lambda v, sweep=sweep: nested(sweep, [v])
+    for f in fields(FlowSpec):
+        cap = cli.KEYS[f"flows.{f.name}"].metadata["bounds"][1] if f"flows.{f.name}" in cli.KEYS else None
+        bounds = [b for b in (f.metadata["bound"] and symbolic(f.metadata["bound"]), cap and ("<=", cap)) if b]
+        if bounds:
+            yield (f"flows.list[0].{f.name}", f.metadata["kind"], bounds,
+                   lambda v, name=f.name: nested("flows.list", [{"src": 0, "dst": 1, name: v}]))
 
 
 # a valid entry for each list key, repeated to the length under test
 LIST_ENTRIES = {"topology.positions": [0.0, 0.0], "flows.list": {"src": 0, "dst": 1}}
 
 
-@pytest.mark.parametrize("key,meta,config", [pytest.param(*s, id=s[0]) for s in bounded_spellings()])
-def test_every_bound_holds_at_its_edges(tmp_path, key, meta, config):
-    # below the minimum, at it, at the maximum and above it; a list's bounds
-    # are on its length. The short duration keeps 10,000 flows at 5 pkt/s
-    # under the per-cell packet cap
-    kind, (lo, hi) = meta["kind"], meta["bounds"]
-    # one step out of bounds: the next float, or the next integer or length
-    out = (lambda v, way: math.nextafter(v, way * math.inf)) if kind is float else operator.add
-    edges = [(bound, True) for bound in (lo, hi) if bound is not None]
-    edges += [(out(bound, way), False) for bound, way in ((lo, -1), (hi, 1)) if bound is not None]
+@pytest.mark.parametrize("key,kind,bounds,config", [pytest.param(*s, id=s[0]) for s in bounded_spellings()])
+def test_every_bound_holds_at_its_edges(tmp_path, key, kind, bounds, config):
+    # at each bound and one step either side of it; a list's bounds are on
+    # its length. The short duration keeps 10,000 flows at 5 pkt/s under the
+    # per-cell packet cap
+    # one step toward way: the next float, or the next integer or length
+    step = (lambda v, way: math.nextafter(v, way * math.inf)) if kind is float else operator.add
+    edges = []
+    for op, bound in bounds:
+        inward = 1 if ">" in op else -1
+        edges += [(bound, "=" in op), (step(bound, inward), True), (step(bound, -inward), False)]
     for value, inside in edges:
         if kind not in (int, float):
             value = [LIST_ENTRIES[key]] * value  # the same object: YAML writes aliases
@@ -337,6 +369,100 @@ def test_every_bound_holds_at_its_edges(tmp_path, key, meta, config):
         else:
             with pytest.raises(ValidationError, match=f"^{re.escape(key)} must "):
                 load_config(path)
+
+
+# the agreement property's layout: three nodes in range of one another, so
+# every flow routes. Its values lie inside or outside each bound that the
+# loader and the library share (outside, a flow's endpoints leave the
+# layout or meet, and entry ids collide), each of the kind its key reads
+# and within the loader's caps on one value: only a shared rule can reject.
+# Values inside may still break a rule together: a stop of 0.5 before a
+# start of 2.0, or rates of 4e5 past the packet cap, which both count
+AGREE_POSITIONS = ((0.0, 0.0), (100.0, 0.0), (50.0, 80.0))
+INSIDE = {
+    "duration": [5e-324, 1.0], "channel_rate": [5e-324, 2e6], "drain_grace": [0.0, 0.5],
+    "rate": [5e-324, 5.0, 4e5], "packet_size": [1, 512, MAX_PACKET_SIZE], "start": [0.0, 0.25, 2.0],
+    "stop": [None, 0.5, 2.0, 2.5], "ends": list(itertools.permutations(range(3), 2)), "flow": [10, 11, 12],
+}
+OUTSIDE = {
+    "duration": [-1.0, 0.0], "channel_rate": [-5e-324, 0.0], "drain_grace": [-1.0, -5e-324],
+    "rate": [-1.0, -5e-324, 0.0], "packet_size": [-1, 0], "start": [-1.0, -5e-324],
+    "stop": [-5e-324], "ends": [(-1, 0), (0, 3), (2, 2)], "flow": [7],
+}
+
+
+@st.composite
+def configs_and_scenarios(draw):
+    """A config and the Scenarios built from the same values: a flows.list
+    whose entries omit or set each optional key, or one random flow per
+    rate of flows.rate or sweep.rates. One key, or none, takes its values
+    from outside its bounds. A plan default is written only where a flow
+    takes it."""
+    outside = draw(st.sampled_from([None, *INSIDE]))
+
+    def value(name: str):
+        return draw(st.sampled_from((OUTSIDE if name == outside else INSIDE)[name]))
+
+    plan = {name: value(name) for name in ("duration", "channel_rate", "drain_grace", "rate", "packet_size")}
+    topo = build_topology(AGREE_POSITIONS, 200.0)
+    config = {"topology": {"positions": [list(p) for p in AGREE_POSITIONS], "range": 200.0},
+              "duration": plan["duration"], "channel": {"rate_bps": plan["channel_rate"]},
+              "drain_grace": plan["drain_grace"], "flows": {}}
+    if draw(st.booleans()):
+        entries = []
+        for i in range(draw(st.integers(0, 3))):
+            src, dst = value("ends")
+            keys = draw(st.sets(st.sampled_from(["flow", "rate", "packet_size", "start", "stop"])))
+            entries.append({"src": src, "dst": dst, **{name: value(name) for name in sorted(keys)}})
+        config["flows"]["list"] = entries
+        for name in ("rate", "packet_size"):
+            if any(name not in entry for entry in entries):
+                config["flows"][name] = plan[name]
+        flow_sets = [tuple(FlowSpec(**{"flow": i, "rate": plan["rate"], "packet_size": plan["packet_size"], **entry})
+                           for i, entry in enumerate(entries))]
+    else:
+        rates = [value("rate") for _ in range(draw(st.integers(1, 2)))]
+        config["flows"].update(count=1, packet_size=plan["packet_size"])
+        if len(rates) == 1 and draw(st.booleans()):
+            config["flows"]["rate"] = rates[0]
+        else:
+            config["sweep"] = {"rates": rates}
+        flow_sets = [random_flows(topo, 1, rate, plan["packet_size"], 0) for rate in rates]
+    return config, [Scenario(topo, flows, Scheme.EXCODE, duration=plan["duration"], channel_rate=plan["channel_rate"],
+                             drain_grace=plan["drain_grace"]) for flows in flow_sets]
+
+
+def rejects(check, *args) -> bool:
+    try:
+        check(*args)
+    except ScenarioInvalidError:
+        return True
+    return False
+
+
+# scales with the profile's max_examples, as the config fuzzers do
+@settings(max_examples=2 * settings.default.max_examples, deadline=None)
+@given(case=configs_and_scenarios())
+# 1e6 packets a second until 0.5 s of a 2 s cell: 500,000 packets, under the packet cap on both sides
+@example(case=({"topology": {"positions": [list(p) for p in AGREE_POSITIONS], "range": 200.0}, "duration": 2.0,
+                "flows": {"list": [{"src": 0, "dst": 1, "rate": 1.0e+6, "stop": 0.5}]}},
+               [Scenario(build_topology(AGREE_POSITIONS, 200.0), (FlowSpec(0, 0, 1, 1.0e+6, stop=0.5),), Scheme.EXCODE,
+                         duration=2.0)]))
+def test_loader_and_library_agree_on_every_shared_rule(tmp_path_factory, case):
+    config, scenarios = case
+    path = tmp_path_factory.getbasetemp() / "agree.yaml"
+    path.write_text(yaml.safe_dump(config))
+    library = [rejects(validate_scenario, scenario) for scenario in scenarios]
+    assert rejects(load_config, path) == any(library), (config, library)
+
+
+def test_every_scenario_field_declares_its_rule():
+    # a new Scenario or FlowSpec knob states its kind and bound where it is declared
+    for field in [*fields(Scenario), *fields(FlowSpec)]:
+        rule = field.metadata
+        assert set(rule) == {"kind", "bound"}, field.name
+        assert isinstance(rule["kind"], type), field.name
+        assert rule["bound"] is None or (rule["bound"][0] in SYMBOLS and isinstance(rule["bound"][1], int))
 
 
 def test_readme_names_every_config_key():
@@ -356,7 +482,7 @@ def test_readme_names_every_config_key():
                 if isinstance(entry, dict):
                     yield from flat(entry, key + "[].")
 
-    assert set(flat(yaml.safe_load(block))) == set(cli.KEYS) | {f"flows.list[].{name}" for name in cli.FLOW_KEYS}
+    assert set(flat(yaml.safe_load(block))) == set(cli.KEYS) | {f"flows.list[].{name}" for name in cli.FLOW}
 
 
 def test_scheme_key_narrows_the_sweep_unless_overridden(tmp_path, capsys):
@@ -733,6 +859,19 @@ def test_main_reports_config_errors(tmp_path, capsys):
     config = write_config(tmp_path, "scheme: sideways")
     assert main(["run", "--config", str(config), "--out", str(tmp_path / "x")]) == 2
     assert "unknown scheme" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["run", "--config", "{config}"], ["figures"]])
+def test_main_reports_an_out_that_cannot_be_a_directory(tmp_path, capsys, monkeypatch, command):
+    # an existing file, or a path under one: exit 2 naming --out, before any field runs
+    monkeypatch.setattr("xorsim.cli.run_plan", lambda plan, out: pytest.fail("a field ran"))
+    config = write_config(tmp_path, CHAIN_YAML)
+    taken = tmp_path / "taken"
+    taken.write_text("kept")
+    for out, code in ((taken, errno.EEXIST), (taken / "sub", errno.ENOTDIR)):
+        assert main([arg.format(config=config) for arg in command] + ["--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: --out {out}: cannot make the directory: {os.strerror(code)}\n"
+    assert taken.read_text() == "kept"
 
 
 def test_main_reports_scenario_errors(tmp_path, capsys):

@@ -5,12 +5,14 @@ import math
 import os
 import pickle
 import random
+import re
+import signal
 import sys
 import tracemalloc
 import warnings
 import weakref
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from unittest import mock
 
 import pytest
@@ -34,6 +36,7 @@ from xorsim.scenarios import (
     random_scenario,
 )
 from xorsim.simulator import (
+    MAX_PACKETS,
     FlowSpec,
     Scenario,
     ScenarioInvalidError,
@@ -46,7 +49,7 @@ from xorsim.simulator import (
     run,
     validate_scenario,
 )
-from xorsim.topology import NoRouteError, build_topology, hop_distances, random_layout, shortest_path
+from xorsim.topology import NoRouteError, Topology, build_topology, hop_distances, random_layout, shortest_path
 
 TX = 0.002048  # seconds to serialize 512 bytes at 2 Mb/s
 
@@ -440,76 +443,71 @@ def test_corrupt_decodes_are_flagged_at_every_delivery(monkeypatch):
 
 
 def test_validation_messages():
+    # each rule has one wording, which names the field by its place in the
+    # scenario, as a config error names it by its key
     topo = build_topology([(0.0, 0.0), (150.0, 0.0), (900.0, 0.0)], 200.0)
     ok = FlowSpec(0, 0, 1, rate=1.0)
 
-    def bad(match, **overrides):
-        flow = replace(ok, **overrides)
-        with pytest.raises(ScenarioInvalidError, match=match):
-            validate_scenario(Scenario(topo, (flow,), Scheme.EXCODE))
+    def bad(message, flows=(ok,), **overrides):
+        with pytest.raises(ScenarioInvalidError, match=f"^{re.escape(message)}$"):
+            validate_scenario(Scenario(topo, flows, Scheme.EXCODE, **overrides))
 
-    bad("endpoint out of range", dst=7)
-    bad("source equals destination", dst=0)
-    bad("rate must be positive", rate=0.0)
-    bad("rate must be positive and finite", rate=math.inf)
-    bad("packet size", packet_size=0)
-    bad("start must be", start=-1.0)
-    bad("start must be >= 0 and finite", start=math.nan)
-    bad("stop must be finite", stop=math.nan)
-    bad("stop precedes start", start=2.0, stop=1.0)
-    bad("no route from 0 to 2", dst=2)
-    with pytest.raises(ScenarioInvalidError, match="duplicate flow id"):
-        validate_scenario(Scenario(topo, (ok, ok), Scheme.EXCODE))
-    with pytest.raises(ScenarioInvalidError, match="duration"):
-        validate_scenario(Scenario(topo, (ok,), Scheme.EXCODE, duration=0.0))
-    with pytest.raises(ScenarioInvalidError, match="duration must be positive and finite"):
-        validate_scenario(Scenario(topo, (ok,), Scheme.EXCODE, duration=math.nan))
-    with pytest.raises(ScenarioInvalidError, match="channel rate must be positive and finite"):
-        validate_scenario(Scenario(topo, (ok,), Scheme.EXCODE, channel_rate=math.inf))
-    with pytest.raises(ScenarioInvalidError, match="channel rate"):
-        validate_scenario(Scenario(topo, (ok,), Scheme.EXCODE, channel_rate=0.0))
-    with pytest.raises(ScenarioInvalidError, match="drain grace"):
-        validate_scenario(Scenario(topo, (ok,), Scheme.EXCODE, drain_grace=-1.0))
-    with pytest.raises(ScenarioInvalidError, match="drain grace must be >= 0 and finite"):
-        validate_scenario(Scenario(topo, (ok,), Scheme.EXCODE, drain_grace=math.inf))
+    def bad_flow(message, **overrides):
+        bad(message, (replace(ok, **overrides),))
+
+    bad_flow("flows[0].dst must be >= 0 and <= 2", dst=7)
+    bad_flow("flows[0].src must be >= 0 and <= 2", src=-1)
+    bad_flow("flows[0].dst must differ from flows[0].src", dst=0)
+    bad_flow("flows[0].rate must be > 0", rate=0.0)
+    bad_flow("flows[0].rate must be finite", rate=math.inf)
+    bad_flow("flows[0].packet_size must be >= 1", packet_size=0)
+    bad_flow("flows[0].start must be >= 0", start=-1.0)
+    bad_flow("flows[0].start must be finite", start=math.nan)
+    bad_flow("flows[0].stop must be finite", stop=math.nan)
+    bad_flow("flows[0].stop must be >= 2.0", start=2.0, stop=1.0)
+    bad_flow("flows[0]: no route from 0 to 2", dst=2)
+    bad("flows[1].flow must differ from flows[0].flow", (ok, ok))
+    bad("duration must be > 0", duration=0.0)
+    bad("duration must be finite", duration=math.nan)
+    bad("channel_rate must be finite", channel_rate=math.inf)
+    bad("channel_rate must be > 0", channel_rate=0.0)
+    bad("drain_grace must be >= 0", drain_grace=-1.0)
+    bad("drain_grace must be finite", drain_grace=math.inf)
 
 
 # values no number field takes: a bool is not a number here, as in a config
 NOT_NUMBERS = st.one_of(st.booleans(), st.text(max_size=4), st.sampled_from(["1", "0.5", "nan"]), st.binary(max_size=2),
                         st.complex_numbers(), st.lists(st.integers(), max_size=2), st.just({"x": 1}))
-SCENARIO_FIELDS = ("topology", "flows", "scheme", "duration", "channel_rate", "drain_grace", "seed",
-                   "count_header_overhead", "capture_trace")  # the rest are FlowSpec fields
 # values no bool field takes: a config's "yes", "no", 0 and 1 are not bools
 NOT_BOOLS = st.one_of(st.integers(), st.floats(), st.text(max_size=4), st.sampled_from(["yes", "no", "true"]),
                       st.none(), st.lists(st.booleans(), max_size=2))
-# the fields a scenario error can name, each with ill-typed values for it
+# values of the wrong kind for each kind a field declares
 ILL_TYPED = {
-    "topology": st.one_of(NOT_NUMBERS, st.none(), st.integers()),
-    "flows": st.one_of(NOT_NUMBERS, st.none(), st.lists(st.sampled_from(FIXTURES["chain"](Scheme.EXCODE).flows)),
-                       st.tuples(st.none()), st.tuples(st.integers(), st.integers())),
-    "seed": st.one_of(NOT_NUMBERS, st.none(), st.floats()),
-    "count_header_overhead": NOT_BOOLS,
-    "capture_trace": NOT_BOOLS,
-    "scheme": st.one_of(st.sampled_from([s.value for s in Scheme] + [s.name for s in Scheme]),
-                        st.text(max_size=4), st.integers(), st.none()),
-    "duration": st.one_of(NOT_NUMBERS, st.none()),
-    "channel_rate": st.one_of(NOT_NUMBERS, st.none()),
-    "drain_grace": st.one_of(NOT_NUMBERS, st.none()),
-    "flow": st.one_of(st.lists(st.integers(), max_size=2), st.sets(st.integers(), max_size=2), st.just({0: 1}),
-                      st.tuples(st.integers(), st.lists(st.integers(), max_size=1))),
-    **{name: st.one_of(NOT_NUMBERS, st.none(), st.floats()) for name in ("src", "dst", "packet_size")},
-    **{name: st.one_of(NOT_NUMBERS, st.none()) for name in ("rate", "start")},
-    "stop": NOT_NUMBERS,  # None is a valid stop: the scenario's end
+    Topology: st.one_of(NOT_NUMBERS, st.none(), st.integers()),
+    tuple: st.one_of(NOT_NUMBERS, st.none(), st.lists(st.sampled_from(FIXTURES["chain"](Scheme.EXCODE).flows)),
+           st.tuples(st.none()), st.tuples(st.integers(), st.integers())),
+    Scheme: st.one_of(st.sampled_from([s.value for s in Scheme] + [s.name for s in Scheme]),
+            st.text(max_size=4), st.integers(), st.none()),
+    int: st.one_of(NOT_NUMBERS, st.none(), st.floats(), st.tuples(st.integers(), st.lists(st.integers()))),
+    float: st.one_of(NOT_NUMBERS, st.none()),
+    bool: NOT_BOOLS,
 }
+SCENARIO_FIELDS = {f.name for f in fields(Scenario)}  # the rest are FlowSpec fields
+DECLARED = [*fields(Scenario), *fields(FlowSpec)]
 
 
 @st.composite
 def ill_typed_scenarios(draw):
-    """(fixture name, flow index, field, value): one fixture field swapped
-    for a value of the wrong kind; a FlowSpec field is swapped in that flow."""
+    """(fixture name, flow index, field, value): one fixture field, drawn
+    from the declarations, swapped for a value of the wrong kind for its
+    rule; a FlowSpec field is swapped in that flow. None is the value of no
+    kind, but a field that defaults to None takes it."""
     name = draw(st.sampled_from(sorted(FIXTURES)))
-    field = draw(st.sampled_from(sorted(ILL_TYPED)))
-    return name, draw(st.integers(0, 1)), field, draw(ILL_TYPED[field])
+    field = draw(st.sampled_from(DECLARED))
+    values = ILL_TYPED[field.metadata["kind"]]
+    if field.default is None:
+        values = values.filter(lambda v: v is not None)
+    return name, draw(st.integers(0, 1)), field.name, draw(values)
 
 
 def swapped(name, index, field, value) -> Scenario:
@@ -541,9 +539,8 @@ def test_ill_typed_scenario_fields_are_rejected(case):
     name, index, field, value = case
     with pytest.raises(ScenarioInvalidError) as err:
         Simulation(swapped(name, index, field, value))
-    message = str(err.value)
-    assert ("flow id" if field == "flow" else field) + " must be" in message
-    assert message.startswith("flow ") == (field not in SCENARIO_FIELDS)
+    where = "" if field in SCENARIO_FIELDS else f"flows[{index}]."
+    assert str(err.value).startswith(f"{where}{field} must be "), str(err.value)
 
 
 def test_numpy_numbers_still_run():
@@ -602,8 +599,45 @@ def test_an_int_past_the_float_range_is_rejected():
     with pytest.raises(ScenarioInvalidError, match="^duration must be finite"):
         Simulation(replace(plain, duration=10**400))
     a, *rest = plain.flows
-    with pytest.raises(ScenarioInvalidError, match=f"^flow {a.flow}: rate must be finite"):
+    with pytest.raises(ScenarioInvalidError, match=r"^flows\[0\]\.rate must be finite"):
         Simulation(replace(plain, flows=(replace(a, rate=10**400), *rest)))
+
+
+def test_an_over_cap_scenario_is_rejected_before_it_runs():
+    # 1e12 packets a second would be made until memory ran out; a Scenario
+    # built in Python has no config cap in front of it
+    plain = chain_scenario(Scheme.EXCODE)
+    a, *rest = plain.flows
+    over = replace(plain, flows=(replace(a, rate=1e12, stop=None), *rest))
+
+    def too_slow(signum, frame):
+        raise TimeoutError("the over-cap scenario was simulated")
+
+    previous = signal.signal(signal.SIGALRM, too_slow)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(ScenarioInvalidError, match=r"^flows would generate 1e\+12 packets, more than 1,000,000$"):
+            run(over)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_packet_cap_counts_each_flow_until_it_stops():
+    # the sum of rate x (min(stop, duration) - start), at the cap and one step past it
+    topo = build_topology([(0.0, 0.0), (150.0, 0.0)], 200.0)
+    cases = [
+        ((FlowSpec(0, 0, 1, rate=MAX_PACKETS / 2),), 2.0),
+        ((FlowSpec(0, 0, 1, rate=4.0 * MAX_PACKETS, start=1.0, stop=1.25),), 2.0),
+        ((FlowSpec(0, 0, 1, rate=MAX_PACKETS / 2, start=1.0, stop=9.0),), 3.0),
+        ((FlowSpec(0, 0, 1, rate=1e12, start=5.0), FlowSpec(1, 1, 0, rate=MAX_PACKETS)), 1.0),
+    ]
+    for flows, duration in cases:
+        validate_scenario(Scenario(topo, flows, Scheme.EXCODE, duration=duration))
+        first = replace(flows[0], rate=math.nextafter(flows[0].rate, math.inf))
+        if flows[0].start < duration:
+            with pytest.raises(ScenarioInvalidError, match="^flows would generate "):
+                validate_scenario(Scenario(topo, (first, *flows[1:]), Scheme.EXCODE, duration=duration))
 
 
 def test_payload_bytes_deterministic_and_seed_sensitive():
@@ -1332,11 +1366,12 @@ def test_validated_routes_match_a_route_search_per_pair():
             except NoRouteError:
                 missing.append(f)
         kept = tuple(f for f in flows if f.flow in want)
-        assert validate_scenario(Scenario(topo, kept, Scheme.EXCODE)) == want
+        assert validate_scenario(Scenario(topo, kept, Scheme.EXCODE))[1] == want
         routed += len(want)
         if missing:
             f = missing[0]
-            with pytest.raises(ScenarioInvalidError, match=f"^flow {f.flow}: no route from {f.src} to {f.dst}$"):
+            position = flows.index(f)
+            with pytest.raises(ScenarioInvalidError, match=rf"^flows\[{position}\]: no route from {f.src} to {f.dst}$"):
                 validate_scenario(Scenario(topo, tuple(flows), Scheme.EXCODE))
             unroutable += 1
     assert unroutable >= 5 and routed >= 150
