@@ -12,7 +12,8 @@ import itertools
 import math
 import os
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, Field, dataclass, field, fields, replace
+from operator import ge, gt, le
 from pathlib import Path
 from typing import Optional
 
@@ -22,10 +23,8 @@ from .coding import Scheme
 from .metrics import COLUMN_ATTRS, MetricsReport, csv_header, finalize
 from .scenarios import DEFAULT_NODES, DEFAULT_RANGE, DEFAULT_SIDE, random_flows
 from .simulator import (
-    DEFAULT_CHANNEL_RATE,
-    DEFAULT_DURATION,
-    DEFAULT_PACKET_SIZE,
     MAX_PACKETS,
+    SYMBOLS,
     FlowSpec,
     Scenario,
     ScenarioInvalidError,
@@ -38,8 +37,8 @@ from .topology import build_topology, random_layout
 
 # the unit-disk adjacency is built pairwise and can hold nodes**2 entries
 MAX_NODES = 1_000
-MAX_PACKET_SIZE = 65_535  # bytes, the largest IP datagram
 MAX_FLOWS = 10_000  # each flow costs a route search before its first packet
+NON_EMPTY = (ge, 1)  # a bound on a list key's length: each sweep list, and topology.positions
 ValidationError = ScenarioInvalidError  # a bad config: the message names the key at fault
 
 # (results.csv column the chart is named after, axis label)
@@ -54,43 +53,43 @@ CHART_METRICS = (
 def _position(key: str, index: int, p, plan: ExperimentPlan) -> tuple[float, float]:
     if not isinstance(p, list) or len(p) != 2:
         raise ValidationError(f"{key} must be an [x, y] pair")
-    return tuple(_num(key, v, float) for v in p)
+    return tuple(check_field(COORDINATE, key, _number(key, v)) for v in p)
 
 
 def _flow_from_mapping(key: str, index: int, m, plan: ExperimentPlan) -> FlowSpec:
-    """A flows.list entry, each number of its FlowSpec field's kind and within its flows key's caps, rate
-    and packet_size defaulting to the plan's flows.rate and flows.packet_size; load_config checks the rules."""
+    """A flows.list entry as a FlowSpec, unchecked (load_config checks it): flow defaults to the entry's
+    index, rate and packet_size to the plan's flows.rate and flows.packet_size."""
     if not isinstance(m, dict):
         raise ValidationError(f"{key} must be a mapping")
-    spec = {}
-    for name, value in {"flow": index, "rate": plan.rates[0], "packet_size": plan.packet_size, **m}.items():
+    for name in m:
         if name not in FLOW:
             raise ValidationError(f"unknown config key: {key}.{name}")
-        if value is not None or name != "stop":  # a null stop is the scenario's end
-            caps = KEYS[f"flows.{name}"].metadata["bounds"] if f"flows.{name}" in KEYS else ()
-            spec[name] = _num(f"{key}.{name}", value, FLOW[name].metadata["kind"], *caps)
     for name in ("src", "dst"):
         if name not in m:
             raise ValidationError(f"{key} missing key '{name}'")
-    return FlowSpec(**spec)
+    given = {name: _number(f"{key}.{name}", value) for name, value in m.items()}
+    return FlowSpec(**{"flow": index, "rate": plan.rates[0], "packet_size": plan.packet_size, **given})
 
 
-def _key(default, key: str, kind=None, minimum=None, maximum=None, sweep: Optional[str] = None, rule=None):
+def _key(key: Optional[str], kind, *bounds: tuple, default=MISSING, sweep: Optional[str] = None):
     """An ExperimentPlan field with the one statement of the config key that
-    sets it: the key, its value's kind and caps, and the Scenario or FlowSpec
-    field whose rule, kind included, it takes too. A list kind is a reader,
-    called as kind(entry key, index, entry, plan) on each entry, and its caps
-    are on the list's length. A sweep axis holds a list: key gives its one
-    value, and each entry of the sweep list is read as key is."""
-    meta = {"key": key, "kind": kind or rule.metadata["kind"], "bounds": (minimum, maximum), "sweep": sweep,
-            "rule": rule}
-    if isinstance(default, list):
-        return field(default_factory=default.copy, metadata=meta)
+    sets it: the key and its rule, a kind and bounds as simulator._rule
+    declares them, or the Scenario or FlowSpec field whose rule and default
+    it takes. A list kind is a reader, called as kind(entry key, index,
+    entry, plan) on each entry, its bounds on the list's length. A sweep axis
+    holds a list: key gives its one value, and each entry of sweep is read as key is."""
+    if isinstance(kind, Field):
+        default = kind.default if default is MISSING else default
+        kind, bounds = kind.metadata["kind"], kind.metadata["bounds"]
+    meta = {"key": key, "kind": kind, "bounds": bounds, "sweep": sweep}
+    if sweep:  # the axis's values, or its one value
+        return field(default_factory=(default if isinstance(default, list) else [default]).copy, metadata=meta)
     return field(default=default, metadata=meta)
 
 
 # each Scenario field, and each FlowSpec field (a flows.list entry key), by name
 SCENARIO, FLOW = ({f.name: f for f in fields(cls)} for cls in (Scenario, FlowSpec))
+COORDINATE = _key(None, float)  # the rule of each x and y in topology.positions
 
 
 @dataclass
@@ -99,21 +98,23 @@ class ExperimentPlan:
     every flow count x rate x scheme x seed. load_config sets the fields in
     this order, so a flows.list entry finds its defaults already read."""
 
-    nodes: int = _key(DEFAULT_NODES, "topology.nodes", int, 1, MAX_NODES)
-    side: float = _key(DEFAULT_SIDE, "topology.side", float, 1e-9)
-    radio_range: float = _key(DEFAULT_RANGE, "topology.range", float, 1e-9)
-    topology_seed: Optional[int] = _key(None, "topology.seed", int)
-    positions: Optional[tuple[tuple[float, float], ...]] = _key(None, "topology.positions", _position, 1, MAX_NODES)
-    packet_size: int = _key(DEFAULT_PACKET_SIZE, "flows.packet_size", maximum=MAX_PACKET_SIZE, rule=FLOW["packet_size"])
-    channel_rate: float = _key(DEFAULT_CHANNEL_RATE, "channel.rate_bps", rule=SCENARIO["channel_rate"])
-    duration: float = _key(DEFAULT_DURATION, "duration", rule=SCENARIO["duration"])
-    count_header_overhead: bool = _key(False, "count_header_overhead", bool)
-    drain_grace: float = _key(0.0, "drain_grace", rule=SCENARIO["drain_grace"])
-    flow_counts: list[int] = _key([2], "flows.count", int, 0, MAX_FLOWS, sweep="sweep.flows")
-    rates: list[float] = _key([5.0], "flows.rate", sweep="sweep.rates", rule=FLOW["rate"])
-    schemes: list[Scheme] = _key(list(Scheme), "scheme", Scheme, sweep="sweep.schemes")
-    seeds: list[int] = _key([0], "seed", int, sweep="sweep.seeds")
-    explicit_flows: Optional[tuple[FlowSpec, ...]] = _key(None, "flows.list", _flow_from_mapping, maximum=MAX_FLOWS)
+    nodes: int = _key("topology.nodes", int, (ge, 1), (le, MAX_NODES), default=DEFAULT_NODES)
+    side: float = _key("topology.side", float, (gt, 0), default=DEFAULT_SIDE)
+    radio_range: float = _key("topology.range", float, (gt, 0), default=DEFAULT_RANGE)
+    topology_seed: Optional[int] = _key("topology.seed", int, default=None)
+    positions: Optional[tuple[tuple[float, float], ...]] = _key("topology.positions", _position, NON_EMPTY,
+                                                                 (le, MAX_NODES), default=None)
+    packet_size: int = _key("flows.packet_size", FLOW["packet_size"])
+    channel_rate: float = _key("channel.rate_bps", SCENARIO["channel_rate"])
+    duration: float = _key("duration", SCENARIO["duration"])
+    count_header_overhead: bool = _key("count_header_overhead", SCENARIO["count_header_overhead"])
+    drain_grace: float = _key("drain_grace", SCENARIO["drain_grace"])
+    flow_counts: list[int] = _key("flows.count", int, (ge, 0), (le, MAX_FLOWS), default=2, sweep="sweep.flows")
+    rates: list[float] = _key("flows.rate", FLOW["rate"], default=5.0, sweep="sweep.rates")
+    schemes: list[Scheme] = _key("scheme", Scheme, default=list(Scheme), sweep="sweep.schemes")
+    seeds: list[int] = _key("seed", SCENARIO["seed"], sweep="sweep.seeds")
+    explicit_flows: Optional[tuple[FlowSpec, ...]] = _key("flows.list", _flow_from_mapping, (le, MAX_FLOWS),
+                                                          default=None)
 
 
 PLAN_FIELDS = fields(ExperimentPlan)
@@ -169,9 +170,9 @@ def load_config(path) -> ExperimentPlan:
         if sweep in given:  # each axis is its sweep list, else its one-value key
             if key in given:
                 raise ValidationError(f"{key} cannot be combined with {sweep}")
-            setattr(plan, f.name, [_read(sweep, v, f.metadata, plan) for v in _entries(sweep, given[sweep], 1)])
+            setattr(plan, f.name, [_read(sweep, v, f, plan) for v in _entries(sweep, given[sweep], (NON_EMPTY,))])
         elif key in given:
-            value = _read(key, given[key], f.metadata, plan)
+            value = _read(key, given[key], f, plan)
             setattr(plan, f.name, [value] if sweep else value)
 
     # the rules that tie one key to another
@@ -196,59 +197,40 @@ def load_config(path) -> ExperimentPlan:
     return plan
 
 
-def _read(key: str, value, meta, plan: ExperimentPlan):
-    """value, given for config key, as the kind and within the bounds of meta."""
-    kind, (minimum, maximum) = meta["kind"], meta["bounds"]
-    if kind is bool:
-        if not isinstance(value, bool):
-            raise ValidationError(f"{key} must be true or false")
-        return value
+def _read(key: str, value, declared: Field, plan: ExperimentPlan):
+    """value, given for config key, read by the rule of the plan field declared: a scheme by its name,
+    a number or bool by check_field, a list entry by entry."""
+    kind = declared.metadata["kind"]
     if kind is Scheme:
         return parse_scheme(str(value), key)
-    if kind in (int, float):
-        value = _num(key, value, kind, minimum, maximum)
-        return value if meta["rule"] is None else check_field(meta["rule"], key, value)
-    entries = _entries(key, value, minimum, maximum)
+    if isinstance(kind, type):
+        return check_field(declared, key, value if kind is bool else _number(key, value))
+    entries = _entries(key, value, declared.metadata["bounds"])
     return tuple(kind(f"{key}[{i}]", i, entry, plan) for i, entry in enumerate(entries))
 
 
-def _entries(key: str, value, minimum=None, maximum=None) -> list:
-    """value as a list of at least minimum (0 or 1) and at most maximum entries."""
-    if not isinstance(value, list) or len(value) < (minimum or 0):
-        raise ValidationError(f"{key} must be a {'non-empty ' if minimum else ''}list")
-    if maximum is not None and len(value) > maximum:
-        raise ValidationError(f"{key} must have at most {maximum} entries")
+def _entries(key: str, value, bounds) -> list:
+    """value as a list whose length passes bounds, such as (NON_EMPTY,)."""
+    if not isinstance(value, list):
+        raise ValidationError(f"{key} must be a list")
+    for op, limit in bounds:
+        if not op(len(value), limit):
+            raise ValidationError(f"{key} must be a non-empty list" if (op, limit) == NON_EMPTY
+                                  else f"{key} must have {SYMBOLS[op]} {limit} entries")
     return value
 
 
-def _num(key: str, value, kind, minimum=None, maximum=None):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        if isinstance(value, str) and _is_float_text(value):
-            raise ValidationError(f"{key} must be a number, but YAML read {value!r} as text: "
-                                  "write it unquoted, with a signed exponent such as 1.0e+12")
-        raise ValidationError(f"{key} must be a number")
-    if isinstance(value, float) and not math.isfinite(value):
-        raise ValidationError(f"{key} must be finite")
-    if kind is int and int(value) != value:
-        raise ValidationError(f"{key} must be an integer")
-    try:
-        value = kind(value)
-    except OverflowError:
-        raise ValidationError(f"{key} is too large") from None
-    if minimum is not None and value < minimum:
-        raise ValidationError(f"{key} must be >= {minimum}")
-    if maximum is not None and value > maximum:
-        raise ValidationError(f"{key} must be <= {maximum}")
+def _number(key: str, value):
+    """value, given for a number: YAML 1.1 reads an exponent without a sign
+    (1.0e12) as text, and such text is refused with the way to write it."""
+    if isinstance(value, str):
+        try:
+            float(value)
+        except ValueError:
+            return value
+        raise ValidationError(f"{key} must be a number, but YAML read {value!r} as text: "
+                              "write it unquoted, with a signed exponent such as 1.0e+12")
     return value
-
-
-def _is_float_text(text: str) -> bool:
-    """YAML 1.1 reads an exponent without a sign (1.0e12) as a string."""
-    try:
-        float(text)
-    except ValueError:
-        return False
-    return True
 
 
 # -- scenario assembly -------------------------------------------------------

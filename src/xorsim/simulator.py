@@ -72,6 +72,7 @@ from .topology import NodeId, NoRouteError, Topology, shortest_path
 DEFAULT_PACKET_SIZE = 512  # bytes
 DEFAULT_CHANNEL_RATE = 2_000_000.0  # bit/s
 DEFAULT_DURATION = 120.0  # seconds
+MAX_PACKET_SIZE = 65_535  # bytes, the largest IP datagram: every payload is materialised
 
 
 class ScenarioInvalidError(Exception):
@@ -85,13 +86,13 @@ MAX_PACKETS = 1_000_000
 # the kind a field's error names: "a <class>" for a class not listed
 KIND_NAMES = {int: "an integer", float: "a real number", bool: "a bool", tuple: "a tuple of FlowSpecs"}
 NUMBERS = {int: "__index__", float: "__float__"}  # a number is of any type with the method, but no bool
-SYMBOLS = {operator.gt: ">", operator.ge: ">="}  # the bound a field's error names
+SYMBOLS = {operator.gt: ">", operator.ge: ">=", operator.le: "<="}  # the bound a field's error names
 
 
-def _rule(kind: type, bound: Optional[tuple] = None, **default):
-    """A Scenario or FlowSpec field with the one statement of its rule: its kind, and a bound such as
-    (operator.gt, 0) that its value must pass. One that defaults to None may be None. See check_field."""
-    return field(**default, metadata={"kind": kind, "bound": bound})
+def _rule(kind: type, *bounds: tuple, **default):
+    """A Scenario or FlowSpec field with the one statement of its rule: its kind, and the bounds, such
+    as (operator.gt, 0), that its value must pass. One that defaults to None may be None. See check_field."""
+    return field(**default, metadata={"kind": kind, "bounds": bounds})
 
 
 @dataclass(frozen=True)
@@ -102,7 +103,7 @@ class FlowSpec:
     src: NodeId = _rule(int)
     dst: NodeId = _rule(int)
     rate: float = _rule(float, (operator.gt, 0))  # packets per second
-    packet_size: int = _rule(int, (operator.ge, 1), default=DEFAULT_PACKET_SIZE)
+    packet_size: int = _rule(int, (operator.ge, 1), (operator.le, MAX_PACKET_SIZE), default=DEFAULT_PACKET_SIZE)
     start: float = _rule(float, (operator.ge, 0), default=0.0)
     stop: Optional[float] = _rule(float, default=None)  # defaults to scenario duration
 
@@ -537,11 +538,10 @@ def _checked(record, where: str):
 
 
 def check_field(declared, name: str, value):
-    """value, checked against the rule of the Scenario or FlowSpec field
-    declared (see _rule) and named name in an error. A real number must be
-    finite and comes back a plain float: any other number type would become
-    the clock, which the trace prints by repr (np.float64(0.0), not 0.0)."""
-    kind, bound = declared.metadata["kind"], declared.metadata["bound"]
+    """value, checked against the rule of the field declared (see _rule; a config key's is alike) and
+    named name in an error. A real number must be finite and comes back a plain float: any other number
+    type would become the clock, which the trace prints by repr (np.float64(0.0), not 0.0)."""
+    kind = declared.metadata["kind"]
     if value is None and declared.default is None:
         return value
     number = NUMBERS.get(kind)
@@ -554,8 +554,9 @@ def check_field(declared, name: str, value):
             value = math.inf
         if not math.isfinite(value):
             raise ScenarioInvalidError(f"{name} must be finite")
-    if bound and not bound[0](value, bound[1]):
-        raise ScenarioInvalidError(f"{name} must be {SYMBOLS[bound[0]]} {bound[1]}")
+    for op, limit in declared.metadata["bounds"]:
+        if not op(value, limit):
+            raise ScenarioInvalidError(f"{name} must be {SYMBOLS[op]} {limit}")
     return value
 
 

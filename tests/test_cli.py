@@ -24,7 +24,6 @@ from hypothesis import example, given, settings, strategies as st, target
 
 from xorsim import cli
 from xorsim.cli import (
-    MAX_PACKET_SIZE,
     ExperimentPlan,
     ValidationError,
     build_scenario,
@@ -36,7 +35,15 @@ from xorsim.cli import (
 from xorsim.coding import Scheme
 from xorsim.metrics import csv_header, finalize
 from xorsim.scenarios import random_flows
-from xorsim.simulator import SYMBOLS, FlowSpec, Scenario, ScenarioInvalidError, run, validate_scenario
+from xorsim.simulator import (
+    MAX_PACKET_SIZE,
+    SYMBOLS,
+    FlowSpec,
+    Scenario,
+    ScenarioInvalidError,
+    run,
+    validate_scenario,
+)
 from xorsim.topology import build_topology
 
 CHAIN_YAML = """
@@ -68,6 +75,14 @@ def test_empty_config_gives_defaults(tmp_path):
     assert plan.nodes == 16
     assert (plan.flow_counts, plan.rates, plan.seeds) == ([2], [5.0], [0])
     assert plan.schemes == [Scheme.NON_CODING, Scheme.COPE, Scheme.EXCODE]
+    # topology.seed defaults to no seed, and null spells that
+    assert load_config(write_config(tmp_path, "topology: {seed: null}")) == ExperimentPlan()
+
+
+def test_a_tiny_side_or_range_loads(tmp_path):
+    # a layout takes any side > 0, and build_topology any range > 0: so does the loader
+    plan = load_config(write_config(tmp_path, "topology: {side: 1.0e-10, range: 1.0e-10}"))
+    assert (plan.side, plan.radio_range) == (1.0e-10, 1.0e-10)
 
 
 def test_full_config_round_trip(tmp_path):
@@ -102,11 +117,15 @@ def test_full_config_round_trip(tmp_path):
         ("topology: 3", "topology must be a mapping"),
         ("topology: {sides: 3}", "unknown config key: topology.sides"),
         ("topology: {nodes: 2.5}", "topology.nodes must be an integer"),
-        ("topology: {nodes: zero}", "topology.nodes must be a number"),
+        # an integer key takes an integer, as the Scenario field it sets does
+        ("topology: {nodes: 16.0}", "topology.nodes must be an integer, not 16.0"),
+        ("seed: true", "seed must be an integer, not True"),
+        ("flows: {list: [{src: 0.0, dst: 1}]}", "flows.list[0].src must be an integer, not 0.0"),
+        ("topology: {nodes: zero}", "topology.nodes must be an integer, not 'zero'"),
         ("topology: {nodes: 0}", "topology.nodes must be >="),
         ("topology: {positions: []}", "topology.positions must be a non-empty list"),
         ("topology: {positions: [[1, 2], [3]]}", "topology.positions"),
-        ("topology: {positions: [[a, 1], [2, 3]]}", "topology.positions[0] must be a number"),
+        ("topology: {positions: [[a, 1], [2, 3]]}", "topology.positions[0] must be a real number, not 'a'"),
         ("topology: {nodes: 9, positions: [[0, 0], [100, 0]]}",
          "topology.nodes cannot be combined with topology.positions"),
         ("topology: {side: 500, positions: [[0, 0], [100, 0]]}",
@@ -115,10 +134,10 @@ def test_full_config_round_trip(tmp_path):
          "topology.seed cannot be combined with topology.positions"),
         ("flows: {rate: -1}", "flows.rate must be > 0"),
         ("flows: {rate: .inf}", "flows.rate must be finite"),
-        ("flows: {rate: 1" + "0" * 400 + "}", "flows.rate is too large"),
+        ("flows: {rate: 1" + "0" * 400 + "}", "flows.rate must be finite"),
         ("flows: {list: 3}", "flows.list must be a list"),
         ("flows: {list: [3]}", "flows.list[0] must be a mapping"),
-        ("flows: {list: [{src: abc, dst: 1}]}", "flows.list[0].src must be a number"),
+        ("flows: {list: [{src: abc, dst: 1}]}", "flows.list[0].src must be an integer, not 'abc'"),
         ("flows: {list: [{src: 0, dst: 1, rate: .nan}]}", "flows.list[0].rate must be finite"),
         # a bad flows.list entry names its key, not the flow id it sets
         ("flows: {list: [{src: 0, dst: 1, start: -1}]}", "flows.list[0].start must be >= 0"),
@@ -129,7 +148,7 @@ def test_full_config_round_trip(tmp_path):
         ("flows: {list: [{src: -1, dst: 1}]}", "flows.list[0].src must be >= 0 and <= 15"),
         ("topology: {positions: [[0, 0], [100, 0]]}\nflows: {list: [{src: 2, dst: 1}]}",
          "flows.list[0].src must be >= 0 and <= 1"),
-        ("flows: {list: [{src: 0, dst: 1, flow: null}]}", "flows.list[0].flow must be a number"),
+        ("flows: {list: [{src: 0, dst: 1, flow: null}]}", "flows.list[0].flow must be an integer, not None"),
         ("flows: {list: [{src: 3, dst: 3}]}", "flows.list[0].dst must differ from flows.list[0].src"),
         ("flows: {list: [{flow: 5, src: 0, dst: 1, start: -1}]}", "flows.list[0].start must be >= 0"),
         ("flows: {list: [{flow: 1, src: 0, dst: 1}, {flow: 1, src: 1, dst: 0}]}",
@@ -143,7 +162,7 @@ def test_full_config_round_trip(tmp_path):
          "sweep.flows cannot be combined with flows.list"),
         ("flows: {list: [{src: 0, dst: 1}]}\nsweep: {rates: [1, 50]}",
          "sweep.rates cannot be combined with flows.list"),
-        ("count_header_overhead: 3", "must be true or false"),
+        ("count_header_overhead: 3", "count_header_overhead must be a bool, not 3"),
         ("duration: 0", "duration must be > 0"),
         ("channel: {rate_bps: 0}", "channel.rate_bps must be > 0"),
         ("drain_grace: -1", "drain_grace must be >= 0"),
@@ -160,7 +179,7 @@ def test_full_config_round_trip(tmp_path):
          "flows.list[0].packet_size must be <= 65535"),
         ("topology: {nodes: 100000000}", "topology.nodes must be <= 1000"),
         pytest.param("topology: {positions: [" + ", ".join(["[0, 0]"] * 1001) + "]}",
-                     "topology.positions must have at most 1000 entries", id="positions-over-cap"),
+                     "topology.positions must have <= 1000 entries", id="positions-over-cap"),
         pytest.param("seed: 1" + "0" * 5000, "config parse error", id="int-over-4300-digits"),
         # every packet of a cell is held in memory until the run ends
         ("flows: {count: 1, rate: 1.0e+8}\nduration: 1.0\nscheme: none",
@@ -177,7 +196,7 @@ def test_full_config_round_trip(tmp_path):
          "flows.count must be <= 10000"),
         ("flows: {rate: 1.0e-6}\nsweep: {flows: [2, 10001]}", "sweep.flows must be <= 10000"),
         pytest.param("flows: {list: [&f {src: 0, dst: 1}" + ", *f" * 10_000 + "]}",
-                     "flows.list must have at most 10000 entries", id="flows-list-over-cap"),
+                     "flows.list must have <= 10000 entries", id="flows-list-over-cap"),
         # YAML 1.1 reads an exponent without a sign as a string
         ("flows: {rate: 1.0e12}", "flows.rate must be a number, but YAML read '1.0e12' as text"),
     ],
@@ -318,30 +337,20 @@ def nested(key: str, value) -> dict:
     return value
 
 
-def symbolic(bound) -> tuple:
-    """A declared bound, (operator.gt, 0) say, as (">", 0)."""
-    return SYMBOLS[bound[0]], bound[1]
-
-
 def bounded_spellings():
     """(key, kind, bounds, config for a value of the key) for every key with a
-    bound: its loader caps and its Scenario or FlowSpec rule's bound, each as
-    an (op, value) pair. A sweep axis is spelt both ways, and a flows.list
-    entry key takes its FlowSpec field's rule and the cap of the flows key
-    of its name."""
+    bound, as its plan field or FlowSpec field declares them: (operator.gt,
+    0) say. A sweep axis is spelt both ways, and a flows.list entry key takes
+    its FlowSpec field's rule."""
     for f in cli.PLAN_FIELDS:
-        key, sweep, (lo, hi), rule = (f.metadata[name] for name in ("key", "sweep", "bounds", "rule"))
-        bounds = [(op, b) for op, b in ((">=", lo), ("<=", hi)) if b is not None]
-        bounds += [symbolic(rule.metadata["bound"])] if rule and rule.metadata["bound"] else []
+        key, sweep, kind, bounds = (f.metadata[name] for name in ("key", "sweep", "kind", "bounds"))
         if bounds:
-            yield key, f.metadata["kind"], bounds, lambda v, key=key: nested(key, v)
+            yield key, kind, bounds, lambda v, key=key: nested(key, v)
             if sweep:
-                yield sweep, f.metadata["kind"], bounds, lambda v, sweep=sweep: nested(sweep, [v])
+                yield sweep, kind, bounds, lambda v, sweep=sweep: nested(sweep, [v])
     for f in fields(FlowSpec):
-        cap = cli.KEYS[f"flows.{f.name}"].metadata["bounds"][1] if f"flows.{f.name}" in cli.KEYS else None
-        bounds = [b for b in (f.metadata["bound"] and symbolic(f.metadata["bound"]), cap and ("<=", cap)) if b]
-        if bounds:
-            yield (f"flows.list[0].{f.name}", f.metadata["kind"], bounds,
+        if f.metadata["bounds"]:
+            yield (f"flows.list[0].{f.name}", f.metadata["kind"], f.metadata["bounds"],
                    lambda v, name=f.name: nested("flows.list", [{"src": 0, "dst": 1, name: v}]))
 
 
@@ -358,8 +367,8 @@ def test_every_bound_holds_at_its_edges(tmp_path, key, kind, bounds, config):
     step = (lambda v, way: math.nextafter(v, way * math.inf)) if kind is float else operator.add
     edges = []
     for op, bound in bounds:
-        inward = 1 if ">" in op else -1
-        edges += [(bound, "=" in op), (step(bound, inward), True), (step(bound, -inward), False)]
+        inward = 1 if op in (operator.gt, operator.ge) else -1
+        edges += [(bound, op(bound, bound)), (step(bound, inward), True), (step(bound, -inward), False)]
     for value, inside in edges:
         if kind not in (int, float):
             value = [LIST_ENTRIES[key]] * value  # the same object: YAML writes aliases
@@ -372,12 +381,13 @@ def test_every_bound_holds_at_its_edges(tmp_path, key, kind, bounds, config):
 
 
 # the agreement property's layout: three nodes in range of one another, so
-# every flow routes. Its values lie inside or outside each bound that the
-# loader and the library share (outside, a flow's endpoints leave the
-# layout or meet, and entry ids collide), each of the kind its key reads
-# and within the loader's caps on one value: only a shared rule can reject.
-# Values inside may still break a rule together: a stop of 0.5 before a
-# start of 2.0, or rates of 4e5 past the packet cap, which both count
+# every flow routes. Its values lie inside or outside each rule that the
+# loader and the library share: outside a bound (a flow's endpoints leave
+# the layout or meet, and entry ids collide), or of the wrong kind (an
+# integral float for an integer, a bool, and None where the field does not
+# default to it). Only a shared rule can reject. Values inside may still
+# break a rule together: a stop of 0.5 before a start of 2.0, or rates of
+# 4e5 past the packet cap, which both count
 AGREE_POSITIONS = ((0.0, 0.0), (100.0, 0.0), (50.0, 80.0))
 INSIDE = {
     "duration": [5e-324, 1.0], "channel_rate": [5e-324, 2e6], "drain_grace": [0.0, 0.5],
@@ -385,9 +395,11 @@ INSIDE = {
     "stop": [None, 0.5, 2.0, 2.5], "ends": list(itertools.permutations(range(3), 2)), "flow": [10, 11, 12],
 }
 OUTSIDE = {
-    "duration": [-1.0, 0.0], "channel_rate": [-5e-324, 0.0], "drain_grace": [-1.0, -5e-324],
-    "rate": [-1.0, -5e-324, 0.0], "packet_size": [-1, 0], "start": [-1.0, -5e-324],
-    "stop": [-5e-324], "ends": [(-1, 0), (0, 3), (2, 2)], "flow": [7],
+    "duration": [-1.0, 0.0, True, None], "channel_rate": [-5e-324, 0.0, True, None],
+    "drain_grace": [-1.0, -5e-324, False, None], "rate": [-1.0, -5e-324, 0.0, True, None],
+    "packet_size": [-1, 0, MAX_PACKET_SIZE + 1, 512.0, True, None], "start": [-1.0, -5e-324, False, None],
+    "stop": [-5e-324, True], "ends": [(-1, 0), (0, 3), (2, 2), (0.0, 1), (2, 1.0), (True, 0), (None, 2)],
+    "flow": [7, 10.0, True, None],
 }
 
 
@@ -396,8 +408,8 @@ def configs_and_scenarios(draw):
     """A config and the Scenarios built from the same values: a flows.list
     whose entries omit or set each optional key, or one random flow per
     rate of flows.rate or sweep.rates. One key, or none, takes its values
-    from outside its bounds. A plan default is written only where a flow
-    takes it."""
+    from outside its rule: past a bound, or of the wrong kind. A plan
+    default is written only where a flow takes it."""
     outside = draw(st.sampled_from([None, *INSIDE]))
 
     def value(name: str):
@@ -457,12 +469,17 @@ def test_loader_and_library_agree_on_every_shared_rule(tmp_path_factory, case):
 
 
 def test_every_scenario_field_declares_its_rule():
-    # a new Scenario or FlowSpec knob states its kind and bound where it is declared
-    for field in [*fields(Scenario), *fields(FlowSpec)]:
+    # a new Scenario or FlowSpec knob, or a config key that sets a number or
+    # bool, states its kind and bounds where it is declared, in one vocabulary
+    numeric = [f for f in cli.PLAN_FIELDS if f.metadata["kind"] in (int, float, bool)]
+    assert {f.metadata["key"] for f in numeric} == {
+        "topology.nodes", "topology.side", "topology.range", "topology.seed", "flows.packet_size",
+        "channel.rate_bps", "duration", "count_header_overhead", "drain_grace", "flows.count", "flows.rate", "seed"}
+    for field in [*fields(Scenario), *fields(FlowSpec), *numeric]:
         rule = field.metadata
-        assert set(rule) == {"kind", "bound"}, field.name
+        assert {"kind", "bounds"} <= set(rule) <= {"kind", "bounds", "key", "sweep"}, field.name
         assert isinstance(rule["kind"], type), field.name
-        assert rule["bound"] is None or (rule["bound"][0] in SYMBOLS and isinstance(rule["bound"][1], int))
+        assert all(op in SYMBOLS and isinstance(limit, int) for op, limit in rule["bounds"]), field.name
 
 
 def test_readme_names_every_config_key():

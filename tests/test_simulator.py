@@ -36,6 +36,7 @@ from xorsim.scenarios import (
     random_scenario,
 )
 from xorsim.simulator import (
+    MAX_PACKET_SIZE,
     MAX_PACKETS,
     FlowSpec,
     Scenario,
@@ -473,6 +474,15 @@ def test_validation_messages():
     bad("channel_rate must be > 0", channel_rate=0.0)
     bad("drain_grace must be >= 0", drain_grace=-1.0)
     bad("drain_grace must be finite", drain_grace=math.inf)
+
+
+def test_a_packet_size_past_the_cap_is_refused_before_the_run():
+    # every payload is materialised: a 10 GB packet breaks the rule when the
+    # simulation is built, before any packet is made
+    scenario = chain_scenario(Scheme.EXCODE)
+    first, *rest = scenario.flows
+    with pytest.raises(ScenarioInvalidError, match=rf"^flows\[0\]\.packet_size must be <= {MAX_PACKET_SIZE}$"):
+        Simulation(replace(scenario, flows=(replace(first, packet_size=10**10), *rest)))
 
 
 # values no number field takes: a bool is not a number here, as in a config
