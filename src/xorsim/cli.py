@@ -39,7 +39,6 @@ from .topology import build_topology, random_layout
 MAX_NODES = 1_000
 MAX_FLOWS = 10_000  # each flow costs a route search before its first packet
 NON_EMPTY = (ge, 1)  # a bound on a list key's length: each sweep list, and topology.positions
-ValidationError = ScenarioInvalidError  # a bad config: the message names the key at fault
 
 # (results.csv column the chart is named after, axis label)
 CHART_METRICS = (
@@ -52,7 +51,7 @@ CHART_METRICS = (
 
 def _position(key: str, index: int, p, plan: ExperimentPlan) -> tuple[float, float]:
     if not isinstance(p, list) or len(p) != 2:
-        raise ValidationError(f"{key} must be an [x, y] pair")
+        raise ScenarioInvalidError(f"{key} must be an [x, y] pair")
     return tuple(check_field(COORDINATE, key, _number(key, v)) for v in p)
 
 
@@ -60,13 +59,13 @@ def _flow_from_mapping(key: str, index: int, m, plan: ExperimentPlan) -> FlowSpe
     """A flows.list entry as a FlowSpec, unchecked (load_config checks it): flow defaults to the entry's
     index, rate and packet_size to the plan's flows.rate and flows.packet_size."""
     if not isinstance(m, dict):
-        raise ValidationError(f"{key} must be a mapping")
+        raise ScenarioInvalidError(f"{key} must be a mapping")
     for name in m:
         if name not in FLOW:
-            raise ValidationError(f"unknown config key: {key}.{name}")
+            raise ScenarioInvalidError(f"unknown config key: {key}.{name}")
     for name in ("src", "dst"):
         if name not in m:
-            raise ValidationError(f"{key} missing key '{name}'")
+            raise ScenarioInvalidError(f"{key} missing key '{name}'")
     given = {name: _number(f"{key}.{name}", value) for name, value in m.items()}
     return FlowSpec(**{"flow": index, "rate": plan.rates[0], "packet_size": plan.packet_size, **given})
 
@@ -128,7 +127,7 @@ def parse_scheme(name: str, key: str = "scheme") -> Scheme:
         return Scheme(name)
     except ValueError:
         valid = ", ".join(s.value for s in Scheme)
-        raise ValidationError(f"{key}: unknown scheme {name!r} (valid: {valid})") from None
+        raise ScenarioInvalidError(f"{key}: unknown scheme {name!r} (valid: {valid})") from None
 
 
 def load_config(path) -> ExperimentPlan:
@@ -136,15 +135,15 @@ def load_config(path) -> ExperimentPlan:
     try:
         text = Path(path).read_text()
     except OSError as exc:
-        raise ValidationError(f"cannot read config: {exc}") from None
+        raise ScenarioInvalidError(f"cannot read config: {exc}") from None
     try:
         raw = yaml.safe_load(text)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: integers over 4300 digits
-        raise ValidationError(f"config parse error: {exc}") from None
+        raise ScenarioInvalidError(f"config parse error: {exc}") from None
     if raw is None:
         raw = {}
     if not isinstance(raw, dict):
-        raise ValidationError("config root must be a mapping")
+        raise ScenarioInvalidError("config root must be a mapping")
 
     given = {}  # each key the config sets, spelt as in KEYS -> its value
     for key, value in raw.items():
@@ -152,24 +151,24 @@ def load_config(path) -> ExperimentPlan:
             if value is None:
                 value = {}
             if not isinstance(value, dict):
-                raise ValidationError(f"{key} must be a mapping")
+                raise ScenarioInvalidError(f"{key} must be a mapping")
             given.update((f"{key}.{name}", v) for name, v in value.items())
         elif key in KEYS and "." not in key:
             given[key] = value
         else:
-            raise ValidationError(f"unknown config key: {key}")
+            raise ScenarioInvalidError(f"unknown config key: {key}")
     for key in given:
         if key not in KEYS:
-            raise ValidationError(f"unknown config key: {key}")
+            raise ScenarioInvalidError(f"unknown config key: {key}")
     if "sweep.flows" in given and "sweep.rates" in given:
-        raise ValidationError("sweep: give either flows or rates, not both")
+        raise ScenarioInvalidError("sweep: give either flows or rates, not both")
 
     plan = ExperimentPlan()
     for f in PLAN_FIELDS:
         key, sweep = f.metadata["key"], f.metadata["sweep"]
         if sweep in given:  # each axis is its sweep list, else its one-value key
             if key in given:
-                raise ValidationError(f"{key} cannot be combined with {sweep}")
+                raise ScenarioInvalidError(f"{key} cannot be combined with {sweep}")
             setattr(plan, f.name, [_read(sweep, v, f, plan) for v in _entries(sweep, given[sweep], (NON_EMPTY,))])
         elif key in given:
             value = _read(key, given[key], f, plan)
@@ -179,12 +178,12 @@ def load_config(path) -> ExperimentPlan:
     if plan.positions is not None:
         for key in ("topology.nodes", "topology.side", "topology.seed"):
             if key in given:
-                raise ValidationError(f"{key} cannot be combined with topology.positions")
+                raise ScenarioInvalidError(f"{key} cannot be combined with topology.positions")
         plan.nodes = len(plan.positions)
     if plan.explicit_flows is not None:
         for key in ("flows.count", "sweep.flows", "sweep.rates"):
             if key in given:
-                raise ValidationError(f"{key} cannot be combined with flows.list")
+                raise ScenarioInvalidError(f"{key} cannot be combined with flows.list")
         plan.explicit_flows = check_flows(plan.explicit_flows, plan.nodes, "flows.list")
         keys, packets = "flows.list over duration", packet_count(plan.explicit_flows, plan.duration)
     else:
@@ -193,7 +192,7 @@ def load_config(path) -> ExperimentPlan:
         keys = f"{count_key} x {rate_key} x duration"
         packets = max(plan.flow_counts) * max(plan.rates) * plan.duration
     if packets > MAX_PACKETS:
-        raise ValidationError(f"{keys} is {packets:.6g} packets in one cell, more than {MAX_PACKETS:,}")
+        raise ScenarioInvalidError(f"{keys} is {packets:.6g} packets in one cell, more than {MAX_PACKETS:,}")
     return plan
 
 
@@ -212,10 +211,10 @@ def _read(key: str, value, declared: Field, plan: ExperimentPlan):
 def _entries(key: str, value, bounds) -> list:
     """value as a list whose length passes bounds, such as (NON_EMPTY,)."""
     if not isinstance(value, list):
-        raise ValidationError(f"{key} must be a list")
+        raise ScenarioInvalidError(f"{key} must be a list")
     for op, limit in bounds:
         if not op(len(value), limit):
-            raise ValidationError(f"{key} must be a non-empty list" if (op, limit) == NON_EMPTY
+            raise ScenarioInvalidError(f"{key} must be a non-empty list" if (op, limit) == NON_EMPTY
                                   else f"{key} must have {SYMBOLS[op]} {limit} entries")
     return value
 
@@ -228,7 +227,7 @@ def _number(key: str, value):
             float(value)
         except ValueError:
             return value
-        raise ValidationError(f"{key} must be a number, but YAML read {value!r} as text: "
+        raise ScenarioInvalidError(f"{key} must be a number, but YAML read {value!r} as text: "
                               "write it unquoted, with a signed exponent such as 1.0e+12")
     return value
 
@@ -445,15 +444,14 @@ def write_charts(reports: list[MetricsReport], out: Path) -> None:
                     pts.append((x, y))
             if pts:
                 series[scheme] = pts
-        write_svg_chart(out / f"{column}.svg", label, "offered load (kb/s)", label, series)
+        write_svg_chart(out / f"{column}.svg", label, series)
 
 
 SCHEME_COLORS = {"excode": "#c0392b", "cope": "#2471a3", "none": "#7d7d7d"}
 
 
-def write_svg_chart(path, title: str, xlabel: str, ylabel: str,
-                    series: dict[str, list[tuple[float, float]]]) -> None:
-    """Tiny hand-rolled SVG line chart; byte-stable for identical inputs."""
+def write_svg_chart(path, label: str, series: dict[str, list[tuple[float, float]]]) -> None:
+    """Tiny hand-rolled SVG line chart of label against offered load; byte-stable."""
     width, height = 640, 420
     ml, mr, mt, mb = 70, 20, 40, 50
     pw, ph = width - ml - mr, height - mt - mb
@@ -480,12 +478,12 @@ def write_svg_chart(path, title: str, xlabel: str, ylabel: str,
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
         f'viewBox="0 0 {width} {height}" font-family="sans-serif" font-size="12">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" font-size="14">{title}</text>',
+        f'<text x="{width / 2:.1f}" y="20" text-anchor="middle" font-size="14">{label}</text>',
         f'<line x1="{ml}" y1="{mt + ph}" x2="{ml + pw}" y2="{mt + ph}" stroke="black"/>',
         f'<line x1="{ml}" y1="{mt}" x2="{ml}" y2="{mt + ph}" stroke="black"/>',
-        f'<text x="{ml + pw / 2:.1f}" y="{height - 12}" text-anchor="middle">{xlabel}</text>',
+        f'<text x="{ml + pw / 2:.1f}" y="{height - 12}" text-anchor="middle">offered load (kb/s)</text>',
         f'<text x="16" y="{mt + ph / 2:.1f}" text-anchor="middle" '
-        f'transform="rotate(-90 16 {mt + ph / 2:.1f})">{ylabel}</text>',
+        f'transform="rotate(-90 16 {mt + ph / 2:.1f})">{label}</text>',
     ]
     for i in range(5):
         xv = x0 + (x1 - x0) * i / 4
@@ -558,13 +556,13 @@ def main(argv: Optional[list[str]] = None) -> int:
         try:  # before any field runs
             Path(args.out).mkdir(parents=True, exist_ok=True)
         except OSError as exc:
-            raise ValidationError(f"--out {args.out}: cannot make the directory: {exc.strerror}") from None
+            raise ScenarioInvalidError(f"--out {args.out}: cannot make the directory: {exc.strerror}") from None
         if args.command == "figures":
             return figures_command(args.out)
         reports = run_plan(plan, args.out)
         print(f"wrote {len(reports)} runs to {Path(args.out) / 'results.csv'}")
         return 0
-    except ValidationError as exc:
+    except ScenarioInvalidError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -20,7 +20,8 @@ stand in for the narrower schemes' runs (cli.stands_in_for_narrower).
 from __future__ import annotations
 
 import enum
-from typing import Container, Optional, Sequence
+from itertools import islice
+from typing import Container, Iterable, Optional, Sequence
 
 from .packet import NativePacket, PacketUid
 from .topology import NodeId
@@ -61,10 +62,12 @@ def find_partner(p: NativePacket, queue: Sequence, scheme: Scheme, self_id: Node
 
     The queue is a node's input queue of addressed arrivals. Only natives
     awaiting relay at this node are eligible: packets destined here are
-    skipped, as is anything already encoded. Returns None under the
-    non-coding scheme or when nothing matches. Nodes pass every argument
-    positionally; the benchmark's scan sampler reads queue and scheme as the
-    second and third.
+    skipped, as is anything already encoded. A candidate never overtakes its
+    own flow: it is refused when an earlier entry has its flow, as a native
+    or as a branch of a mix that this node is custodian of. Returns None
+    under the non-coding scheme or when nothing matches. Nodes pass every
+    argument positionally; the benchmark's scan sampler reads queue and
+    scheme as the second and third.
     """
     if scheme is Scheme.NON_CODING:
         return None
@@ -72,6 +75,15 @@ def find_partner(p: NativePacket, queue: Sequence, scheme: Scheme, self_id: Node
     for idx, cand in enumerate(queue):
         if not isinstance(cand, NativePacket) or cand.dst == self_id:
             continue
-        if excode_can_code(p, cand) if by_holders else cope_can_code(p, cand, reports):
+        if (excode_can_code(p, cand) if by_holders else cope_can_code(p, cand, reports)) \
+                and not _flow_ahead(cand.uid.flow, islice(queue, idx), self_id):
             return idx
     return None
+
+
+def _flow_ahead(flow: int, ahead: Iterable, self_id: NodeId) -> bool:
+    """Whether an entry of ahead is a native of flow, or a mix with a branch
+    of flow in self_id's custody."""
+    return any(entry.uid.flow == flow if isinstance(entry, NativePacket)
+               else any(c.uid.flow == flow and c.custodian == self_id for c in entry.constituents)
+               for entry in ahead)

@@ -17,7 +17,7 @@ The buffer holds natives only, by uid. Overheard copies carry no forwarding
 obligation: overhear() serves a whole broadcast in one call, and each
 listener buffers a native, or the native an overheard mix yields at once; a
 mix it cannot decode is not kept. overhear()'s lines, and those with a
-formatted detail, are built only while the simulation captures its trace.
+detail, are made only while the simulation captures, straight into its log.
 The output queue drains one packet per transmission. A native takes its
 route's holder set for the sending hop; a mix advances the branches its
 sender carries.
@@ -102,7 +102,7 @@ class Node:
             self.output_queue.append(encoded)
             sim.per_node_encodes[self.id] += 1
             if sim.capture_trace:
-                sim.trace(now, self.id, "encode", encoded, f"{packet.uid}+{partner.uid}")
+                sim.trace_log.add(now, self.id, "encode", encoded, f"{packet.uid}+{partner.uid}")
             return
         self.output_queue.append(packet)
         sim.trace(now, self.id, "enqueue", packet)
@@ -117,12 +117,12 @@ class Node:
                 native = xor_decode(packet, known)
                 self._buffer_native(native, sim)
                 if sim.capture_trace:
-                    sim.trace(now, self.id, "decode_deliver", native, f"from {packet}")
+                    sim.trace_log.add(now, self.id, "decode_deliver", native, f"from {packet}")
                 sim.deliver(native, now, packet.key)
             else:
                 sim.decode_failures += 1
                 if sim.capture_trace:
-                    sim.trace(now, self.id, "decode_fail", packet, f"missing {counterpart.uid}")
+                    sim.trace_log.add(now, self.id, "decode_fail", packet, f"missing {counterpart.uid}")
         self.forward_encoded(packet, now, sim)
 
     def forward_encoded(self, packet: EncodedPacket, now: float, sim: Simulation) -> None:
@@ -168,11 +168,11 @@ def overhear(nodes: list[Node], neighbors: tuple[NodeId, ...], addressed: tuple[
         seen = nodes[n].seen_overheard
         if key in seen:
             if capture:
-                sim.trace(now, n, "dup_discard", packet, "overheard")
+                sim.trace_log.add(now, n, "dup_discard", packet, "overheard")
             continue
         seen.add(key)
         if capture:
-            sim.trace(now, n, "overhear", packet)
+            sim.trace_log.add(now, n, "overhear", packet)
         buffer = nodes[n].buffer
         if not mixed:
             if key not in buffer:
@@ -187,4 +187,4 @@ def overhear(nodes: list[Node], neighbors: tuple[NodeId, ...], addressed: tuple[
             buffer[native.uid] = native
             sim.native_buffered(n, native)
             if capture:
-                sim.trace(now, n, "early_decode", native, f"from {packet}")
+                sim.trace_log.add(now, n, "early_decode", native, f"from {packet}")

@@ -436,9 +436,11 @@ class Simulation:
 
     # -- hooks called by nodes ---------------------------------------------
 
-    def trace(self, now: float, node: NodeId, event: str, packet, detail: str = "") -> None:
+    def trace(self, now: float, node: NodeId, event: str, packet) -> None:
+        """The nodes' deliver, enqueue and forward_encoded lines, until ROADMAP
+        item 1 lets item 3 guard them at the call site as every other line is."""
         if self.capture_trace:
-            self.trace_log.add(now, node, event, packet, detail)
+            self.trace_log.add(now, node, event, packet)
 
     def deliver(self, packet: NativePacket, now: float, mix: Optional[tuple[PacketUid, PacketUid]] = None) -> None:
         """Record a first delivery and drop the packet's in-flight record.

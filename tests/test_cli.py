@@ -25,7 +25,6 @@ from hypothesis import example, given, settings, strategies as st, target
 from xorsim import cli
 from xorsim.cli import (
     ExperimentPlan,
-    ValidationError,
     build_scenario,
     load_config,
     main,
@@ -202,7 +201,7 @@ def test_full_config_round_trip(tmp_path):
     ],
 )
 def test_config_errors_name_the_key(tmp_path, snippet, needle):
-    with pytest.raises(ValidationError) as err:
+    with pytest.raises(ScenarioInvalidError) as err:
         load_config(write_config(tmp_path, snippet))
     assert needle in str(err.value)
 
@@ -272,7 +271,7 @@ def test_any_config_loads_or_names_a_key(tmp_path_factory, raw):
     path.write_text(yaml.safe_dump(raw))
     try:
         assert isinstance(load_config(path), ExperimentPlan)
-    except ValidationError as exc:
+    except ScenarioInvalidError as exc:
         assert any(re.search(rf"\b{key}\b", str(exc)) for key in keys_in(raw)), str(exc)
 
 
@@ -376,7 +375,7 @@ def test_every_bound_holds_at_its_edges(tmp_path, key, kind, bounds, config):
         if inside:
             assert isinstance(load_config(path), ExperimentPlan), (key, value)
         else:
-            with pytest.raises(ValidationError, match=f"^{re.escape(key)} must "):
+            with pytest.raises(ScenarioInvalidError, match=f"^{re.escape(key)} must "):
                 load_config(path)
 
 
@@ -522,20 +521,20 @@ def test_scheme_key_narrows_the_sweep_unless_overridden(tmp_path, capsys):
 
 
 def test_missing_config_file(tmp_path):
-    with pytest.raises(ValidationError, match="cannot read config"):
+    with pytest.raises(ScenarioInvalidError, match="cannot read config"):
         load_config(tmp_path / "nope.yaml")
 
 
 def test_parse_scheme_names_the_valid_set():
     assert parse_scheme("excode") is Scheme.EXCODE
-    with pytest.raises(ValidationError, match="none, cope, excode"):
+    with pytest.raises(ScenarioInvalidError, match="none, cope, excode"):
         parse_scheme("best")
 
 
 def test_explicit_flow_errors(tmp_path):
-    with pytest.raises(ValidationError, match=r"flows.list\[0\] missing key"):
+    with pytest.raises(ScenarioInvalidError, match=r"flows.list\[0\] missing key"):
         load_config_and_build(tmp_path, "flows: {list: [{src: 0}]}")
-    with pytest.raises(ValidationError, match=r"flows.list\[1\].speed"):
+    with pytest.raises(ScenarioInvalidError, match=r"flows.list\[1\].speed"):
         load_config_and_build(
             tmp_path, "flows: {list: [{src: 0, dst: 1}, {src: 1, dst: 0, speed: 2}]}"
         )

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from xorsim.coding import Scheme, cope_can_code, excode_can_code, find_partner
 from xorsim.packet import NativePacket, PacketUid, xor_encode
 
@@ -44,7 +46,7 @@ def test_holder_rule_rejects_same_flow():
 def test_rules_reject_payloads_of_different_lengths():
     # XOR needs equal lengths; COPE pads the shorter payload, xorsim does
     # not code such a pair, under either rule
-    short = Q_AT_RELAY._replace(payload=b"\x00" * 2)
+    short = Q_AT_RELAY._replace(uid=PacketUid(2, 0), payload=b"\x00" * 2)  # not Q's flow, which it would hold back
     assert not excode_can_code(P_AT_RELAY, short)
     assert not excode_can_code(short, P_AT_RELAY)
     assert find_partner(P_AT_RELAY, [short, Q_AT_RELAY], Scheme.EXCODE, **scan_args()) == 1
@@ -124,14 +126,37 @@ def test_scan_returns_first_match():
 
 
 def test_scan_skips_ineligible_entries():
-    encoded = xor_encode(P_AT_RELAY, Q_AT_RELAY)
-    to_self = Q_AT_RELAY._replace(dst=2, route=(5, 3, 2), hop_index=2)
+    # neither entry ahead has Q's flow, so only eligibility keeps them out
+    encoded = xor_encode(native(3, 0, (0, 2, 4), hop_index=1), native(4, 0, (4, 2, 0), hop_index=1))
+    to_self = Q_AT_RELAY._replace(uid=PacketUid(5, 0), dst=2, route=(5, 3, 2), hop_index=2)
+    assert excode_can_code(P_AT_RELAY, to_self)
     queue = [
         encoded,  # never recode
         to_self,  # terminates here, nothing to relay
         Q_AT_RELAY,
     ]
     assert find_partner(P_AT_RELAY, queue, Scheme.EXCODE, **scan_args()) == 2
+
+
+# a.4 and a.5, two packets of one flow at relay 2, both codable with P_AT_RELAY
+A_4, A_5 = (Q_AT_RELAY._replace(uid=PacketUid(1, seq)) for seq in (4, 5))
+OTHER_FLOW = native(2, 0, (3, 2, 4), holders={3}, hop_index=1)  # codes with nothing
+BY_REPORTS = {6: {A_4.uid, A_5.uid}, 1: {P_AT_RELAY.uid}}  # both pairs code under COPE too
+
+
+@pytest.mark.parametrize("scheme", [Scheme.EXCODE, Scheme.COPE])
+def test_scan_never_overtakes_its_own_flow(scheme):
+    def scan(*queue):
+        return find_partner(P_AT_RELAY, queue, scheme, **scan_args(reports=BY_REPORTS))
+
+    assert scan(OTHER_FLOW, A_5) == 1
+    # a.5 must not leave before a.4, which waits here inside a mix
+    assert scan(OTHER_FLOW, xor_encode(A_4, native(3, 0, (4, 2, 0), hop_index=1)), A_5) is None
+    # a branch another node is custodian of is not waiting here
+    assert scan(OTHER_FLOW, xor_encode(A_4._replace(hop_index=1), native(3, 0, (4, 2, 0), hop_index=1)), A_5) == 2
+    # nor before a plain a.4, here one that cannot code, as its payload is shorter
+    assert scan(A_4._replace(payload=b"\x00" * 2), A_5) is None
+    assert scan(A_4, A_5) == 0
 
 
 def test_scan_empty_and_no_match():

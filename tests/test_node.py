@@ -11,11 +11,14 @@ from xorsim.packet import EncodedPacket, NativePacket, PacketUid, holder_table, 
 
 
 class HookRecorder:
-    """Stand-in for the simulation side of the node protocol."""
+    """Stand-in for the simulation side of the node protocol. It is also its
+    own trace log: lines sent through trace and through trace_log.add land in
+    one list, in the order the node made them."""
 
     def __init__(self, holders_at=None, capture_trace=True):
         self.holders_at = holders_at or {}  # flow -> holder table of its route
-        self.capture_trace = capture_trace  # the nodes skip trace lines when off
+        self.capture_trace = capture_trace  # the nodes skip capture-only lines when off
+        self.trace_log = self
         self.events = []
         self.details = []  # (event, node, detail) of each trace line with a detail
         self.delivered = []
@@ -27,6 +30,8 @@ class HookRecorder:
         self.events.append((event, node, str(uid)))
         if detail:
             self.details.append((event, node, detail))
+
+    add = trace
 
     def deliver(self, packet, now, mix=None):
         self.delivered.append((packet, mix))
@@ -102,7 +107,7 @@ def test_delivery_is_traced_before_it_is_reported():
     # whatever the simulation does in deliver, retirement included
     order = []
     sim = HookRecorder()
-    sim.trace = lambda now, node, event, pkt, detail="": order.append(event)
+    sim.trace = sim.add = lambda now, node, event, pkt, detail="": order.append(event)
     sim.deliver = lambda pkt, now, mix=None: order.append("reported")
     Node(id=2, neighbors=(1,), scheme=Scheme.EXCODE).on_receive(P_EAST._replace(hop_index=2), 1.0, sim)
     p, q, encoded = arrived_mix()

@@ -173,23 +173,41 @@ def test_every_other_neighbor_overhears_a_transmission():
 
 class AddressedOnce(Simulation):
     """Fails at once, naming the node and the key, where a node is addressed
-    a key a second time or a native goes into a second mix. At each mix
-    send it also checks the invariant that lets a mix's header hold only
-    each native's uid and next hop: the send addresses the next hops of the
-    branches the sender carries, and a branch it does not carry has neither
-    the sender nor an addressed node as custodian."""
+    a key a second time or a native goes into a second mix. Mixes are
+    checked where they are sent, with capture on or off; mixes_checked says
+    whether that saw every encode of the run. At each mix send it also
+    checks the invariant that lets a mix's header hold only each native's
+    uid and next hop: the send addresses the next hops of the branches the
+    sender carries, and a branch it does not carry has neither the sender
+    nor an addressed node as custodian."""
 
     def __init__(self, scenario):
         super().__init__(scenario)
         self.addressed = set()  # (node, key) of every addressed arrival
-        self.mixed_into = {}  # uid -> the mix it went into
+        self.mixed_into = {}  # uid -> the key of the mix it went into
         for node in self.nodes:
             node.on_send = functools.partial(self._checked_send, node)
+
+    def _check_mix(self, node, mix):
+        for uid in mix.key:
+            first = self.mixed_into.setdefault(uid, mix.key)
+            assert first == mix.key, f"node {node.id} holds {uid} in {mix}, after it went into {first}"
+
+    def mixes_checked(self):
+        """Checks the mixes still queued to send too. Each encode makes a mix
+        with a key of its own, so when every mix was checked there are as
+        many keys seen as encodes."""
+        for node in self.nodes:
+            for mix in node.output_queue:
+                if isinstance(mix, EncodedPacket):
+                    self._check_mix(node, mix)
+        return len(set(self.mixed_into.values())) == self.encode_count
 
     def _checked_send(self, node, now, sim):
         mix = node.output_queue[0] if node.output_queue else None
         tx = Node.on_send(node, now, sim)
         if isinstance(mix, EncodedPacket):
+            self._check_mix(node, mix)
             carried = mix.carried(node.id)
             next_hops = tuple(sorted({h.route[h.hop_index + 1] for h in carried}))
             left = [h for h in mix.constituents if h not in carried]
@@ -202,13 +220,6 @@ class AddressedOnce(Simulation):
         assert (node.id, packet.key) not in self.addressed, f"node {node.id} is addressed {packet} twice"
         self.addressed.add((node.id, packet.key))
         super()._arrive(node, packet, now)
-
-    def trace(self, now, node, event, packet, detail=""):
-        if event == "encode":
-            for uid in packet.key:
-                assert uid not in self.mixed_into, f"node {node} mixes {uid} again, into {packet}"
-                self.mixed_into[uid] = packet
-        super().trace(now, node, event, packet, detail)
 
 
 # nodes keep no addressed-duplicate filter: this is the precondition that
@@ -236,7 +247,7 @@ def test_no_node_is_addressed_a_key_twice(scheme, line, n, seed, n_flows, rate, 
         assume(False)
     sim = AddressedOnce(Scenario(topo, flows, scheme, duration=0.25, channel_rate=channel_rate, seed=seed,
                                  capture_trace=False)).run()
-    assert sim.double_deliveries == 0
+    assert sim.double_deliveries == 0 and sim.mixes_checked()
     target(float(sim.encode_count), label="encodes")
 
 
@@ -1225,6 +1236,25 @@ def test_saturated_traces_are_pinned(scheme, seed):
     sim = run(random_scenario(scheme, seed=seed, n_flows=8, rate=200.0, duration=2.0))
     assert sim.trace_log.sha256() == SATURATED_TRACES[scheme, seed]
     check_counters_against_trace(sim)
+
+
+def test_only_deliver_enqueue_and_forward_lines_call_trace(monkeypatch):
+    # every other line, the nodes' capture-only lines with their details
+    # included, goes straight to the trace log behind its one capture test;
+    # Simulation.trace carries these three, each of its lines
+    called = Counter()
+    trace = Simulation.trace
+
+    def counted(self, now, node, event, packet):
+        called[event] += 1
+        trace(self, now, node, event, packet)
+
+    monkeypatch.setattr(Simulation, "trace", counted)
+    sim = run(random_scenario(Scheme.EXCODE, seed=1, n_flows=8, rate=200.0, duration=2.0))
+    assert sim.trace_log.sha256() == SATURATED_TRACES[Scheme.EXCODE, 1]
+    logged = Counter(line.split(",", 3)[2] for line in sim.trace_log)
+    assert logged["encode"] and logged["overhear"] and logged["forward_encoded"]
+    assert called == {event: logged[event] for event in ("deliver", "enqueue", "forward_encoded")}
 
 
 @pytest.mark.parametrize("name, scheme", sorted(FIXTURE_TRACES, key=str))
